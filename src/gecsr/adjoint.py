@@ -8,11 +8,14 @@ estimators, the extrinsic and damping steps, and into the controller
 parameters.  Spectral initializations are constants of the sample, so the
 recursion stops there.
 
-Controller coupling is complete: recurrent controllers receive gradients
-both through the damping factors they emitted and through their inputs
-(the damping-factor history and the current extrinsic variance), which is
-what makes this equivalent to backpropagation through time over the
-interleaved solver/controller graph.
+The damping factors come from the solver's own controller
+(`hypernets.policy_for_params`) queried with `PolicyFeatures`; reset with
+a tape, it records its queries and runs its own backward pass, so this
+module holds no controller math.  Controller coupling is complete:
+recurrent controllers receive gradients both through the damping factors
+they emitted and through their inputs (the damping-factor history and the
+current extrinsic variance), which is what makes this equivalent to
+backpropagation through time over the interleaved solver/controller graph.
 
 Everything here is validated against central differences of the actual
 training loss (see grad_check and the adjoint tests).
@@ -20,20 +23,20 @@ training loss (see grad_check and the adjoint tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .hypernets import (
-    AttentionHead,
-    DirectDampingParams,
-    HyperGruParams,
-    HyperNetParams,
-    sigmoid,
-)
+from .hypernets import _named_arrays, policy_for_params, sigmoid
 from .model import Sample, SignalPrior
-from .solver import V_MAX, V_MIN, GaussianMessage, bessel_ratio, spectral_init
+from .solver import (
+    V_MAX,
+    V_MIN,
+    GaussianMessage,
+    PolicyFeatures,
+    bessel_ratio,
+    spectral_init,
+)
 
 
 def bessel_ratio_derivative(kappa, ratio):
@@ -275,243 +278,53 @@ def _backward_extrinsic(g_mean, g_var, rec, prefix):
     return g_post_mean, g_post_var, g_pri_mean, g_pri_var
 
 
-# ----------------------------------------------------- controller tapes
+class _DampedSide:
+    """One side's damping step, its policy queries and their adjoints.
 
-
-def _attention_forward(s, head: AttentionHead, rec, prefix):
-    d = s.shape[0]
-    b = head.w_b @ s
-    c = head.w_c @ s
-    logits = np.outer(b, c) / np.sqrt(d)
-    logits -= logits.max(axis=1, keepdims=True)
-    weights = np.exp(logits)
-    weights /= weights.sum(axis=1, keepdims=True)
-    out = weights @ s
-    rec[prefix + "b"] = b
-    rec[prefix + "c"] = c
-    rec[prefix + "weights"] = weights
-    rec[prefix + "s"] = s
-    return out
-
-
-def _attention_backward(g_out, head: AttentionHead, rec, prefix, grads, gb_key, gc_key):
-    b = rec[prefix + "b"]
-    c = rec[prefix + "c"]
-    weights = rec[prefix + "weights"]
-    s = rec[prefix + "s"]
-    d = s.shape[0]
-    g_weights = np.outer(g_out, s)
-    g_s = weights.T @ g_out
-    # Softmax rows: dL/dlogits = W * (g - (g*W).sum(row)).
-    row_dot = np.sum(g_weights * weights, axis=1, keepdims=True)
-    g_logits = weights * (g_weights - row_dot)
-    scale = 1.0 / np.sqrt(d)
-    g_b = scale * (g_logits @ c)
-    g_c = scale * (g_logits.T @ b)
-    grads[gb_key] += np.outer(g_b, s)
-    grads[gc_key] += np.outer(g_c, s)
-    g_s += head.w_b.T @ g_b + head.w_c.T @ g_c
-    return g_s
-
-
-class _DirectTape:
-    """Per-layer logits: beta(t) = sigmoid(logit); gradients per side."""
-
-    def __init__(self, params: DirectDampingParams):
-        self.params = params
-        self.beta_z = sigmoid(params.logits_z)
-        self.beta_x = self.beta_z if params.tied else sigmoid(params.logits_x)
-        self.g_logits_z = np.zeros_like(params.logits_z)
-        self.g_logits_x = np.zeros_like(params.logits_x)
-
-    def beta(self, side, t, feats, rec):
-        table = self.beta_z if side == "z" else self.beta_x
-        return float(table[t - 1])
-
-    def backward_beta(self, side, t, g_beta, rec):
-        if side == "z" or self.params.tied:
-            beta = self.beta_z[t - 1]
-            self.g_logits_z[t - 1] += g_beta * beta * (1.0 - beta)
-        else:
-            beta = self.beta_x[t - 1]
-            self.g_logits_x[t - 1] += g_beta * beta * (1.0 - beta)
-        return {}
-
-    def finish(self, g_state):
-        if self.params.tied:
-            return {"logits_z": self.g_logits_z}
-        return {"logits_z": self.g_logits_z, "logits_x": self.g_logits_x}
-
-
-class _HyperNetTape:
-    """Static two-layer controller; one forward pass shared by all queries."""
-
-    def __init__(self, params: HyperNetParams, sigma_tilde, sqrt_snr):
-        self.params = params
-        self.s = np.concatenate([sigma_tilde, [sqrt_snr]])
-        self.rec = {}
-        s_in = self.s
-        if params.attention is not None:
-            mixed = np.zeros_like(s_in)
-            for i, head in enumerate(params.attention.heads):
-                mixed += params.attention.mix[i] * _attention_forward(
-                    s_in, head, self.rec, f"h{i}_")
-            s_in = mixed
-        self.s_in = s_in
-        self.pre = params.w1 @ s_in
-        self.hidden = np.maximum(self.pre, 0.0)
-        self.out = params.w2 @ self.hidden
-        self.betas = sigmoid(self.out)
-        self.g_betas = np.zeros_like(self.betas)
-
-    def beta(self, side, t, feats, rec):
-        return float(self.betas[t - 1])
-
-    def backward_beta(self, side, t, g_beta, rec):
-        self.g_betas[t - 1] += g_beta
-        return {}
-
-    def finish(self, g_state):
-        params = self.params
-        g_out = self.g_betas * self.betas * (1.0 - self.betas)
-        grads = {"w2": np.outer(g_out, self.hidden)}
-        g_hidden = params.w2.T @ g_out
-        g_pre = g_hidden * (self.pre > 0)
-        grads["w1"] = np.outer(g_pre, self.s_in)
-        if params.attention is not None:
-            g_s_in = params.w1.T @ g_pre
-            heads = params.attention.heads
-            grads["mix"] = np.zeros(len(heads))
-            for i, head in enumerate(heads):
-                grads[f"head{i}_w_b"] = np.zeros_like(head.w_b)
-                grads[f"head{i}_w_c"] = np.zeros_like(head.w_c)
-            for i, head in enumerate(heads):
-                head_out = self.rec[f"h{i}_weights"] @ self.s
-                grads["mix"][i] = float(np.dot(g_s_in, head_out))
-                _attention_backward(params.attention.mix[i] * g_s_in, head,
-                                    self.rec, f"h{i}_", grads,
-                                    f"head{i}_w_b", f"head{i}_w_c")
-        return grads
-
-
-class _HyperGruTape:
-    """Recurrent controller with full backpropagation through time.
-
-    The per-step records hold gates and inputs; backward_beta is called in
-    reverse step order interleaved with the solver adjoints, accumulating
-    the running dL/dstate and emitting gradients for the feature inputs
-    (damping history, log-variance) so the solver coupling stays exact.
+    Forward: beta(t) from the policy, then beta * previous + (1 - beta) *
+    extrinsic, where "previous" is this side's last damped message (raw
+    variance) and the policy sees the two previous factors.  Backward runs
+    the layers in reverse, carrying the adjoints that reach the history
+    and, through the policy's feature inputs, the earlier factors.
     """
 
-    def __init__(self, params: HyperGruParams):
-        self.params = params
-        self.state = np.zeros(params.hidden)
-        self.steps = []
-        self.grads = {name: np.zeros_like(arr) for name, arr in (
-            ("w_update", params.w_update), ("w_reset", params.w_reset),
-            ("w_cand", params.w_cand), ("w_out", params.w_out))}
-        if params.attention is not None:
-            self.grads["attn_w_b"] = np.zeros_like(params.attention.w_b)
-            self.grads["attn_w_c"] = np.zeros_like(params.attention.w_c)
-        self.g_state = np.zeros(params.hidden)
+    def __init__(self, side, policy, sigma_tilde, sqrt_snr, mean, var):
+        self.side, self.policy = side, policy
+        self.sigma_tilde, self.sqrt_snr = sigma_tilde, sqrt_snr
+        self.hist = (mean, var)
+        self.betas = (1.0, 1.0)
+        self.records = []
+        self.g_hist = (np.zeros_like(mean), 0.0)
+        # dL/dbeta(t) arriving as the next query's beta_prev input, and as
+        # the one after's beta_prev2 input.
+        self.g_feed = (0.0, 0.0)
 
-    def beta(self, side, t, feats, rec):
-        params = self.params
-        log_v = np.log10(feats.v_ext) if feats.v_ext > 0 else -11.0
-        clipped = min(max(log_v, -11.0), 11.0)
-        s = np.concatenate([feats.sigma_tilde,
-                            [feats.sqrt_snr, feats.beta_prev, feats.beta_prev2,
-                             clipped]])
-        prev = self.state
-        joint = np.concatenate([prev, s])
-        z = sigmoid(params.w_update @ joint)
-        r_gate = sigmoid(params.w_reset @ joint)
-        joint_c = np.concatenate([r_gate * prev, s])
-        cand = np.tanh(params.w_cand @ joint_c)
-        new_state = (1.0 - z) * prev + z * cand
-        step = {"prev": prev, "s": s, "joint": joint, "z": z, "r": r_gate,
-                "joint_c": joint_c, "cand": cand, "state": new_state,
-                "v_ext": feats.v_ext, "log_clipped": (-11.0 < log_v < 11.0)
-                and feats.v_ext > 0}
-        readout = new_state
-        if params.attention is not None:
-            readout = _attention_forward(new_state, params.attention, step, "att_")
-        pre = float(params.w_out @ readout)
-        beta = float(sigmoid(pre))
-        step["readout"] = readout
-        step["beta"] = beta
-        self.steps.append(step)
-        self.state = new_state
-        return beta
+    def forward(self, t, ext_m, ext_v):
+        """Damped (mean, clamped variance) of layer t."""
+        beta = self.policy.beta(self.side, t, PolicyFeatures(
+            self.sigma_tilde, self.sqrt_snr, self.betas[0], self.betas[1], ext_v))
+        self.betas = (beta, self.betas[0])
+        hist_m, hist_v = self.hist
+        mean = beta * hist_m + (1.0 - beta) * ext_m
+        var = beta * hist_v + (1.0 - beta) * ext_v
+        self.records.append((beta, self.hist, ext_m, ext_v, var))
+        self.hist = (mean, var)
+        return mean, min(max(var, V_MIN), V_MAX)
 
-    def backward_beta(self, side, t, g_beta, rec):
-        params = self.params
-        step = self.steps.pop()
-        beta = step["beta"]
-        g_pre = g_beta * beta * (1.0 - beta)
-        g_readout = g_pre * params.w_out
-        self.grads["w_out"] += g_pre * step["readout"]
-        if params.attention is not None:
-            g_new_state = _attention_backward(g_readout, params.attention, step,
-                                              "att_", self.grads,
-                                              "attn_w_b", "attn_w_c")
-        else:
-            g_new_state = g_readout.copy()
-        g_new_state = g_new_state + self.g_state
-        # new_state = (1 - z) prev + z cand.
-        prev, z, cand = step["prev"], step["z"], step["cand"]
-        g_z = g_new_state * (cand - prev)
-        g_cand = g_new_state * z
-        g_prev = g_new_state * (1.0 - z)
-        # cand = tanh(w_cand [r*prev, s]).
-        g_cand_pre = g_cand * (1.0 - cand * cand)
-        self.grads["w_cand"] += np.outer(g_cand_pre, step["joint_c"])
-        g_joint_c = params.w_cand.T @ g_cand_pre
-        h = params.hidden
-        g_rprev = g_joint_c[:h]
-        g_s = g_joint_c[h:]
-        g_r = g_rprev * prev
-        g_prev = g_prev + g_rprev * step["r"]
-        # gates.
-        g_z_pre = g_z * z * (1.0 - z)
-        g_r_pre = g_r * step["r"] * (1.0 - step["r"])
-        self.grads["w_update"] += np.outer(g_z_pre, step["joint"])
-        self.grads["w_reset"] += np.outer(g_r_pre, step["joint"])
-        g_joint = params.w_update.T @ g_z_pre + params.w_reset.T @ g_r_pre
-        g_prev = g_prev + g_joint[:h]
-        g_s = g_s + g_joint[h:]
-        self.g_state = g_prev
-        n = params.n
-        g_beta_prev = float(g_s[n + 1])
-        g_beta_prev2 = float(g_s[n + 2])
-        g_log_v = float(g_s[n + 3])
-        g_v_ext = 0.0
-        if step["log_clipped"]:
-            g_v_ext = g_log_v / (step["v_ext"] * np.log(10.0))
-        return {"beta_prev": g_beta_prev, "beta_prev2": g_beta_prev2,
-                "v_ext": g_v_ext}
-
-    def finish(self, g_state):
-        return self.grads
-
-
-def _make_tape(params, sigma_tilde, sqrt_snr):
-    if isinstance(params, DirectDampingParams):
-        return _DirectTape(params)
-    if isinstance(params, HyperNetParams):
-        return _HyperNetTape(params, sigma_tilde, sqrt_snr)
-    if isinstance(params, HyperGruParams):
-        return _HyperGruTape(params)
-    raise TypeError(f"unsupported parameter bundle {type(params).__name__}")
-
-
-@dataclass
-class _Feats:
-    sigma_tilde: np.ndarray
-    sqrt_snr: float
-    beta_prev: float
-    beta_prev2: float
-    v_ext: float
+    def backward(self, t, g_mean, g_var):
+        """Adjoint of layer t's forward: (dL/d ext mean, dL/d ext variance)."""
+        beta, (hist_m, hist_v), ext_m, ext_v, var = self.records.pop()
+        g_mean = g_mean + self.g_hist[0]
+        g_var = g_var * _clamp_grad(var) + self.g_hist[1]
+        g_beta = (2.0 * float(np.sum(np.real(np.conj(g_mean) * (hist_m - ext_m))))
+                  + g_var * (hist_v - ext_v))
+        self.g_hist = (beta * g_mean, beta * g_var)
+        fb1, fb2 = self.g_feed
+        feat_grads = self.policy.backward_beta(self.side, t, g_beta + fb1)
+        self.g_feed = (fb2 + feat_grads.get("beta_prev", 0.0),
+                       feat_grads.get("beta_prev2", 0.0))
+        return ((1.0 - beta) * g_mean,
+                (1.0 - beta) * g_var + feat_grads.get("v_ext", 0.0))
 
 
 def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
@@ -528,15 +341,15 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     msg_z0, msg_x0 = spectral_init(sample.y, matrix) if init is None else init
     sigma_tilde = matrix.sigma_tilde
     sqrt_snr = float(np.sqrt(matrix.snr))
-    tape = _make_tape(params, sigma_tilde, sqrt_snr)
+    policy = policy_for_params(params)
+    policy.reset(tape=True)
 
     m1z = msg_z0.mean
     v1z = min(max(msg_z0.variance, V_MIN), V_MAX)
     m2x = msg_x0.mean
     v2x = min(max(msg_x0.variance, V_MIN), V_MAX)
-    hist_z = (m1z, v1z)
-    hist_x = (m2x, v2x)
-    beta_hist = {"z": (1.0, 1.0), "x": (1.0, 1.0)}
+    damp_z = _DampedSide("z", policy, sigma_tilde, sqrt_snr, m1z, v1z)
+    damp_x = _DampedSide("x", policy, sigma_tilde, sqrt_snr, m2x, v2x)
 
     y = sample.y
     x_true = sample.x
@@ -547,182 +360,69 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
         rec = {}
         post_z, pvar_z = _forward_magnitude(m1z, v1z, y, rec)
         ext_mz, ext_vz = _forward_extrinsic(post_z, pvar_z, m1z, v1z, rec, "ez_")
-        feats_z = _Feats(sigma_tilde, sqrt_snr, beta_hist["z"][0],
-                         beta_hist["z"][1], ext_vz)
-        beta_z = tape.beta("z", t, feats_z, rec)
-        beta_hist["z"] = (beta_z, beta_hist["z"][0])
-        rec["beta_z"] = beta_z
-        rec["hist_z_in"] = hist_z
-        rec["ext_z"] = (ext_mz, ext_vz)
-        dz_m = beta_z * hist_z[0] + (1.0 - beta_z) * ext_mz
-        dz_v = beta_z * hist_z[1] + (1.0 - beta_z) * ext_vz
-        dz_v_clamped = min(max(dz_v, V_MIN), V_MAX)
-        rec["dz_v_raw"] = dz_v
-        hist_z = (dz_m, dz_v)
+        dz_m, dz_v = damp_z.forward(t, ext_mz, ext_vz)
 
-        post_x, pvar_x = _forward_lmmse_x(matrix, dz_m, dz_v_clamped, m2x, v2x,
-                                          rec, "bx_")
+        post_x, pvar_x = _forward_lmmse_x(matrix, dz_m, dz_v, m2x, v2x, rec, "bx_")
         m1x, v1x = _forward_extrinsic(post_x, pvar_x, m2x, v2x, rec, "ex1_")
         den_x, den_v = _forward_gb(m1x, v1x, prior, rec)
         if not np.all(np.isfinite(den_x)):
             diverged = True
             break
-        term, g_est = _aligned_sq_error(x_true, den_x)
-        rec["g_est"] = g_est
+        term, rec["g_est"] = _aligned_sq_error(x_true, den_x)
         loss += term
 
         ext_mx, ext_vx = _forward_extrinsic(den_x, den_v, m1x, v1x, rec, "ex2_")
-        feats_x = _Feats(sigma_tilde, sqrt_snr, beta_hist["x"][0],
-                         beta_hist["x"][1], ext_vx)
-        beta_x = tape.beta("x", t, feats_x, rec)
-        beta_hist["x"] = (beta_x, beta_hist["x"][0])
-        rec["beta_x"] = beta_x
-        rec["hist_x_in"] = hist_x
-        rec["ext_x"] = (ext_mx, ext_vx)
-        dx_m = beta_x * hist_x[0] + (1.0 - beta_x) * ext_mx
-        dx_v = beta_x * hist_x[1] + (1.0 - beta_x) * ext_vx
-        dx_v_clamped = min(max(dx_v, V_MIN), V_MAX)
-        rec["dx_v_raw"] = dx_v
-        hist_x = (dx_m, dx_v)
+        m2x, v2x = damp_x.forward(t, ext_mx, ext_vx)
 
-        post_z2, pvar_z2 = _forward_lmmse_z(matrix, dz_m, dz_v_clamped, dx_m,
-                                            dx_v_clamped, rec, "bz_")
-        new_m1z, new_v1z = _forward_extrinsic(post_z2, pvar_z2, dz_m,
-                                              dz_v_clamped, rec, "ez2_")
-        rec["dz_m"] = dz_m
-        rec["dz_v_clamped"] = dz_v_clamped
-        rec["dx_m"] = dx_m
-        rec["dx_v_clamped"] = dx_v_clamped
-        rec["m2x_in"] = m2x
-        rec["v2x_in"] = v2x
+        post_z2, pvar_z2 = _forward_lmmse_z(matrix, dz_m, dz_v, m2x, v2x, rec, "bz_")
+        m1z, v1z = _forward_extrinsic(post_z2, pvar_z2, dz_m, dz_v, rec, "ez2_")
         records.append(rec)
-        m1z, v1z = new_m1z, new_v1z
-        m2x, v2x = dx_m, dx_v_clamped
         if not (np.all(np.isfinite(m1z)) and np.all(np.isfinite(m2x))):
             diverged = True
             break
 
-    zero = {name: np.zeros_like(arr) for name, arr in _grad_template(params).items()}
+    zero = {name: np.zeros_like(arr) for name, arr in _named_arrays(params)}
     if diverged or len(records) < layers:
         return loss_clip, zero, True
     if not np.isfinite(loss) or loss >= loss_clip:
         return loss_clip, zero, False
 
-    # Backward sweep.
-    n_dim = matrix.n
-    m_dim = matrix.m
-    g_m1z = np.zeros(m_dim, complex)
+    # Backward sweep; g_m1z .. g_v2x are the adjoints of the next layer's inputs.
+    g_m1z = np.zeros(matrix.m, complex)
     g_v1z = 0.0
-    g_m2x = np.zeros(n_dim, complex)
+    g_m2x = np.zeros(matrix.n, complex)
     g_v2x = 0.0
-    g_hist_z_m = np.zeros(m_dim, complex)
-    g_hist_z_v = 0.0
-    g_hist_x_m = np.zeros(n_dim, complex)
-    g_hist_x_v = 0.0
-    # Future queries read beta(t) through the history features; carry those
-    # adjoints backwards per side: (grad wrt beta as beta_prev-input of the
-    # next query, grad wrt beta as beta_prev2-input of the query after).
-    g_beta_feed = {"z": (0.0, 0.0), "x": (0.0, 0.0)}
-
-    for t_layer in range(len(records), 0, -1):
-        rec = records[t_layer - 1]
-        # next-layer inputs: m1z (from ez2), m2x (= damped x message).
+    for t in range(layers, 0, -1):
+        rec = records[t - 1]
         g_post_z2, g_pvar_z2, g_dzm_pri, g_dzv_pri = _backward_extrinsic(
             g_m1z, g_v1z, rec, "ez2_")
         g_dzm_b, g_dzv_b, g_dxm_b, g_dxv_b = _backward_lmmse(
             matrix, g_post_z2, g_pvar_z2, rec, "bz_", output="z")
-        g_dx_m = g_m2x + g_dxm_b
-        g_dx_v = g_v2x * _clamp_grad(rec["dx_v_raw"]) + g_dxv_b * _clamp_grad(
-            rec["dx_v_raw"])
-        g_dz_m_total = g_dzm_pri + g_dzm_b
-        g_dz_v_total = (g_dzv_pri + g_dzv_b) * _clamp_grad(rec["dz_v_raw"])
+        g_ext_mx, g_ext_vx = damp_x.backward(t, g_m2x + g_dxm_b, g_v2x + g_dxv_b)
 
-        # x-side damping: dx = beta_x hist_x + (1 - beta_x) ext_x.  The
-        # damped pair also feeds the NEXT layer's damp as "previous"; that
-        # adjoint arrived through g_hist_x_(m|v).
-        beta_x = rec["beta_x"]
-        hist_x_m, hist_x_v = rec["hist_x_in"]
-        ext_mx, ext_vx = rec["ext_x"]
-        g_dx_m_all = g_dx_m + g_hist_x_m
-        g_dx_v_all = g_dx_v + g_hist_x_v
-        g_beta_x = (2.0 * float(np.sum(np.real(np.conj(g_dx_m_all)
-                                               * (hist_x_m - ext_mx))))
-                    + g_dx_v_all * (hist_x_v - ext_vx))
-        g_hist_x_m = beta_x * g_dx_m_all
-        g_hist_x_v = beta_x * g_dx_v_all
-        g_ext_mx = (1.0 - beta_x) * g_dx_m_all
-        g_ext_vx = (1.0 - beta_x) * g_dx_v_all
-
-        # beta_x query: add feed-through from later queries' history inputs.
-        fb1, fb2 = g_beta_feed["x"]
-        g_beta_x += fb1
-        feat_grads = tape.backward_beta("x", t_layer, g_beta_x, rec)
-        g_ext_vx += feat_grads.get("v_ext", 0.0)
-        g_beta_feed["x"] = (fb2 + feat_grads.get("beta_prev", 0.0),
-                            feat_grads.get("beta_prev2", 0.0))
-
-        # extrinsic after denoiser.
+        # Extrinsic after the denoiser, the denoiser, extrinsic after B_x.
         g_den_x, g_den_v, g_m1x_a, g_v1x_a = _backward_extrinsic(
             g_ext_mx, g_ext_vx, rec, "ex2_")
-        g_den_x = g_den_x + rec["g_est"]
-        g_r, g_v1x_b = _backward_gb(g_den_x, g_den_v, prior, rec)
-        g_m1x = g_m1x_a + g_r
-        g_v1x = g_v1x_a + g_v1x_b
-
-        # extrinsic after B_x.
+        g_r, g_v1x_b = _backward_gb(g_den_x + rec["g_est"], g_den_v, prior, rec)
         g_post_x, g_pvar_x, g_m2x_pri, g_v2x_pri = _backward_extrinsic(
-            g_m1x, g_v1x, rec, "ex1_")
+            g_m1x_a + g_r, g_v1x_a + g_v1x_b, rec, "ex1_")
         g_dzm_bx, g_dzv_bx, g_m2x_bx, g_v2x_bx = _backward_lmmse(
             matrix, g_post_x, g_pvar_x, rec, "bx_", output="x")
-        g_dz_m_total = g_dz_m_total + g_dzm_bx
-        g_dz_v_total = g_dz_v_total + g_dzv_bx * _clamp_grad(rec["dz_v_raw"])
+        g_ext_mz, g_ext_vz = damp_z.backward(t, g_dzm_pri + g_dzm_b + g_dzm_bx,
+                                             g_dzv_pri + g_dzv_b + g_dzv_bx)
 
-        # z-side damping.
-        beta_z = rec["beta_z"]
-        hist_z_m, hist_z_v = rec["hist_z_in"]
-        ext_mz, ext_vz = rec["ext_z"]
-        g_dz_m_all = g_dz_m_total + g_hist_z_m
-        g_dz_v_all = g_dz_v_total + g_hist_z_v
-        g_beta_z = (2.0 * float(np.sum(np.real(np.conj(g_dz_m_all)
-                                               * (hist_z_m - ext_mz))))
-                    + g_dz_v_all * (hist_z_v - ext_vz))
-        g_hist_z_m = beta_z * g_dz_m_all
-        g_hist_z_v = beta_z * g_dz_v_all
-        g_ext_mz = (1.0 - beta_z) * g_dz_m_all
-        g_ext_vz = (1.0 - beta_z) * g_dz_v_all
-
-        fb1, fb2 = g_beta_feed["z"]
-        g_beta_z += fb1
-        feat_grads = tape.backward_beta("z", t_layer, g_beta_z, rec)
-        g_ext_vz += feat_grads.get("v_ext", 0.0)
-        g_beta_feed["z"] = (fb2 + feat_grads.get("beta_prev", 0.0),
-                            feat_grads.get("beta_prev2", 0.0))
-
-        # extrinsic after the phase reconstructor.
+        # Extrinsic after the phase reconstructor, then the reconstructor.
         g_post_zp, g_pvar_zp, g_m1z_pri, g_v1z_pri = _backward_extrinsic(
             g_ext_mz, g_ext_vz, rec, "ez_")
         g_mu_a, g_v_a = _backward_magnitude(g_post_zp, g_pvar_zp, y, rec)
-
-        # accumulate into this layer's inputs.
         g_m1z = g_m1z_pri + g_mu_a
         g_v1z = g_v1z_pri + g_v_a
         g_m2x = g_m2x_pri + g_m2x_bx
         g_v2x = g_v2x_pri + g_v2x_bx
 
-    grads = tape.finish(None)
-    template = _grad_template(params)
-    for name in template:
-        if name not in grads:
-            grads[name] = np.zeros_like(template[name])
-    return loss, grads, False
-
-
-def _grad_template(params) -> dict:
-    from .hypernets import _named_arrays
-    return {name: arr for name, arr in _named_arrays(params)}
+    return loss, dict(_named_arrays(policy.gradients())), False
 
 
 def gradient_vector(params, grads: dict) -> np.ndarray:
     """Flatten a gradient dict in params_to_vector order."""
-    from .hypernets import _named_arrays
     return np.concatenate([grads[name].ravel() for name, _ in _named_arrays(params)])

@@ -13,10 +13,18 @@ Four controller families implement the solver's DampingPolicy interface:
 
 All weights live in small dataclasses that flatten to/from one real vector
 for the trainer, and serialize to a JSON checkpoint.
+
+Each policy class is the only implementation of its controller, for the
+solver and for the exact adjoint alike.  `reset(tape=True)` starts a
+recorded run: the forward functions below then fill a tape, the adjoint
+hands dL/dbeta back through `backward_beta` in reverse query order, and
+`gradients()` returns dL/dparameters as a bundle shaped like the weights.
+Solver runs record nothing.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass
@@ -45,20 +53,6 @@ def relu(v):
     return np.maximum(np.asarray(v, dtype=float), 0.0)
 
 
-def tanh(v):
-    return np.tanh(np.asarray(v, dtype=float))
-
-
-ACTIVATIONS = {"sigmoid": sigmoid, "relu": relu, "tanh": tanh}
-
-
-def apply_activation(kind: str, v):
-    try:
-        return ACTIVATIONS[kind](v)
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
-
-
 @dataclass
 class AttentionHead:
     """One self-attention head: two square feature maps over the input."""
@@ -67,7 +61,8 @@ class AttentionHead:
     w_c: np.ndarray
 
 
-def attention_head(s: np.ndarray, head: AttentionHead) -> np.ndarray:
+def attention_head(s: np.ndarray, head: AttentionHead,
+                   tape: Optional[dict] = None) -> np.ndarray:
     """Scaled dot-product self-attention of a vector with itself.
 
     Row i of the weight matrix is softmax_j(b_i c_j / sqrt(d)), so every row
@@ -80,7 +75,27 @@ def attention_head(s: np.ndarray, head: AttentionHead) -> np.ndarray:
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits)
     weights /= weights.sum(axis=1, keepdims=True)
+    if tape is not None:
+        tape.update(s=s, b=b, c=c, weights=weights)
     return weights @ s
+
+
+def attention_backward(g_out: np.ndarray, head: AttentionHead, tape: dict,
+                       g_head: AttentionHead) -> np.ndarray:
+    """Adjoint of attention_head: adds weight gradients to g_head, returns dL/ds."""
+    s, b, c, weights = tape["s"], tape["b"], tape["c"], tape["weights"]
+    g_weights = np.outer(g_out, s)
+    g_s = weights.T @ g_out
+    # Softmax rows: dL/dlogits = W * (g - (g*W).sum(row)).
+    row_dot = np.sum(g_weights * weights, axis=1, keepdims=True)
+    g_logits = weights * (g_weights - row_dot)
+    scale = 1.0 / np.sqrt(s.shape[0])
+    g_b = scale * (g_logits @ c)
+    g_c = scale * (g_logits.T @ b)
+    g_head.w_b += np.outer(g_b, s)
+    g_head.w_c += np.outer(g_c, s)
+    g_s += head.w_b.T @ g_b + head.w_c.T @ g_c
+    return g_s
 
 
 @dataclass
@@ -91,10 +106,11 @@ class MultiAttention:
     mix: np.ndarray
 
 
-def multi_attention(s: np.ndarray, multi: MultiAttention) -> np.ndarray:
+def multi_attention(s: np.ndarray, multi: MultiAttention,
+                    tapes: Optional[list[dict]] = None) -> np.ndarray:
     out = np.zeros_like(s)
-    for weight, head in zip(multi.mix, multi.heads):
-        out += weight * attention_head(s, head)
+    for i, (weight, head) in enumerate(zip(multi.mix, multi.heads)):
+        out += weight * attention_head(s, head, None if tapes is None else tapes[i])
     return out
 
 
@@ -123,14 +139,42 @@ class HyperNetParams:
         return self.w1.shape[1] - 1
 
 
-def hypernet_forward(s: np.ndarray, params: HyperNetParams) -> np.ndarray:
+def hypernet_forward(s: np.ndarray, params: HyperNetParams,
+                     tape: Optional[dict] = None) -> np.ndarray:
     """Full damping schedule sigmoid(w2 @ relu(w1 @ s'))."""
     if s.shape != (params.w1.shape[1],):
         raise ValueError(f"input length {s.shape} does not match "
                          f"controller width {params.w1.shape[1]}")
+    head_tapes = None
     if params.attention is not None:
-        s = multi_attention(s, params.attention)
-    return sigmoid(params.w2 @ relu(params.w1 @ s))
+        if tape is not None:
+            head_tapes = [{} for _ in params.attention.heads]
+        s = multi_attention(s, params.attention, head_tapes)
+    pre = params.w1 @ s
+    hidden = relu(pre)
+    betas = sigmoid(params.w2 @ hidden)
+    if tape is not None:
+        tape.update(s_in=s, pre=pre, hidden=hidden, betas=betas, heads=head_tapes)
+    return betas
+
+
+def hypernet_backward(g_betas: np.ndarray, params: HyperNetParams, tape: dict,
+                      grads: HyperNetParams) -> None:
+    """Adjoint of hypernet_forward: adds dL/dweights to `grads`."""
+    betas = tape["betas"]
+    g_out = g_betas * betas * (1.0 - betas)
+    grads.w2 += np.outer(g_out, tape["hidden"])
+    g_pre = (params.w2.T @ g_out) * (tape["pre"] > 0)
+    grads.w1 += np.outer(g_pre, tape["s_in"])
+    if params.attention is None:
+        return
+    g_s_in = params.w1.T @ g_pre
+    for i, head in enumerate(params.attention.heads):
+        head_tape = tape["heads"][i]
+        head_out = head_tape["weights"] @ head_tape["s"]
+        grads.attention.mix[i] += float(np.dot(g_s_in, head_out))
+        attention_backward(params.attention.mix[i] * g_s_in, head, head_tape,
+                           grads.attention.heads[i])
 
 
 @dataclass
@@ -157,19 +201,65 @@ class HyperGruParams:
         return self.w_update.shape[1] - self.hidden - 4
 
 
-def gru_step(state: np.ndarray, s: np.ndarray,
-             params: HyperGruParams) -> tuple[np.ndarray, float]:
+def gru_step(state: np.ndarray, s: np.ndarray, params: HyperGruParams,
+             tape: Optional[dict] = None) -> tuple[np.ndarray, float]:
     """One recurrent update; returns the new state and its damping factor."""
     joint = np.concatenate([state, s])
     z = sigmoid(params.w_update @ joint)
     r = sigmoid(params.w_reset @ joint)
-    cand = np.tanh(params.w_cand @ np.concatenate([r * state, s]))
+    joint_c = np.concatenate([r * state, s])
+    cand = np.tanh(params.w_cand @ joint_c)
     new_state = (1.0 - z) * state + z * cand
     readout = new_state
+    head_tape = None
     if params.attention is not None:
-        readout = attention_head(new_state, params.attention)
+        if tape is not None:
+            head_tape = {}
+        readout = attention_head(new_state, params.attention, head_tape)
     beta = float(sigmoid(params.w_out @ readout))
+    if tape is not None:
+        tape.update(prev=state, joint=joint, z=z, r=r, joint_c=joint_c, cand=cand,
+                    readout=readout, beta=beta, attention=head_tape)
     return new_state, beta
+
+
+def gru_step_backward(g_beta: float, g_state: np.ndarray, params: HyperGruParams,
+                      tape: dict, grads: HyperGruParams
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of gru_step: adds dL/dweights to `grads`.
+
+    `g_state` is dL/d(new state) from the later steps; returns dL/d(state)
+    and dL/d(input).
+    """
+    beta = tape["beta"]
+    g_pre = g_beta * beta * (1.0 - beta)
+    g_readout = g_pre * params.w_out
+    grads.w_out += g_pre * tape["readout"]
+    if params.attention is not None:
+        g_readout = attention_backward(g_readout, params.attention,
+                                       tape["attention"], grads.attention)
+    g_new_state = g_readout + g_state
+    # new_state = (1 - z) prev + z cand.
+    prev, z, r, cand = tape["prev"], tape["z"], tape["r"], tape["cand"]
+    g_z = g_new_state * (cand - prev)
+    g_cand = g_new_state * z
+    g_prev = g_new_state * (1.0 - z)
+    # cand = tanh(w_cand [r*prev, s]).
+    g_cand_pre = g_cand * (1.0 - cand * cand)
+    grads.w_cand += np.outer(g_cand_pre, tape["joint_c"])
+    g_joint_c = params.w_cand.T @ g_cand_pre
+    h = params.hidden
+    g_rprev = g_joint_c[:h]
+    g_s = g_joint_c[h:]
+    g_r = g_rprev * prev
+    g_prev = g_prev + g_rprev * r
+    # Gates.
+    g_z_pre = g_z * z * (1.0 - z)
+    g_r_pre = g_r * r * (1.0 - r)
+    grads.w_update += np.outer(g_z_pre, tape["joint"])
+    grads.w_reset += np.outer(g_r_pre, tape["joint"])
+    g_joint = params.w_update.T @ g_z_pre + params.w_reset.T @ g_r_pre
+    return g_prev + g_joint[:h], g_s + g_joint[h:]
 
 
 @dataclass
@@ -180,9 +270,19 @@ class DirectDampingParams:
     logits_x: np.ndarray
     tied: bool = False
 
+    def __post_init__(self):
+        # A tied schedule has one logit vector, shared by both sides.
+        if self.tied:
+            self.logits_x = self.logits_z
+
     @property
     def layers(self) -> int:
         return self.logits_z.shape[0]
+
+
+def _zeros_like(params):
+    """A bundle shaped like `params` with every weight zero."""
+    return params_from_vector(params, np.zeros_like(params_to_vector(params)))
 
 
 class DirectSchedulePolicy(DampingPolicy):
@@ -192,6 +292,10 @@ class DirectSchedulePolicy(DampingPolicy):
         self.params = params
         self._beta_z = sigmoid(params.logits_z)
         self._beta_x = self._beta_z if params.tied else sigmoid(params.logits_x)
+        self.reset()
+
+    def reset(self, tape: bool = False) -> None:
+        self._grads = _zeros_like(self.params) if tape else None
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
         if t > self.params.layers:
@@ -200,16 +304,28 @@ class DirectSchedulePolicy(DampingPolicy):
         table = self._beta_z if side == "z" else self._beta_x
         return float(table[t - 1])
 
+    def backward_beta(self, side: str, t: int, g_beta: float) -> dict:
+        table, grad = ((self._beta_z, self._grads.logits_z) if side == "z"
+                       else (self._beta_x, self._grads.logits_x))
+        beta = table[t - 1]
+        grad[t - 1] += g_beta * beta * (1.0 - beta)
+        return {}
+
+    def gradients(self) -> DirectDampingParams:
+        return self._grads
+
 
 class StaticHyperNetPolicy(DampingPolicy):
     """Static controller: one forward pass per run, both sides tied."""
 
     def __init__(self, params: HyperNetParams):
         self.params = params
-        self._cache: Optional[np.ndarray] = None
+        self.reset()
 
-    def reset(self) -> None:
-        self._cache = None
+    def reset(self, tape: bool = False) -> None:
+        self._cache: Optional[np.ndarray] = None
+        self._tape = {} if tape else None
+        self._g_betas = np.zeros(self.params.layers) if tape else None
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
         if t > self.params.layers:
@@ -217,8 +333,17 @@ class StaticHyperNetPolicy(DampingPolicy):
                 f"static controller generates {self.params.layers} layers, got t={t}")
         if self._cache is None:
             s = np.concatenate([features.sigma_tilde, [features.sqrt_snr]])
-            self._cache = hypernet_forward(s, self.params)
+            self._cache = hypernet_forward(s, self.params, self._tape)
         return float(self._cache[t - 1])
+
+    def backward_beta(self, side: str, t: int, g_beta: float) -> dict:
+        self._g_betas[t - 1] += g_beta
+        return {}
+
+    def gradients(self) -> HyperNetParams:
+        grads = _zeros_like(self.params)
+        hypernet_backward(self._g_betas, self.params, self._tape, grads)
+        return grads
 
 
 class HyperGruPolicy(DampingPolicy):
@@ -231,10 +356,13 @@ class HyperGruPolicy(DampingPolicy):
 
     def __init__(self, params: HyperGruParams):
         self.params = params
-        self.state = np.zeros(params.hidden)
+        self.reset()
 
-    def reset(self) -> None:
+    def reset(self, tape: bool = False) -> None:
         self.state = np.zeros(self.params.hidden)
+        self._steps: Optional[list[dict]] = [] if tape else None
+        self._g_state = np.zeros(self.params.hidden)
+        self._grads = _zeros_like(self.params) if tape else None
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
         if features.sigma_tilde.shape[0] != self.params.n:
@@ -246,8 +374,31 @@ class HyperGruPolicy(DampingPolicy):
             [features.sqrt_snr, features.beta_prev, features.beta_prev2,
              min(max(log_v, -11.0), 11.0)],
         ])
-        self.state, beta = gru_step(self.state, s, self.params)
+        step = None
+        if self._steps is not None:
+            step = {"v_ext": features.v_ext, "log_inside": -11.0 < log_v < 11.0}
+            self._steps.append(step)
+        self.state, beta = gru_step(self.state, s, self.params, step)
         return beta
+
+    def backward_beta(self, side: str, t: int, g_beta: float) -> dict:
+        """Backpropagation through time, one query back.
+
+        Returns dL/d(feature) for the damping history and the extrinsic
+        variance, which the solver's own adjoint carries onwards.
+        """
+        step = self._steps.pop()
+        self._g_state, g_s = gru_step_backward(g_beta, self._g_state, self.params,
+                                               step, self._grads)
+        n = self.params.n
+        g_v_ext = 0.0
+        if step["log_inside"]:
+            g_v_ext = float(g_s[n + 3]) / (step["v_ext"] * np.log(10.0))
+        return {"beta_prev": float(g_s[n + 1]), "beta_prev2": float(g_s[n + 2]),
+                "v_ext": g_v_ext}
+
+    def gradients(self) -> HyperGruParams:
+        return self._grads
 
 
 def _uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -326,35 +477,21 @@ def params_to_vector(params) -> np.ndarray:
 
 def params_from_vector(template, vector: np.ndarray):
     """Rebuild a bundle shaped like `template` from a flat vector."""
-    pieces = {}
-    offset = 0
-    for name, arr in _named_arrays(template):
-        size = arr.size
-        pieces[name] = vector[offset:offset + size].reshape(arr.shape).copy()
-        offset += size
-    if offset != vector.size:
+    out = copy.deepcopy(template)
+    arrays = [arr for _, arr in _named_arrays(out)]
+    count = sum(arr.size for arr in arrays)
+    if vector.size != count:
         raise ValueError(f"vector length {vector.size} does not match "
-                         f"parameter count {offset}")
-    if isinstance(template, DirectDampingParams):
-        lz = pieces["logits_z"]
-        lx = lz if template.tied else pieces["logits_x"]
-        return DirectDampingParams(logits_z=lz, logits_x=lx, tied=template.tied)
-    if isinstance(template, HyperNetParams):
-        attn = None
-        if template.attention is not None:
-            heads = tuple(AttentionHead(pieces[f"head{i}_w_b"], pieces[f"head{i}_w_c"])
-                          for i in range(len(template.attention.heads)))
-            attn = MultiAttention(heads=heads, mix=pieces["mix"])
-        return HyperNetParams(w1=pieces["w1"], w2=pieces["w2"], attention=attn)
-    attn = None
-    if template.attention is not None:
-        attn = AttentionHead(pieces["attn_w_b"], pieces["attn_w_c"])
-    return HyperGruParams(w_update=pieces["w_update"], w_reset=pieces["w_reset"],
-                          w_cand=pieces["w_cand"], w_out=pieces["w_out"],
-                          attention=attn)
+                         f"parameter count {count}")
+    offset = 0
+    for arr in arrays:
+        arr[...] = vector[offset:offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return out
 
 
 VARIANTS = ("net_direct", "hypernet", "hypernet_attn", "hypergru", "hypergru_attn")
+CHECKPOINT_FORMAT = "gecsr-checkpoint-v1"
 
 
 def init_variant_params(variant: str, n: int, layers: int, hidden: int = 32,
@@ -375,14 +512,16 @@ def init_variant_params(variant: str, n: int, layers: int, hidden: int = 32,
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
+_POLICIES = {DirectDampingParams: DirectSchedulePolicy,
+             HyperNetParams: StaticHyperNetPolicy,
+             HyperGruParams: HyperGruPolicy}
+
+
 def policy_for_params(params) -> DampingPolicy:
-    if isinstance(params, DirectDampingParams):
-        return DirectSchedulePolicy(params)
-    if isinstance(params, HyperNetParams):
-        return StaticHyperNetPolicy(params)
-    if isinstance(params, HyperGruParams):
-        return HyperGruPolicy(params)
-    raise TypeError(f"unsupported parameter bundle {type(params).__name__}")
+    policy_class = _POLICIES.get(type(params))
+    if policy_class is None:
+        raise TypeError(f"unsupported parameter bundle {type(params).__name__}")
+    return policy_class(params)
 
 
 def checkpoint_payload(variant: str, params, n: int, layers: int,
@@ -393,7 +532,7 @@ def checkpoint_payload(variant: str, params, n: int, layers: int,
     for name, arr in _named_arrays(params):
         arrays[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
     payload = {
-        "format": "gecsr-checkpoint-v1",
+        "format": CHECKPOINT_FORMAT,
         "variant": variant,
         "n": n,
         "layers": layers,
@@ -427,38 +566,38 @@ def load_checkpoint(path: str) -> dict:
     for key in ("format", "variant", "n", "layers", "arrays"):
         if key not in payload:
             raise CheckpointError(f"checkpoint missing field {key!r}")
+    if payload["format"] != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"unsupported checkpoint format {payload['format']!r}; "
+                              f"expected {CHECKPOINT_FORMAT!r}")
     if payload["variant"] not in VARIANTS:
         raise CheckpointError(f"unknown checkpoint variant {payload['variant']!r}")
     return payload
 
 
 def params_from_checkpoint(payload: dict):
-    """Materialize the parameter bundle stored in a checkpoint."""
-    def arr(name: str) -> np.ndarray:
+    """Materialize the parameter bundle stored in a checkpoint.
+
+    The header (variant, n, layers, hidden, heads, tied) fixes the layout;
+    every stored array must have the shape that layout implies.
+    """
+    template = init_variant_params(
+        payload["variant"], int(payload["n"]), int(payload["layers"]),
+        hidden=int(payload.get("hidden", 0)), heads=int(payload.get("heads", 0)),
+        tied=bool(payload.get("tied", False)))
+    pieces = []
+    for name, arr in _named_arrays(template):
         try:
             entry = payload["arrays"][name]
-            return np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-        except (KeyError, ValueError) as exc:
+            shape = tuple(entry["shape"])
+            data = np.asarray(entry["data"], dtype=float).ravel()
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"checkpoint array {name!r} malformed") from exc
-
-    variant = payload["variant"]
-    if variant == "net_direct":
-        lz = arr("logits_z")
-        tied = bool(payload.get("tied", False))
-        lx = lz if tied else arr("logits_x")
-        return DirectDampingParams(logits_z=lz, logits_x=lx, tied=tied)
-    if variant in ("hypernet", "hypernet_attn"):
-        attn = None
-        if variant == "hypernet_attn":
-            heads = tuple(AttentionHead(arr(f"head{i}_w_b"), arr(f"head{i}_w_c"))
-                          for i in range(int(payload["heads"])))
-            attn = MultiAttention(heads=heads, mix=arr("mix"))
-        return HyperNetParams(w1=arr("w1"), w2=arr("w2"), attention=attn)
-    attn = None
-    if variant == "hypergru_attn":
-        attn = AttentionHead(arr("attn_w_b"), arr("attn_w_c"))
-    return HyperGruParams(w_update=arr("w_update"), w_reset=arr("w_reset"),
-                          w_cand=arr("w_cand"), w_out=arr("w_out"), attention=attn)
+        if shape != arr.shape or data.size != arr.size:
+            raise CheckpointError(
+                f"checkpoint array {name!r} has shape {list(shape)} with "
+                f"{data.size} values; the header implies {list(arr.shape)}")
+        pieces.append(data)
+    return params_from_vector(template, np.concatenate(pieces))
 
 
 def policy_from_checkpoint(payload: dict) -> DampingPolicy:

@@ -15,7 +15,6 @@ component average).  Variances are clamped to [V_MIN, V_MAX] throughout.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -47,9 +46,6 @@ class GaussianMessage:
 
     mean: np.ndarray
     variance: float
-
-    def clamped(self) -> "GaussianMessage":
-        return GaussianMessage(self.mean, clamp_variance(self.variance))
 
 
 def bessel_ratio(kappa):
@@ -171,10 +167,10 @@ def extrinsic(post_mean: np.ndarray, post_var: float,
 
 def damp(current: tuple[np.ndarray, float], previous: tuple[np.ndarray, float],
          beta: float) -> tuple[np.ndarray, float]:
-    """Convex combination beta * previous + (1 - beta) * current."""
-    if not (0.0 <= beta <= 1.0):
-        warnings.warn(f"damping factor {beta} outside [0, 1]; clamping")
-        beta = min(max(beta, 0.0), 1.0)
+    """Convex combination beta * previous + (1 - beta) * current.
+
+    beta must lie in [0, 1]; the solver's policy query clamps it there.
+    """
     mean = beta * previous[0] + (1.0 - beta) * current[0]
     var = beta * previous[1] + (1.0 - beta) * current[1]
     return mean, var

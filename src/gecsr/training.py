@@ -407,15 +407,11 @@ class FeatureResamplePolicy(DampingPolicy):
     def __init__(self, base: DampingPolicy, trained_n: int):
         self.base = base
         self.trained_n = trained_n
-        self._cache: Optional[tuple[int, np.ndarray]] = None
 
     def reset(self) -> None:
         self.base.reset()
 
     def _resample(self, sigma_tilde: np.ndarray) -> np.ndarray:
-        cached = self._cache
-        if cached is not None and cached[0] == id(sigma_tilde):
-            return cached[1]
         n = sigma_tilde.shape[0]
         grid_out = np.linspace(0.0, 1.0, self.trained_n)
         grid_in = np.linspace(0.0, 1.0, n)
@@ -423,7 +419,6 @@ class FeatureResamplePolicy(DampingPolicy):
         norm = float(np.linalg.norm(shape))
         if norm > 0:
             shape = shape / norm
-        self._cache = (id(sigma_tilde), shape)
         return shape
 
     def beta(self, side: str, t: int, features) -> float:

@@ -4,7 +4,16 @@ The adjoint forward pass must reproduce the reference solver's loss bit for
 bit, and its gradients must match finite differences of the actual training
 loss for every controller family, including the recurrent couplings through
 the damping history and the extrinsic-variance feature.
+
+The solver and the adjoint share each controller's forward implementation,
+so losses, gradients, solver damping factors and checkpoint payloads are
+also pinned to stored values (tests/golden_controllers.json).  Regenerate
+that file with `PYTHONPATH=src python tests/test_adjoint.py` only when a
+change to the numbers is intended.
 """
+
+import json
+import os
 
 import numpy as np
 import pytest
@@ -17,10 +26,11 @@ from gecsr.solver import bessel_ratio, run_solver, spectral_init
 from gecsr.training import TrainerConfig, sample_loss, train
 
 LAYERS = 4
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_controllers.json")
+GOLDEN_RTOL = 1e-10
 
 
-@pytest.fixture(scope="module")
-def tiny_batch():
+def _tiny_batch():
     manifest = DatasetManifest(seed=313, count=3, m=16, n=8,
                                matrix_class=("gaussian",),
                                snr_db_range=(18.0, 22.0), rho_range=(0.4, 0.6))
@@ -30,6 +40,11 @@ def tiny_batch():
         out.append((sample, SignalPrior(sample.rho),
                     spectral_init(sample.y, sample.matrix)))
     return out
+
+
+@pytest.fixture(scope="module")
+def tiny_batch():
+    return _tiny_batch()
 
 
 def _variant_params(name):
@@ -49,6 +64,30 @@ def _variant_params(name):
 
 ALL_VARIANTS = ("net_direct", "net_direct_tied", "hypernet", "hypernet_attn",
                 "hypergru", "hypergru_attn")
+
+
+def _golden_values(batch) -> dict:
+    """Per-configuration adjoint and solver outputs, plus checkpoint payloads."""
+    adjoint_runs = {}
+    for name in ALL_VARIANTS:
+        params = _variant_params(name)
+        runs = []
+        for sample, prior, init in batch:
+            loss, grads, _ = loss_and_gradient(sample, prior, params, LAYERS,
+                                               init=init)
+            trace = run_solver(sample, prior, policy_for_params(params), LAYERS,
+                               init=init)
+            runs.append({"loss": loss,
+                         "gradient": gradient_vector(params, grads).tolist(),
+                         "beta_z": trace.beta_z, "beta_x": trace.beta_x})
+        adjoint_runs[name] = runs
+    checkpoints = {}
+    for variant in hypernets.VARIANTS:
+        params = hypernets.init_variant_params(variant, n=8, layers=4, hidden=5,
+                                               heads=2, seed=19)
+        checkpoints[variant] = hypernets.checkpoint_payload(variant, params, n=8,
+                                                            layers=4)
+    return {"adjoint": adjoint_runs, "checkpoints": checkpoints}
 
 
 class TestBesselDerivative:
@@ -167,3 +206,40 @@ class TestAdjointTraining:
         r1 = train("hypernet_attn", manifest, config)
         r2 = train("hypernet_attn", manifest, config)
         assert r1.checkpoint == r2.checkpoint
+
+
+class TestGolden:
+    """Outputs frozen before the solver and the adjoint shared controllers."""
+
+    @pytest.fixture(scope="class")
+    def stored_and_current(self, tiny_batch):
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        return stored, _golden_values(tiny_batch)
+
+    @pytest.mark.parametrize("name", ALL_VARIANTS)
+    def test_adjoint_and_solver_outputs(self, name, stored_and_current):
+        stored, current = stored_and_current
+        for want, got in zip(stored["adjoint"][name], current["adjoint"][name],
+                             strict=True):
+            assert got["loss"] == pytest.approx(want["loss"], rel=GOLDEN_RTOL)
+            gradient = np.asarray(want["gradient"])
+            np.testing.assert_allclose(
+                got["gradient"], gradient, rtol=GOLDEN_RTOL,
+                atol=GOLDEN_RTOL * float(np.max(np.abs(gradient))))
+            for side in ("beta_z", "beta_x"):
+                np.testing.assert_allclose(got[side], want[side], rtol=GOLDEN_RTOL,
+                                           atol=0.0)
+
+    @pytest.mark.parametrize("variant", hypernets.VARIANTS)
+    def test_checkpoint_payload(self, variant, stored_and_current):
+        stored, current = stored_and_current
+        got = json.loads(json.dumps(current["checkpoints"][variant]))
+        assert got == stored["checkpoints"][variant]
+
+
+if __name__ == "__main__":
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump(_golden_values(_tiny_batch()), fh, sort_keys=True)
+        fh.write("\n")
+    print(f"golden values -> {GOLDEN_PATH}")

@@ -127,6 +127,28 @@ class TestEval:
         assert main(["eval", "--manifest", manifest_path, "--checkpoint", str(ck),
                      "--out", str(tmp_path)]) == 4
 
+    def _eval_with(self, tmp_path, manifest_path, payload) -> int:
+        ck = tmp_path / "ck.json"
+        hypernets.save_checkpoint(str(ck), payload)
+        return main(["eval", "--manifest", manifest_path, "--checkpoint", str(ck),
+                     "--layers", "2", "--out", str(tmp_path / "out")])
+
+    def test_unknown_checkpoint_format_rejected(self, tmp_path, manifest_path, capsys):
+        params = hypernets.init_hypergru_params(8, hidden=4, seed=8)
+        payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
+        payload["format"] = "gecsr-checkpoint-v0"
+        assert self._eval_with(tmp_path, manifest_path, payload) == 2
+        assert "gecsr-checkpoint-v0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_wrong_array_shape_rejected(self, tmp_path, manifest_path, capsys):
+        params = hypernets.init_hypergru_params(8, hidden=4, seed=9)
+        payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
+        payload["arrays"]["w_out"] = {"shape": [5], "data": [0.1] * 5}
+        assert self._eval_with(tmp_path, manifest_path, payload) == 2
+        assert "'w_out' has shape [5]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_static_extension_beyond_trained_depth(self, tmp_path, manifest_path):
         params = hypernets.init_direct_params(2)
         payload = hypernets.checkpoint_payload("net_direct", params, n=8, layers=2)

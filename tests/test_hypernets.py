@@ -14,7 +14,6 @@ from gecsr.hypernets import (
     LayerOverflowError,
     MultiAttention,
     StaticHyperNetPolicy,
-    apply_activation,
     attention_head,
     checkpoint_payload,
     gru_step,
@@ -29,7 +28,9 @@ from gecsr.hypernets import (
     params_from_vector,
     params_to_vector,
     policy_from_checkpoint,
+    relu,
     save_checkpoint,
+    sigmoid,
 )
 from gecsr.solver import PolicyFeatures
 
@@ -45,27 +46,22 @@ def feats(n=8, sqrt_snr=10.0, beta_prev=1.0, beta_prev2=1.0, v_ext=1.0,
 
 class TestActivations:
     def test_sigmoid_midpoint(self):
-        assert apply_activation("sigmoid", 0.0) == 0.5
+        assert sigmoid(0.0) == 0.5
 
     def test_relu(self):
-        np.testing.assert_array_equal(apply_activation("relu", np.array([-3.0, 2.0])),
-                                      [0.0, 2.0])
+        np.testing.assert_array_equal(relu(np.array([-3.0, 2.0])), [0.0, 2.0])
 
     def test_tanh_origin(self):
-        assert apply_activation("tanh", 0.0) == 0.0
+        assert np.tanh(0.0) == 0.0
 
     def test_ranges(self):
         # Stay inside the float64-representable open intervals (tanh
         # saturates to exactly +-1 beyond |x| ~ 19).
         v = np.linspace(-18, 18, 101)
-        s = apply_activation("sigmoid", v)
+        s = sigmoid(v)
         assert np.all((s > 0) & (s < 1))
-        t = apply_activation("tanh", v)
+        t = np.tanh(v)
         assert np.all((t > -1) & (t < 1))
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            apply_activation("softmax", 0.0)
 
 
 class TestAttention:

@@ -403,10 +403,17 @@ class TestDamp:
         np.testing.assert_allclose(mean, [1.7 + 0j])
         np.testing.assert_allclose(var, 1.7)
 
-    def test_out_of_range_clamps_with_warning(self):
-        with pytest.warns(UserWarning):
-            mean, _ = damp((np.array([2.0 + 0j]), 1.0), (np.array([0.0 + 0j]), 1.0), 1.5)
-        np.testing.assert_allclose(mean, [0.0 + 0j])
+    def test_out_of_range_policy_factors_are_clamped(self):
+        # A policy emitting factors outside [0, 1] is clamped by the
+        # solver's query, before damp() sees the factor.
+        class OutOfRange(DampingPolicy):
+            def beta(self, side, t, features):
+                return 1.5 if side == "z" else -0.5
+
+        sample = _small_sample(seed=9)
+        trace = run_solver(sample, SignalPrior(sample.rho), OutOfRange(), 3)
+        assert trace.beta_z == [1.0, 1.0, 1.0]
+        assert trace.beta_x == [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------- alignment and metric

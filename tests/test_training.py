@@ -318,6 +318,31 @@ class TestFeatureResample:
                                v_ext=1.0)
         assert wrapped.beta("z", 1, feats) == raw.beta("z", 1, feats)
 
+    def test_reused_policy_matches_fresh_policies(self):
+        # Two spectra queried through one wrapped policy must each be
+        # resampled, as fresh policies do, even when the second feature
+        # array takes over the memory (and so the id()) of the freed first.
+        from gecsr.solver import PolicyFeatures
+        from gecsr.training import FeatureResamplePolicy
+
+        def query(policy, spectrum):
+            return policy.beta("z", 1, PolicyFeatures(
+                sigma_tilde=spectrum / np.linalg.norm(spectrum), sqrt_snr=10.0,
+                beta_prev=1.0, beta_prev2=1.0, v_ext=1.0))
+
+        params = hypernets.init_hypergru_params(8, hidden=4, seed=27)
+        rng = np.random.default_rng(28)
+        spectra = [np.sort(rng.random(20))[::-1] for _ in range(2)]
+        shared = FeatureResamplePolicy(hypernets.HyperGruPolicy(params), trained_n=8)
+        got = []
+        for spectrum in spectra:
+            shared.reset()
+            got.append(query(shared, spectrum))
+        want = [query(FeatureResamplePolicy(hypernets.HyperGruPolicy(params),
+                                            trained_n=8), spectrum)
+                for spectrum in spectra]
+        assert got == want
+
 
 class TestTrainedHypernetSensitivity:
     def test_two_snr_manifest_yields_distinct_schedules(self):
