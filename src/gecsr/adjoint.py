@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hypernets import _named_arrays, policy_for_params, sigmoid
+from .hypernets import _named_arrays, policy_for_params
 from .model import Sample, SignalPrior
 from .solver import (
     V_MAX,
@@ -35,6 +35,7 @@ from .solver import (
     GaussianMessage,
     PolicyFeatures,
     bessel_ratio,
+    gb_responsibility,
     spectral_init,
 )
 
@@ -126,9 +127,7 @@ def _forward_gb(r, v, prior: SignalPrior, rec):
         var_raw = gain * v
         rec.update(c_r=r, c_v=v, c_gain=gain, c_q=q, c_resp=None, c_var_raw=var_raw)
         return mean, min(max(var_raw, V_MIN), V_MAX)
-    logit = (np.log(prior.rho) - np.log1p(-prior.rho) - np.log(s2 + v) + np.log(v)
-             + q * (1.0 / v - 1.0 / (s2 + v)))
-    resp = sigmoid(logit)
+    resp = gb_responsibility(q, v, prior)
     mean = (resp * gain) * r
     second = resp * ((gain * gain) * q + gain * v)
     var_raw = float(np.mean(second - (resp * gain) ** 2 * q))
@@ -161,7 +160,7 @@ def _backward_gb(g_mean, g_var, prior: SignalPrior, rec):
     g_gain -= float(np.sum(g_second_coeff * (resp * resp) * 2.0 * gain * q))
     g_q = g_second_coeff * (resp * gain * gain - (resp * gain) ** 2)
     g_v_direct = float(np.sum(g_second_coeff * resp * gain))
-    # resp = sigmoid(const(v) + q (1/v - 1/(s2+v))).
+    # resp = sigmoid(logit), logit = const(v) + q (1/v - 1/(s2+v)).
     dresp = resp * (1.0 - resp)
     g_logit = g_resp * dresp
     g_q = g_q + g_logit * (1.0 / v - 1.0 / (s2 + v))
@@ -173,10 +172,9 @@ def _backward_gb(g_mean, g_var, prior: SignalPrior, rec):
 
 
 def _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix):
-    un, unh, v_mat, vh = matrix._factors()
     sig = matrix.singulars
-    x_modes = vh @ mx
-    z_modes = unh @ mz
+    x_modes = (mx.conj() @ matrix.right_unitary).conj()
+    z_modes = (mz.conj() @ matrix.left_unitary).conj()
     d = 1.0 / (1.0 / vx + (sig * sig) / vz)
     w = d * (x_modes / vx + sig * (z_modes / vz))
     rec[prefix + "x_modes"] = x_modes
@@ -185,25 +183,25 @@ def _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix):
     rec[prefix + "w"] = w
     rec[prefix + "vx"] = vx
     rec[prefix + "vz"] = vz
-    return un, unh, v_mat, vh, sig, d, w
+    return sig, d, w
 
 
 def _forward_lmmse_x(matrix, mz, vz, mx, vx, rec, prefix):
-    un, unh, v_mat, vh, sig, d, w = _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix)
+    sig, d, w = _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix)
     var_raw = float(np.mean(d))
     rec[prefix + "var_raw"] = var_raw
-    return v_mat @ w, min(max(var_raw, V_MIN), V_MAX)
+    return matrix.right_unitary @ w, min(max(var_raw, V_MIN), V_MAX)
 
 
 def _forward_lmmse_z(matrix, mz, vz, mx, vx, rec, prefix):
-    un, unh, v_mat, vh, sig, d, w = _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix)
+    sig, d, w = _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix)
     var_raw = float(np.sum(sig * sig * d)) / matrix.m
     rec[prefix + "var_raw"] = var_raw
-    return un @ (sig * w), min(max(var_raw, V_MIN), V_MAX)
+    return matrix.left_unitary @ (sig * w), min(max(var_raw, V_MIN), V_MAX)
 
 
 def _backward_lmmse(matrix, g_mean, g_var, rec, prefix, output):
-    un, unh, v_mat, vh = matrix._factors()
+    u, v = matrix.left_unitary, matrix.right_unitary
     sig = matrix.singulars
     x_modes = rec[prefix + "x_modes"]
     z_modes = rec[prefix + "z_modes"]
@@ -214,18 +212,18 @@ def _backward_lmmse(matrix, g_mean, g_var, rec, prefix, output):
     g_var = g_var * _clamp_grad(rec[prefix + "var_raw"])
     n = d.shape[0]
     if output == "x":
-        g_w = vh @ g_mean
+        g_w = (g_mean.conj() @ v).conj()
         g_d_var = np.full(n, g_var / n)
     else:
-        g_w = sig * (unh @ g_mean)
+        g_w = sig * (g_mean.conj() @ u).conj()
         g_d_var = g_var * (sig * sig) / matrix.m
     combo = x_modes / vx + sig * (z_modes / vz)
     g_d = 2.0 * np.real(np.conj(g_w) * combo) + g_d_var
     g_combo = d * g_w
     g_x_modes = g_combo / vx
     g_z_modes = (sig / vz) * g_combo
-    g_mx = v_mat @ g_x_modes
-    g_mz = un @ g_z_modes
+    g_mx = v @ g_x_modes
+    g_mz = u @ g_z_modes
     dd_dvx = (d * d) / (vx * vx)
     dd_dvz = (d * d) * (sig * sig) / (vz * vz)
     g_vx = float(np.sum(g_d * dd_dvx))

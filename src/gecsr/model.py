@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -104,24 +104,33 @@ def scale_to_snr(singulars: np.ndarray, m: int, snr_linear: float) -> np.ndarray
 
 @dataclass
 class TransformMatrix:
-    """Linear operator in SVD form, A = U diag(s) V^H.
+    """Linear operator in economy SVD form, A = U diag(s) V^H.
 
-    left_unitary is M x M for generated matrices; an M x K isometry
-    (orthonormal columns, K >= len(singulars)) is also accepted so that
-    large image-scale instances can carry an economy factorization.
-    Singular values are non-negative and sorted in descending order.
+    left_unitary is the M x N isometry whose columns are the left singular
+    vectors, one per singular value; right_unitary is the N x N unitary.
+    Both are stored C-contiguous, and U^H z, V^H x are taken as transposed
+    products on them, (z^H U)^H, so no adjoint copy is kept.  Singular
+    values are non-negative and sorted in descending order.
     """
 
     left_unitary: np.ndarray
     right_unitary: np.ndarray
     singulars: np.ndarray
-    dense: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        k = len(self.singulars)
+        if self.left_unitary.ndim != 2 or self.left_unitary.shape[1] != k:
+            raise ValueError(f"left factor needs one column per singular value "
+                             f"({k}), got shape {self.left_unitary.shape}")
+        if self.right_unitary.shape != (k, k):
+            raise ValueError(f"right factor must be {k} x {k}, "
+                             f"got shape {self.right_unitary.shape}")
         if np.any(self.singulars < 0):
             raise ValueError("singular values must be non-negative")
         if np.any(np.diff(self.singulars) > 0):
             raise ValueError("singular values must be sorted descending")
+        self.left_unitary = np.ascontiguousarray(self.left_unitary)
+        self.right_unitary = np.ascontiguousarray(self.right_unitary)
 
     @property
     def m(self) -> int:
@@ -144,39 +153,28 @@ class TransformMatrix:
             return np.zeros_like(self.singulars)
         return self.singulars / norm
 
-    def _factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # Contiguous column block / adjoints cached for the hot path.
-        cached = getattr(self, "_cache", None)
-        if cached is None:
-            k = len(self.singulars)
-            un = np.ascontiguousarray(self.left_unitary[:, :k])
-            cached = (un, np.ascontiguousarray(un.conj().T),
-                      np.ascontiguousarray(self.right_unitary),
-                      np.ascontiguousarray(self.right_unitary.conj().T))
-            object.__setattr__(self, "_cache", cached)
-        return cached
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """A @ x via the SVD factors."""
-        un, _, _, vh = self._factors()
-        return un @ (self.singulars * (vh @ x))
+        x_modes = (x.conj() @ self.right_unitary).conj()
+        return self.left_unitary @ (self.singulars * x_modes)
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """A^H @ z via the SVD factors."""
-        _, unh, v, _ = self._factors()
-        return v @ (self.singulars * (unh @ z))
+        z_modes = (z.conj() @ self.left_unitary).conj()
+        return self.right_unitary @ (self.singulars * z_modes)
 
     def to_dense(self) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense
-        un, _, _, vh = self._factors()
-        return (un * self.singulars) @ vh
+        """The M x N matrix, rebuilt from the factors."""
+        return (self.left_unitary * self.singulars) @ self.right_unitary.conj().T
 
 
 def gaussian_matrix(m: int, n: int, snr_linear: float,
                     rng: np.random.Generator) -> TransformMatrix:
-    """Gaussian-class transform: Haar factors, i.i.d.-Gaussian spectrum."""
-    u = sample_haar_unitary(m, rng)
+    """Gaussian-class transform: Haar factors, i.i.d.-Gaussian spectrum.
+
+    The left factor keeps the first N columns of an M x M Haar unitary.
+    """
+    u = sample_haar_unitary(m, rng)[:, :n]
     v = sample_haar_unitary(n, rng)
     s = scale_to_snr(gaussian_class_singulars(m, n, rng), m, snr_linear)
     return TransformMatrix(u, v, s)
@@ -185,7 +183,7 @@ def gaussian_matrix(m: int, n: int, snr_linear: float,
 def geometric_matrix(m: int, n: int, snr_linear: float, gamma: float,
                      rng: np.random.Generator) -> TransformMatrix:
     """Geometric-class transform: Haar factors, geometric spectrum."""
-    u = sample_haar_unitary(m, rng)
+    u = sample_haar_unitary(m, rng)[:, :n]
     v = sample_haar_unitary(n, rng)
     s = scale_to_snr(geometric_singulars(n, gamma), m, snr_linear)
     return TransformMatrix(u, v, s)
@@ -196,16 +194,16 @@ def binary_matrix(m: int, n: int, snr_linear: float,
     """Transform with i.i.d. entries in {0, c}, scaled to the target SNR.
 
     Entries are one with probability 1/2 and the single global scale c is
-    chosen so tr(A A^H) / M = snr_linear for the realized draw.  The SVD is
-    computed numerically and the dense matrix retained.
+    chosen so tr(A A^H) / M = snr_linear for the realized draw.  Only the
+    economy SVD of the drawn matrix is kept.
     """
     mask = rng.random((m, n)) < 0.5
     while not mask.any():
         mask = rng.random((m, n)) < 0.5
     c = np.sqrt(m * snr_linear / mask.sum())
     dense = np.where(mask, c, 0.0).astype(complex)
-    u, s, vh = np.linalg.svd(dense, full_matrices=True)
-    return TransformMatrix(u, vh.conj().T, s, dense=dense)
+    u, s, vh = np.linalg.svd(dense, full_matrices=False)
+    return TransformMatrix(u, vh.conj().T, s)
 
 
 def dense_gaussian_matrix(m: int, n: int, snr_linear: float,

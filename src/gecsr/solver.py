@@ -98,11 +98,21 @@ def magnitude_posterior(msg: GaussianMessage, y: np.ndarray) -> tuple[np.ndarray
     return mean, clamp_variance(var)
 
 
+def gb_responsibility(r2: np.ndarray, v: float, prior: SignalPrior) -> np.ndarray:
+    """Posterior slab probability of each component of r = x + CN(0, v).
+
+    r2 holds |r|^2; the spike/slab mixture is normalized in log space.
+    """
+    s2 = prior.slab_variance
+    log_slab = np.log(prior.rho) - r2 / (s2 + v) - np.log(s2 + v)
+    log_spike = np.log1p(-prior.rho) - r2 / v - np.log(v)
+    return np.exp(log_slab - np.logaddexp(log_slab, log_spike))
+
+
 def gb_posterior(msg: GaussianMessage, prior: SignalPrior) -> tuple[np.ndarray, float]:
     """Posterior (mean, avg variance) of x under the Bernoulli-Gaussian prior.
 
-    The pseudo-measurement model is r = x + e with e ~ CN(0, v).  Spike/slab
-    responsibilities are computed in log space.
+    The pseudo-measurement model is r = x + e with e ~ CN(0, v).
     """
     v = float(msg.variance)
     r = msg.mean
@@ -112,9 +122,7 @@ def gb_posterior(msg: GaussianMessage, prior: SignalPrior) -> tuple[np.ndarray, 
     if prior.rho >= 1.0:
         mean = gain * r
         return mean, clamp_variance(gain * v)
-    log_slab = np.log(prior.rho) - r2 / (s2 + v) - np.log(s2 + v)
-    log_spike = np.log1p(-prior.rho) - r2 / v - np.log(v)
-    resp = np.exp(log_slab - np.logaddexp(log_slab, log_spike))
+    resp = gb_responsibility(r2, v, prior)
     mean = (resp * gain) * r
     second = resp * ((gain * gain) * r2 + gain * v)
     var = float(np.mean(second - (resp * gain) ** 2 * r2))
@@ -132,18 +140,18 @@ def lmmse_posterior(msg_z: GaussianMessage, msg_x: GaussianMessage,
     """
     if msg_x.mean.shape != (matrix.n,) or msg_z.mean.shape != (matrix.m,):
         raise ValueError("message shapes do not match the transform size")
-    un, unh, v_mat, vh = matrix._factors()
+    u, v = matrix.left_unitary, matrix.right_unitary
     sig = matrix.singulars
     vx = float(msg_x.variance)
     vz = float(msg_z.variance)
-    x_modes = vh @ msg_x.mean
-    z_modes = unh @ msg_z.mean
+    x_modes = (msg_x.mean.conj() @ v).conj()
+    z_modes = (msg_z.mean.conj() @ u).conj()
     d = 1.0 / (1.0 / vx + (sig * sig) / vz)
     w = d * (x_modes / vx + sig * (z_modes / vz))
     if output == "x":
-        return v_mat @ w, clamp_variance(float(np.mean(d)))
+        return v @ w, clamp_variance(float(np.mean(d)))
     if output == "z":
-        return un @ (sig * w), clamp_variance(float(np.sum(sig * sig * d)) / matrix.m)
+        return u @ (sig * w), clamp_variance(float(np.sum(sig * sig * d)) / matrix.m)
     raise ValueError(f"output must be 'x' or 'z', got {output!r}")
 
 

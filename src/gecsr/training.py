@@ -15,7 +15,7 @@ value so one bad sample cannot destroy a gradient estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -97,13 +97,6 @@ class TrainerConfig:
         return TrainerConfig(**raw)
 
 
-@dataclass
-class LossReport:
-    total: float
-    per_layer: np.ndarray
-    per_sample: np.ndarray
-
-
 def sample_loss(x_true: np.ndarray, trace: SolverTrace, layers: int) -> float:
     """Phase-aligned squared error summed over the first `layers` estimates."""
     if trace.layers < layers:
@@ -114,25 +107,6 @@ def sample_loss(x_true: np.ndarray, trace: SolverTrace, layers: int) -> float:
         diff = x_true - align_phase(x_true, trace.x_means[t])
         total += float(np.sum(diff.real**2 + diff.imag**2))
     return total
-
-
-def multi_layer_loss(batch: Sequence[tuple[np.ndarray, SolverTrace]],
-                     layers: int) -> LossReport:
-    """Mean over samples of the per-layer aligned squared errors."""
-    per_sample = np.zeros(len(batch))
-    per_layer = np.zeros(layers)
-    for i, (x_true, trace) in enumerate(batch):
-        if trace.layers < layers:
-            raise TruncatedTraceError(
-                f"trace {i} has {trace.layers} layers, need {layers}")
-        for t in range(layers):
-            diff = x_true - align_phase(x_true, trace.x_means[t])
-            term = float(np.sum(diff.real**2 + diff.imag**2))
-            per_layer[t] += term
-            per_sample[i] += term
-    per_layer /= max(len(batch), 1)
-    total = float(np.mean(per_sample)) if len(batch) else 0.0
-    return LossReport(total=total, per_layer=per_layer, per_sample=per_sample)
 
 
 @dataclass
@@ -213,18 +187,6 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
     return theta, AdamState(m=m, v=v, step=step)
 
 
-def _slim_sample(sample: Sample) -> Sample:
-    """Replace the full left unitary by its active column block (cache diet)."""
-    mat = sample.matrix
-    k = len(mat.singulars)
-    if mat.left_unitary.shape[1] == k:
-        return sample
-    slim = model.TransformMatrix(np.ascontiguousarray(mat.left_unitary[:, :k]),
-                                 mat.right_unitary, mat.singulars)
-    return Sample(x=sample.x, y=sample.y, matrix=slim, snr=sample.snr,
-                  rho=sample.rho)
-
-
 class _SampleCache:
     """Samples and spectral initializations, generated once per index."""
 
@@ -236,7 +198,7 @@ class _SampleCache:
     def get(self, index: int):
         hit = self._store.get(index)
         if hit is None:
-            sample = _slim_sample(model.sample_at(self.manifest, index))
+            sample = model.sample_at(self.manifest, index)
             prior = SignalPrior(sample.rho)
             init = solver.spectral_init(sample.y, sample.matrix)
             hit = (sample, prior, init)

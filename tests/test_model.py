@@ -148,10 +148,18 @@ class TestTransformMatrix:
     def test_factors_unitary(self):
         rng = np.random.default_rng(9)
         mat = gaussian_matrix(12, 6, 10.0, rng)
+        assert mat.left_unitary.shape == (12, 6)
         np.testing.assert_allclose(mat.left_unitary.conj().T @ mat.left_unitary,
-                                   np.eye(12), atol=1e-9)
+                                   np.eye(6), atol=1e-9)
         np.testing.assert_allclose(mat.right_unitary.conj().T @ mat.right_unitary,
                                    np.eye(6), atol=1e-9)
+
+    def test_adjoint_matches_dense(self):
+        rng = np.random.default_rng(11)
+        mat = gaussian_matrix(15, 7, 5.0, rng)
+        z = model.complex_normal(rng, 15)
+        np.testing.assert_allclose(mat.adjoint(z), mat.to_dense().conj().T @ z,
+                                   atol=1e-10)
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(10)
@@ -164,25 +172,49 @@ class TestTransformMatrix:
             TransformMatrix(np.eye(2, dtype=complex), np.eye(2, dtype=complex),
                             np.array([1.0, 2.0]))
 
+    def test_rejects_factors_that_do_not_match_the_spectrum(self):
+        # A full M x M left unitary is not accepted: only the N columns
+        # that meet a singular value are stored.
+        s = np.array([2.0, 1.0])
+        with pytest.raises(ValueError):
+            TransformMatrix(np.eye(3, dtype=complex), np.eye(2, dtype=complex), s)
+        with pytest.raises(ValueError):
+            TransformMatrix(np.eye(3, dtype=complex)[:, :1], np.eye(2, dtype=complex), s)
+        with pytest.raises(ValueError):
+            TransformMatrix(np.eye(3, dtype=complex)[:, :2], np.eye(3, dtype=complex), s)
+
+    def test_factors_stored_contiguous(self):
+        rng = np.random.default_rng(12)
+        u = sample_haar_unitary(6, rng)[:, :3]
+        v = sample_haar_unitary(3, rng).T
+        mat = TransformMatrix(u, v, np.array([3.0, 2.0, 1.0]))
+        assert mat.left_unitary.flags.c_contiguous
+        assert mat.right_unitary.flags.c_contiguous
+
 
 class TestBinaryMatrix:
     def test_all_ones_scale(self):
         # If every entry lands on c, 4 c^2 / 2 = snr=2 forces c = 1.  Draw
         # until a dense 2x2 all-ones mask appears (p = 1/16 per draw).
         rng = np.random.default_rng(0)
+        # Entries are 0 or c >= 1, so |entry| > 0.5 tells them apart.
         for _ in range(1000):
-            mat = binary_matrix(2, 2, 2.0, rng)
-            if np.all(mat.dense != 0):
+            dense = binary_matrix(2, 2, 2.0, rng).to_dense()
+            if np.all(np.abs(dense) > 0.5):
                 break
         else:
             pytest.fail("never drew an all-ones mask")
-        np.testing.assert_allclose(np.abs(mat.dense), np.ones((2, 2)), atol=1e-12)
+        np.testing.assert_allclose(dense, np.ones((2, 2)), atol=1e-12)
 
     def test_svd_reconstruction(self):
-        rng = np.random.default_rng(21)
-        mat = binary_matrix(9, 5, 3.0, rng)
-        rebuilt = (mat.left_unitary[:, :5] * mat.singulars) @ mat.right_unitary.conj().T
-        np.testing.assert_allclose(rebuilt, mat.dense, atol=1e-8)
+        # The factors rebuild the drawn {0, c} matrix; the mask is the first
+        # draw of the same stream.
+        mat = binary_matrix(9, 5, 3.0, np.random.default_rng(21))
+        mask = np.random.default_rng(21).random((9, 5)) < 0.5
+        assert mask.any()
+        c = np.sqrt(9 * 3.0 / mask.sum())
+        np.testing.assert_allclose(mat.to_dense(), np.where(mask, c, 0.0), atol=1e-8)
+        assert mat.left_unitary.shape == (9, 5)
 
     def test_snr_contract_large(self):
         rng = np.random.default_rng(22)

@@ -17,7 +17,6 @@ from gecsr.training import (
     central_diff_gradient,
     evaluate,
     grad_check,
-    multi_layer_loss,
     policy_for_evaluation,
     sample_loss,
     spsa_gradient,
@@ -43,38 +42,35 @@ def _trace_with(x_list) -> SolverTrace:
 
 
 class TestMultiLayerLoss:
+    """sample_loss: the phase-aligned squared error summed over layers."""
+
     def test_perfect_reconstruction(self):
         x = np.array([1.0 + 1j, -2.0])
-        report = multi_layer_loss([(x, _trace_with([x.copy(), x.copy()]))], 2)
-        assert report.total == 0.0
+        assert sample_loss(x, _trace_with([x.copy(), x.copy()]), 2) == 0.0
 
     def test_global_phase_ignored(self):
         rng = np.random.default_rng(0)
         x = model.complex_normal(rng, 8)
         rotated = [np.exp(1j * 0.9) * x, np.exp(-2.2j) * x]
-        report = multi_layer_loss([(x, _trace_with(rotated))], 2)
-        assert report.total < 1e-18
+        assert sample_loss(x, _trace_with(rotated), 2) < 1e-18
 
     def test_orthogonal_estimate(self):
         x = np.array([1.0 + 0j, 0.0])
         est = np.array([0.0j, 1.0])
-        report = multi_layer_loss([(x, _trace_with([est]))], 1)
-        np.testing.assert_allclose(report.total, 2.0)
+        np.testing.assert_allclose(sample_loss(x, _trace_with([est]), 1), 2.0)
 
     def test_batch_mean_and_layers(self):
         x1 = np.array([1.0 + 0j])
         x2 = np.array([2.0 + 0j])
-        batch = [(x1, _trace_with([np.zeros(1, complex)] * 2)),
-                 (x2, _trace_with([np.zeros(1, complex)] * 2))]
-        report = multi_layer_loss(batch, 2)
-        np.testing.assert_allclose(report.per_sample, [2.0, 8.0])
-        np.testing.assert_allclose(report.per_layer, [2.5, 2.5])
-        np.testing.assert_allclose(report.total, 5.0)
+        trace = _trace_with([np.zeros(1, complex)] * 2)
+        # Each layer adds its own error; only the first `layers` count.
+        np.testing.assert_allclose([sample_loss(x1, trace, 1), sample_loss(x1, trace, 2)],
+                                   [1.0, 2.0])
+        np.testing.assert_allclose([sample_loss(x1, trace, 2), sample_loss(x2, trace, 2)],
+                                   [2.0, 8.0])
 
     def test_truncated_trace_rejected(self):
         x = np.array([1.0 + 0j])
-        with pytest.raises(TruncatedTraceError):
-            multi_layer_loss([(x, _trace_with([x]))], 2)
         with pytest.raises(TruncatedTraceError):
             sample_loss(x, _trace_with([x]), 2)
 
@@ -207,6 +203,30 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train("net_direct", tiny_manifest(count=1),
                   TrainerConfig(epochs=1, batch_size=8))
+
+
+class TestSampleCache:
+    def test_entry_holds_one_economy_factorization(self):
+        # Every complex array reachable from the cached transform, counted
+        # once per buffer: the M x N isometry and the N x N unitary, no
+        # adjoint copies.
+        manifest = tiny_manifest(count=1, m=24, n=6)
+        sample, _, _ = training._SampleCache(manifest).get(0)
+        buffers = {}
+        for value in vars(sample.matrix).values():
+            for arr in (value if isinstance(value, tuple) else (value,)):
+                if isinstance(arr, np.ndarray) and np.iscomplexobj(arr):
+                    owner = arr if arr.base is None else arr.base
+                    buffers[id(owner)] = owner
+        assert sum(a.size for a in buffers.values()) == 24 * 6 + 6 * 6
+
+    def test_entry_matches_fresh_sample(self):
+        manifest = tiny_manifest(count=2)
+        sample, _, _ = training._SampleCache(manifest).get(1)
+        fresh = model.sample_at(manifest, 1)
+        np.testing.assert_array_equal(sample.y, fresh.y)
+        np.testing.assert_array_equal(sample.matrix.left_unitary,
+                                      fresh.matrix.left_unitary)
 
 
 class TestEvaluate:
