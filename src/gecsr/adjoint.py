@@ -1,21 +1,24 @@
 """Exact gradients of the unrolled-solver loss by reverse-mode accumulation.
 
-The forward pass mirrors the solver layer by layer while taping every
-intermediate; the backward pass walks the tape in reverse, propagating
-adjoints of the complex message means (Wirtinger convention: g = dL/dm*,
-so dL = 2 Re(g^H dm)) and of the real scalar variances, through the three
-estimators, the extrinsic and damping steps, and into the controller
-parameters.  Spectral initializations are constants of the sample, so the
-recursion stops there.
+The forward pass runs the solver's own estimators -- `extrinsic`,
+`lmmse_posterior` and `gb_posterior`, each handed a tape -- and its
+damping step (`DampedSide`), layer by layer; the backward pass walks the
+tapes in reverse, propagating adjoints of the complex message means
+(Wirtinger convention: g = dL/dm*, so dL = 2 Re(g^H dm)) and of the real
+scalar variances, through the three estimators, the extrinsic and damping
+steps, and into the controller parameters.  Only the phase reconstructor
+and the layer loop are kept here (see `_forward_magnitude`).  Spectral
+initializations are constants of the sample, so the recursion stops there.
 
 The damping factors come from the solver's own controller
-(`hypernets.policy_for_params`) queried with `PolicyFeatures`; reset with
-a tape, it records its queries and runs its own backward pass, so this
-module holds no controller math.  Controller coupling is complete:
-recurrent controllers receive gradients both through the damping factors
-they emitted and through their inputs (the damping-factor history and the
-current extrinsic variance), which is what makes this equivalent to
-backpropagation through time over the interleaved solver/controller graph.
+(`hypernets.policy_for_params`), queried through the solver's damping
+step; reset with a tape, it records its queries and runs its own backward
+pass, so this module holds no controller math.  Controller coupling is
+complete: recurrent controllers receive gradients both through the damping
+factors they emitted and through their inputs (the damping-factor history
+and the current extrinsic variance), which is what makes this equivalent
+to backpropagation through time over the interleaved solver/controller
+graph.
 
 Everything here is validated against central differences of the actual
 training loss (see grad_check and the adjoint tests).
@@ -32,10 +35,13 @@ from .model import Sample, SignalPrior
 from .solver import (
     V_MAX,
     V_MIN,
+    DampedSide,
     GaussianMessage,
-    PolicyFeatures,
     bessel_ratio,
-    gb_responsibility,
+    clamp_variance,
+    extrinsic,
+    gb_posterior,
+    lmmse_posterior,
     spectral_init,
 )
 
@@ -71,6 +77,14 @@ def _clamp_grad(value: float) -> float:
 
 
 def _forward_magnitude(mu, v, y, rec):
+    """The phase reconstructor of `solver.magnitude_posterior`, taped.
+
+    It stays a copy because the benchmark's traced adjoint workload times
+    this module's own `bessel_ratio` binding, and the layer loop in
+    `loss_and_gradient` stays because that workload must make no
+    `run_solver` calls; both fold into the solver with the next change to
+    the benchmark.
+    """
     c = v / (v + 1.0)
     amu = np.abs(mu)
     kappa = (2.0 / (v + 1.0)) * y * amu
@@ -80,20 +94,20 @@ def _forward_magnitude(mu, v, y, rec):
     mean = scale * mu
     spread = y * y * (1.0 - ratio * ratio)
     var_raw = c + c * c * float(np.mean(spread))
-    rec.update(a_mu=mu, a_v=v, a_c=c, a_amu=amu, a_kappa=kappa, a_ratio=ratio,
-               a_safe=safe, a_scale=scale, a_spread=spread, a_var_raw=var_raw)
-    return mean, min(max(var_raw, V_MIN), V_MAX)
+    rec.update(mu=mu, v=v, c=c, amu=amu, kappa=kappa, ratio=ratio,
+               safe=safe, scale=scale, spread=spread, var_raw=var_raw)
+    return mean, clamp_variance(var_raw)
 
 
 def _backward_magnitude(g_mean, g_var, y, rec):
-    mu, v = rec["a_mu"], rec["a_v"]
-    c, amu, kappa, ratio = rec["a_c"], rec["a_amu"], rec["a_kappa"], rec["a_ratio"]
-    safe, scale = rec["a_safe"], rec["a_scale"]
+    mu, v = rec["mu"], rec["v"]
+    c, amu, kappa, ratio = rec["c"], rec["amu"], rec["kappa"], rec["ratio"]
+    safe, scale = rec["safe"], rec["scale"]
     m = y.shape[0]
-    g_var = g_var * _clamp_grad(rec["a_var_raw"])
+    g_var = g_var * _clamp_grad(rec["var_raw"])
     dratio = bessel_ratio_derivative(kappa, ratio)
     # Variance path: var = c + c^2 * mean(y^2 (1 - ratio^2)).
-    t_mean = float(np.mean(rec["a_spread"]))
+    t_mean = float(np.mean(rec["spread"]))
     dc = 1.0 / (v + 1.0) ** 2
     g_c = g_var * (1.0 + 2.0 * c * t_mean)
     g_ratio = g_var * (c * c) * (-2.0 * y * y * ratio) / m
@@ -117,37 +131,19 @@ def _backward_magnitude(g_mean, g_var, y, rec):
     return g_mu, g_v
 
 
-def _forward_gb(r, v, prior: SignalPrior, rec):
-    s2 = prior.slab_variance
-    gain = s2 / (s2 + v)
-    q = r.real * r.real + r.imag * r.imag
-    n = r.shape[0]
-    if prior.rho >= 1.0:
-        mean = gain * r
-        var_raw = gain * v
-        rec.update(c_r=r, c_v=v, c_gain=gain, c_q=q, c_resp=None, c_var_raw=var_raw)
-        return mean, min(max(var_raw, V_MIN), V_MAX)
-    resp = gb_responsibility(q, v, prior)
-    mean = (resp * gain) * r
-    second = resp * ((gain * gain) * q + gain * v)
-    var_raw = float(np.mean(second - (resp * gain) ** 2 * q))
-    rec.update(c_r=r, c_v=v, c_gain=gain, c_q=q, c_resp=resp, c_var_raw=var_raw,
-               c_s2=s2, c_n=n)
-    return mean, min(max(var_raw, V_MIN), V_MAX)
-
-
-def _backward_gb(g_mean, g_var, prior: SignalPrior, rec):
-    r, v, gain, q = rec["c_r"], rec["c_v"], rec["c_gain"], rec["c_q"]
-    g_var = g_var * _clamp_grad(rec["c_var_raw"])
+def _backward_gb(g_mean, g_var, prior: SignalPrior, tape):
+    """Adjoint of `solver.gb_posterior`: (dL/dr*, dL/dv)."""
+    r, v, gain, q = tape["r"], tape["v"], tape["gain"], tape["r2"]
+    g_var = g_var * _clamp_grad(tape["var_raw"])
     s2 = prior.slab_variance
     dgain = -gain / (s2 + v)
-    if rec["c_resp"] is None:
+    resp = tape["resp"]
+    if resp is None:
         g_r = gain * g_mean
         g_gain = 2.0 * float(np.sum(np.real(np.conj(g_mean) * r))) + g_var * v
         g_v = g_gain * dgain + g_var * gain
         return g_r, g_v
-    resp = rec["c_resp"]
-    n = rec["c_n"]
+    n = r.shape[0]
     # mean_i = resp_i * gain * r_i ; var = mean_i over (second - (resp gain)^2 q).
     g_resp = 2.0 * np.real(np.conj(g_mean) * (gain * r))
     g_gain = 2.0 * float(np.sum(np.real(np.conj(g_mean) * (resp * r))))
@@ -171,45 +167,13 @@ def _backward_gb(g_mean, g_var, prior: SignalPrior, rec):
     return g_r, g_v
 
 
-def _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix):
-    sig = matrix.singulars
-    x_modes = (mx.conj() @ matrix.right_unitary).conj()
-    z_modes = (mz.conj() @ matrix.left_unitary).conj()
-    d = 1.0 / (1.0 / vx + (sig * sig) / vz)
-    w = d * (x_modes / vx + sig * (z_modes / vz))
-    rec[prefix + "x_modes"] = x_modes
-    rec[prefix + "z_modes"] = z_modes
-    rec[prefix + "d"] = d
-    rec[prefix + "w"] = w
-    rec[prefix + "vx"] = vx
-    rec[prefix + "vz"] = vz
-    return sig, d, w
-
-
-def _forward_lmmse_x(matrix, mz, vz, mx, vx, rec, prefix):
-    sig, d, w = _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix)
-    var_raw = float(np.mean(d))
-    rec[prefix + "var_raw"] = var_raw
-    return matrix.right_unitary @ w, min(max(var_raw, V_MIN), V_MAX)
-
-
-def _forward_lmmse_z(matrix, mz, vz, mx, vx, rec, prefix):
-    sig, d, w = _forward_lmmse(matrix, mz, vz, mx, vx, rec, prefix)
-    var_raw = float(np.sum(sig * sig * d)) / matrix.m
-    rec[prefix + "var_raw"] = var_raw
-    return matrix.left_unitary @ (sig * w), min(max(var_raw, V_MIN), V_MAX)
-
-
-def _backward_lmmse(matrix, g_mean, g_var, rec, prefix, output):
+def _backward_lmmse(matrix, g_mean, g_var, tape, output):
+    """Adjoint of `solver.lmmse_posterior`: (dL/dmu_z*, dL/dv_z, dL/dmu_x*, dL/dv_x)."""
     u, v = matrix.left_unitary, matrix.right_unitary
     sig = matrix.singulars
-    x_modes = rec[prefix + "x_modes"]
-    z_modes = rec[prefix + "z_modes"]
-    d = rec[prefix + "d"]
-    w = rec[prefix + "w"]
-    vx = rec[prefix + "vx"]
-    vz = rec[prefix + "vz"]
-    g_var = g_var * _clamp_grad(rec[prefix + "var_raw"])
+    x_modes, z_modes, d, w = tape["x_modes"], tape["z_modes"], tape["d"], tape["w"]
+    vx, vz = tape["vx"], tape["vz"]
+    g_var = g_var * _clamp_grad(tape["var_raw"])
     n = d.shape[0]
     if output == "x":
         g_w = (g_mean.conj() @ v).conj()
@@ -233,89 +197,56 @@ def _backward_lmmse(matrix, g_mean, g_var, rec, prefix, output):
     return g_mz, g_vz, g_mx, g_vx
 
 
-def _forward_extrinsic(post_mean, post_var, pri_mean, pri_var, rec, prefix):
-    inv = 1.0 / post_var - 1.0 / pri_var
-    fallback = inv <= 1.0 / V_MAX
-    if fallback:
-        rec[prefix + "fallback"] = True
-        return post_mean, V_MAX
-    v2_raw = 1.0 / inv
-    v2 = min(max(v2_raw, V_MIN), V_MAX)
-    combo = post_mean / post_var - pri_mean / pri_var
-    mean = v2 * combo
-    rec[prefix + "fallback"] = False
-    rec[prefix + "v2_raw"] = v2_raw
-    rec[prefix + "v2"] = v2
-    rec[prefix + "combo"] = combo
-    rec[prefix + "post_mean"] = post_mean
-    rec[prefix + "post_var"] = post_var
-    rec[prefix + "pri_mean"] = pri_mean
-    rec[prefix + "pri_var"] = pri_var
-    return mean, v2
-
-
-def _backward_extrinsic(g_mean, g_var, rec, prefix):
-    if rec[prefix + "fallback"]:
+def _backward_extrinsic(g_mean, g_var, tape):
+    """Adjoint of `solver.extrinsic`: (dL/d post mean*, dL/d post var,
+    dL/d prior mean*, dL/d prior var)."""
+    if tape["fallback"]:
         return g_mean, 0.0, np.zeros_like(g_mean), 0.0
-    v2 = rec[prefix + "v2"]
-    combo = rec[prefix + "combo"]
-    post_var = rec[prefix + "post_var"]
-    pri_var = rec[prefix + "pri_var"]
-    post_mean = rec[prefix + "post_mean"]
-    pri_mean = rec[prefix + "pri_mean"]
+    v2, combo = tape["v2_raw"], tape["combo"]
+    post_var, pri_var = tape["post_var"], tape["pri_var"]
+    # mean = v2 * combo with the raw v2; only the variance passes the clamp.
     g_combo = v2 * g_mean
-    g_v2 = 2.0 * float(np.sum(np.real(np.conj(g_mean) * combo))) + g_var
-    g_v2 *= _clamp_grad(rec[prefix + "v2_raw"])
+    g_v2 = (2.0 * float(np.sum(np.real(np.conj(g_mean) * combo)))
+            + g_var * _clamp_grad(v2))
     # v2 = (1/post_var - 1/pri_var)^(-1).
     g_post_var = g_v2 * (v2 * v2) / (post_var * post_var)
     g_pri_var = -g_v2 * (v2 * v2) / (pri_var * pri_var)
     g_post_mean = g_combo / post_var
     g_pri_mean = -g_combo / pri_var
-    g_post_var -= 2.0 * float(np.sum(np.real(np.conj(g_combo) * post_mean))) / post_var**2
-    g_pri_var += 2.0 * float(np.sum(np.real(np.conj(g_combo) * pri_mean))) / pri_var**2
+    g_post_var -= 2.0 * float(np.sum(np.real(np.conj(g_combo) * tape["post_mean"]))) / post_var**2
+    g_pri_var += 2.0 * float(np.sum(np.real(np.conj(g_combo) * tape["pri_mean"]))) / pri_var**2
     return g_post_mean, g_post_var, g_pri_mean, g_pri_var
 
 
-class _DampedSide:
-    """One side's damping step, its policy queries and their adjoints.
+class _TapedSide(DampedSide):
+    """The solver's damping step, recording each layer for its adjoint.
 
-    Forward: beta(t) from the policy, then beta * previous + (1 - beta) *
-    extrinsic, where "previous" is this side's last damped message (raw
-    variance) and the policy sees the two previous factors.  Backward runs
-    the layers in reverse, carrying the adjoints that reach the history
-    and, through the policy's feature inputs, the earlier factors.
+    Backward runs the layers in reverse, carrying the adjoints that reach
+    the history and, through the policy's feature inputs, the earlier
+    factors.
     """
 
-    def __init__(self, side, policy, sigma_tilde, sqrt_snr, mean, var):
-        self.side, self.policy = side, policy
-        self.sigma_tilde, self.sqrt_snr = sigma_tilde, sqrt_snr
-        self.hist = (mean, var)
-        self.betas = (1.0, 1.0)
+    def __init__(self, side, policy, sigma_tilde, sqrt_snr, start):
+        super().__init__(side, policy, sigma_tilde, sqrt_snr, start)
         self.records = []
-        self.g_hist = (np.zeros_like(mean), 0.0)
+        self.g_hist = (np.zeros_like(start.mean), 0.0)
         # dL/dbeta(t) arriving as the next query's beta_prev input, and as
         # the one after's beta_prev2 input.
         self.g_feed = (0.0, 0.0)
 
-    def forward(self, t, ext_m, ext_v):
-        """Damped (mean, clamped variance) of layer t."""
-        beta = self.policy.beta(self.side, t, PolicyFeatures(
-            self.sigma_tilde, self.sqrt_snr, self.betas[0], self.betas[1], ext_v))
-        self.betas = (beta, self.betas[0])
-        hist_m, hist_v = self.hist
-        mean = beta * hist_m + (1.0 - beta) * ext_m
-        var = beta * hist_v + (1.0 - beta) * ext_v
-        self.records.append((beta, self.hist, ext_m, ext_v, var))
-        self.hist = (mean, var)
-        return mean, min(max(var, V_MIN), V_MAX)
+    def step(self, t, ext):
+        previous = self.hist
+        out = super().step(t, ext)
+        self.records.append((self.betas[0], previous, ext, self.hist[1]))
+        return out
 
     def backward(self, t, g_mean, g_var):
-        """Adjoint of layer t's forward: (dL/d ext mean, dL/d ext variance)."""
-        beta, (hist_m, hist_v), ext_m, ext_v, var = self.records.pop()
+        """Adjoint of layer t's step: (dL/d ext mean, dL/d ext variance)."""
+        beta, (hist_m, hist_v), ext, var = self.records.pop()
         g_mean = g_mean + self.g_hist[0]
         g_var = g_var * _clamp_grad(var) + self.g_hist[1]
-        g_beta = (2.0 * float(np.sum(np.real(np.conj(g_mean) * (hist_m - ext_m))))
-                  + g_var * (hist_v - ext_v))
+        g_beta = (2.0 * float(np.sum(np.real(np.conj(g_mean) * (hist_m - ext.mean))))
+                  + g_var * (hist_v - ext.variance))
         self.g_hist = (beta * g_mean, beta * g_var)
         fb1, fb2 = self.g_feed
         feat_grads = self.policy.backward_beta(self.side, t, g_beta + fb1)
@@ -333,7 +264,9 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     Returns (loss, grads, diverged) with grads keyed like the checkpoint
     arrays; the vector form follows hypernets.params_to_vector ordering.
     A clipped or non-finite run returns the clip value with zero gradients,
-    matching the trainer's handling of divergent samples.
+    matching the trainer's handling of divergent samples.  A policy that
+    returns a non-finite damping factor raises `PolicyError`, as in the
+    solver.
     """
     matrix = sample.matrix
     msg_z0, msg_x0 = spectral_init(sample.y, matrix) if init is None else init
@@ -342,12 +275,10 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     policy = policy_for_params(params)
     policy.reset(tape=True)
 
-    m1z = msg_z0.mean
-    v1z = min(max(msg_z0.variance, V_MIN), V_MAX)
-    m2x = msg_x0.mean
-    v2x = min(max(msg_x0.variance, V_MIN), V_MAX)
-    damp_z = _DampedSide("z", policy, sigma_tilde, sqrt_snr, m1z, v1z)
-    damp_x = _DampedSide("x", policy, sigma_tilde, sqrt_snr, m2x, v2x)
+    msg_1z = GaussianMessage(msg_z0.mean, clamp_variance(msg_z0.variance))
+    msg_2x = GaussianMessage(msg_x0.mean, clamp_variance(msg_x0.variance))
+    side_z = _TapedSide("z", policy, sigma_tilde, sqrt_snr, msg_1z)
+    side_x = _TapedSide("x", policy, sigma_tilde, sqrt_snr, msg_2x)
 
     y = sample.y
     x_true = sample.x
@@ -355,27 +286,29 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     loss = 0.0
     diverged = False
     for t in range(1, layers + 1):
-        rec = {}
-        post_z, pvar_z = _forward_magnitude(m1z, v1z, y, rec)
-        ext_mz, ext_vz = _forward_extrinsic(post_z, pvar_z, m1z, v1z, rec, "ez_")
-        dz_m, dz_v = damp_z.forward(t, ext_mz, ext_vz)
+        # One tape per estimator call, named after the message it makes.
+        rec = {key: {} for key in ("mag", "ez", "bx", "ex1", "gb", "ex2", "bz", "ez2")}
+        post_z, pvar_z = _forward_magnitude(msg_1z.mean, msg_1z.variance, y, rec["mag"])
+        ext_z = extrinsic(post_z, pvar_z, msg_1z, rec["ez"])
+        msg_2z = side_z.step(t, ext_z)
 
-        post_x, pvar_x = _forward_lmmse_x(matrix, dz_m, dz_v, m2x, v2x, rec, "bx_")
-        m1x, v1x = _forward_extrinsic(post_x, pvar_x, m2x, v2x, rec, "ex1_")
-        den_x, den_v = _forward_gb(m1x, v1x, prior, rec)
+        # `matrix` stays positional: perfbench's tracer reads it as args[2].
+        post_x, pvar_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", rec["bx"])
+        msg_1x = extrinsic(post_x, pvar_x, msg_2x, rec["ex1"])
+        den_x, den_v = gb_posterior(msg_1x, prior, rec["gb"])
         if not np.all(np.isfinite(den_x)):
             diverged = True
             break
         term, rec["g_est"] = _aligned_sq_error(x_true, den_x)
         loss += term
 
-        ext_mx, ext_vx = _forward_extrinsic(den_x, den_v, m1x, v1x, rec, "ex2_")
-        m2x, v2x = damp_x.forward(t, ext_mx, ext_vx)
+        ext_x = extrinsic(den_x, den_v, msg_1x, rec["ex2"])
+        msg_2x = side_x.step(t, ext_x)
 
-        post_z2, pvar_z2 = _forward_lmmse_z(matrix, dz_m, dz_v, m2x, v2x, rec, "bz_")
-        m1z, v1z = _forward_extrinsic(post_z2, pvar_z2, dz_m, dz_v, rec, "ez2_")
+        post_z2, pvar_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", rec["bz"])
+        msg_1z = extrinsic(post_z2, pvar_z2, msg_2z, rec["ez2"])
         records.append(rec)
-        if not (np.all(np.isfinite(m1z)) and np.all(np.isfinite(m2x))):
+        if not (np.all(np.isfinite(msg_1z.mean)) and np.all(np.isfinite(msg_2x.mean))):
             diverged = True
             break
 
@@ -393,26 +326,26 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     for t in range(layers, 0, -1):
         rec = records[t - 1]
         g_post_z2, g_pvar_z2, g_dzm_pri, g_dzv_pri = _backward_extrinsic(
-            g_m1z, g_v1z, rec, "ez2_")
+            g_m1z, g_v1z, rec["ez2"])
         g_dzm_b, g_dzv_b, g_dxm_b, g_dxv_b = _backward_lmmse(
-            matrix, g_post_z2, g_pvar_z2, rec, "bz_", output="z")
-        g_ext_mx, g_ext_vx = damp_x.backward(t, g_m2x + g_dxm_b, g_v2x + g_dxv_b)
+            matrix, g_post_z2, g_pvar_z2, rec["bz"], "z")
+        g_ext_mx, g_ext_vx = side_x.backward(t, g_m2x + g_dxm_b, g_v2x + g_dxv_b)
 
         # Extrinsic after the denoiser, the denoiser, extrinsic after B_x.
         g_den_x, g_den_v, g_m1x_a, g_v1x_a = _backward_extrinsic(
-            g_ext_mx, g_ext_vx, rec, "ex2_")
-        g_r, g_v1x_b = _backward_gb(g_den_x + rec["g_est"], g_den_v, prior, rec)
+            g_ext_mx, g_ext_vx, rec["ex2"])
+        g_r, g_v1x_b = _backward_gb(g_den_x + rec["g_est"], g_den_v, prior, rec["gb"])
         g_post_x, g_pvar_x, g_m2x_pri, g_v2x_pri = _backward_extrinsic(
-            g_m1x_a + g_r, g_v1x_a + g_v1x_b, rec, "ex1_")
+            g_m1x_a + g_r, g_v1x_a + g_v1x_b, rec["ex1"])
         g_dzm_bx, g_dzv_bx, g_m2x_bx, g_v2x_bx = _backward_lmmse(
-            matrix, g_post_x, g_pvar_x, rec, "bx_", output="x")
-        g_ext_mz, g_ext_vz = damp_z.backward(t, g_dzm_pri + g_dzm_b + g_dzm_bx,
+            matrix, g_post_x, g_pvar_x, rec["bx"], "x")
+        g_ext_mz, g_ext_vz = side_z.backward(t, g_dzm_pri + g_dzm_b + g_dzm_bx,
                                              g_dzv_pri + g_dzv_b + g_dzv_bx)
 
         # Extrinsic after the phase reconstructor, then the reconstructor.
         g_post_zp, g_pvar_zp, g_m1z_pri, g_v1z_pri = _backward_extrinsic(
-            g_ext_mz, g_ext_vz, rec, "ez_")
-        g_mu_a, g_v_a = _backward_magnitude(g_post_zp, g_pvar_zp, y, rec)
+            g_ext_mz, g_ext_vz, rec["ez"])
+        g_mu_a, g_v_a = _backward_magnitude(g_post_zp, g_pvar_zp, y, rec["mag"])
         g_m1z = g_m1z_pri + g_mu_a
         g_v1z = g_v1z_pri + g_v_a
         g_m2x = g_m2x_pri + g_m2x_bx

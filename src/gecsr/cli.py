@@ -31,6 +31,9 @@ EXIT_EMPTY = 6
 
 BASELINE_GEOMETRIC = "schedule_0.9t"
 BASELINE_CONSTANT = "schedule_0.5"
+# Fixed schedules hold no state, so one instance serves every evaluation.
+BASELINES = {BASELINE_GEOMETRIC: geometric_schedule(0.9),
+             BASELINE_CONSTANT: constant_schedule(0.5)}
 
 RESULT_HEADER = "variant,scenario,t,metric,value"
 
@@ -151,8 +154,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         payload = hypernets.load_checkpoint(args.checkpoint)
         result = training.evaluate(payload, manifest, layers)
         rows += _result_rows(payload["variant"], scenario, result)
-    for name, policy in ((BASELINE_GEOMETRIC, geometric_schedule(0.9)),
-                         (BASELINE_CONSTANT, constant_schedule(0.5))):
+    for name, policy in BASELINES.items():
         result = training.evaluate(policy, manifest, layers, variant=name)
         rows += _result_rows(name, scenario, result)
     os.makedirs(args.out, exist_ok=True)
@@ -163,8 +165,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _sweep_manifest(base: DatasetManifest, kind: str, value: float,
-                    point_seed: int, ratio: float) -> DatasetManifest:
-    changes: dict = {"seed": point_seed}
+                    point_seed: int, ratio: float, count: int) -> DatasetManifest:
+    changes: dict = {"seed": point_seed, "count": count}
     if kind == "snr":
         changes["snr_db_range"] = (value, value)
     elif kind == "gamma":
@@ -179,9 +181,7 @@ def _sweep_manifest(base: DatasetManifest, kind: str, value: float,
         changes["m"] = math.ceil(ratio * value)
     else:
         raise ManifestError(f"unknown sweep kind {kind!r}")
-    fields = {k: getattr(base, k) for k in base.__dataclass_fields__}
-    fields.update(changes)
-    return DatasetManifest(**fields)
+    return replace(base, **changes)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -201,10 +201,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = [RESULT_HEADER]
     for k, value in enumerate(grid):
         point_seed = (base.seed * 1_000_003 + k) % (2**63)
-        manifest = _sweep_manifest(base, kind, float(value), point_seed, ratio)
-        fields = {key: getattr(manifest, key) for key in manifest.__dataclass_fields__}
-        fields["count"] = samples
-        manifest = DatasetManifest(**fields)
+        manifest = _sweep_manifest(base, kind, float(value), point_seed, ratio,
+                                   samples)
         scenario = f"{kind}={value:g}"
         for entry in variants:
             name = entry["name"]
@@ -212,13 +210,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 payload = hypernets.load_checkpoint(entry["checkpoint"])
                 result = training.evaluate(payload, manifest, layers)
                 rows += _result_rows(payload["variant"], scenario, result)
-            elif name == BASELINE_GEOMETRIC:
-                result = training.evaluate(geometric_schedule(0.9), manifest,
-                                           layers, variant=name)
-                rows += _result_rows(name, scenario, result)
-            elif name == BASELINE_CONSTANT:
-                result = training.evaluate(constant_schedule(0.5), manifest,
-                                           layers, variant=name)
+            elif name in BASELINES:
+                result = training.evaluate(BASELINES[name], manifest, layers,
+                                           variant=name)
                 rows += _result_rows(name, scenario, result)
             else:
                 raise ManifestError(f"sweep variant {name!r} needs a checkpoint "
@@ -259,8 +253,8 @@ def cmd_recon_image(args: argparse.Namespace) -> int:
             policy = training.FeatureResamplePolicy(policy, int(payload["n"]))
         variant = payload["variant"]
     else:
-        policy = geometric_schedule(0.9)
         variant = BASELINE_GEOMETRIC
+        policy = BASELINES[variant]
     if args.layers == 0:
         _, msg_x0 = solver.spectral_init(y, matrix)
         estimate = msg_x0.mean

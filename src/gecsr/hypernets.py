@@ -578,7 +578,8 @@ def params_from_checkpoint(payload: dict):
     """Materialize the parameter bundle stored in a checkpoint.
 
     The header (variant, n, layers, hidden, heads, tied) fixes the layout;
-    every stored array must have the shape that layout implies.
+    every stored array must have the shape that layout implies and hold
+    finite values only (JSON readers accept NaN and Infinity tokens).
     """
     template = init_variant_params(
         payload["variant"], int(payload["n"]), int(payload["layers"]),
@@ -596,6 +597,8 @@ def params_from_checkpoint(payload: dict):
             raise CheckpointError(
                 f"checkpoint array {name!r} has shape {list(shape)} with "
                 f"{data.size} values; the header implies {list(arr.shape)}")
+        if not np.all(np.isfinite(data)):
+            raise CheckpointError(f"checkpoint array {name!r} holds non-finite values")
         pieces.append(data)
     return params_from_vector(template, np.concatenate(pieces))
 

@@ -109,10 +109,13 @@ def gb_responsibility(r2: np.ndarray, v: float, prior: SignalPrior) -> np.ndarra
     return np.exp(log_slab - np.logaddexp(log_slab, log_spike))
 
 
-def gb_posterior(msg: GaussianMessage, prior: SignalPrior) -> tuple[np.ndarray, float]:
+def gb_posterior(msg: GaussianMessage, prior: SignalPrior,
+                 tape: Optional[dict] = None) -> tuple[np.ndarray, float]:
     """Posterior (mean, avg variance) of x under the Bernoulli-Gaussian prior.
 
-    The pseudo-measurement model is r = x + e with e ~ CN(0, v).
+    The pseudo-measurement model is r = x + e with e ~ CN(0, v).  A tape
+    receives the inputs, |r|^2, the responsibility (None when rho = 1) and
+    the variance before the clamp.
     """
     v = float(msg.variance)
     r = msg.mean
@@ -120,26 +123,35 @@ def gb_posterior(msg: GaussianMessage, prior: SignalPrior) -> tuple[np.ndarray, 
     gain = s2 / (s2 + v)
     r2 = r.real * r.real + r.imag * r.imag
     if prior.rho >= 1.0:
+        resp = None
         mean = gain * r
-        return mean, clamp_variance(gain * v)
-    resp = gb_responsibility(r2, v, prior)
-    mean = (resp * gain) * r
-    second = resp * ((gain * gain) * r2 + gain * v)
-    var = float(np.mean(second - (resp * gain) ** 2 * r2))
+        var = gain * v
+    else:
+        resp = gb_responsibility(r2, v, prior)
+        mean = (resp * gain) * r
+        second = resp * ((gain * gain) * r2 + gain * v)
+        var = float(np.mean(second - (resp * gain) ** 2 * r2))
+    if tape is not None:
+        tape.update(r=r, v=v, gain=gain, r2=r2, resp=resp, var_raw=var)
     return mean, clamp_variance(var)
 
 
 def lmmse_posterior(msg_z: GaussianMessage, msg_x: GaussianMessage,
-                    matrix: TransformMatrix, output: str) -> tuple[np.ndarray, float]:
+                    matrix: TransformMatrix, output: str,
+                    tape: Optional[dict] = None) -> tuple[np.ndarray, float]:
     """Joint-Gaussian (LMMSE) posterior of x or z = A x in the SVD basis.
 
     The model couples x ~ CN(mu_x, v_x I) with the pseudo-observation
     mu_z = A x + e, e ~ CN(0, v_z I); per singular mode the posterior variance
     is (1/v_x + s^2/v_z)^{-1}.  `output` selects which variable's (mean,
-    averaged variance) is returned: "x" or "z".
+    averaged variance) is returned: "x" or "z".  A tape receives the modes,
+    the per-mode variances d and means w, the input variances and the
+    variance before the clamp.
     """
     if msg_x.mean.shape != (matrix.n,) or msg_z.mean.shape != (matrix.m,):
         raise ValueError("message shapes do not match the transform size")
+    if output not in ("x", "z"):
+        raise ValueError(f"output must be 'x' or 'z', got {output!r}")
     u, v = matrix.left_unitary, matrix.right_unitary
     sig = matrix.singulars
     vx = float(msg_x.variance)
@@ -149,28 +161,40 @@ def lmmse_posterior(msg_z: GaussianMessage, msg_x: GaussianMessage,
     d = 1.0 / (1.0 / vx + (sig * sig) / vz)
     w = d * (x_modes / vx + sig * (z_modes / vz))
     if output == "x":
-        return v @ w, clamp_variance(float(np.mean(d)))
-    if output == "z":
-        return u @ (sig * w), clamp_variance(float(np.sum(sig * sig * d)) / matrix.m)
-    raise ValueError(f"output must be 'x' or 'z', got {output!r}")
+        mean, var = v @ w, float(np.mean(d))
+    else:
+        mean, var = u @ (sig * w), float(np.sum(sig * sig * d)) / matrix.m
+    if tape is not None:
+        tape.update(x_modes=x_modes, z_modes=z_modes, d=d, w=w, vx=vx, vz=vz,
+                    var_raw=var)
+    return mean, clamp_variance(var)
 
 
-def extrinsic(post_mean: np.ndarray, post_var: float,
-              prior: GaussianMessage) -> GaussianMessage:
+def extrinsic(post_mean: np.ndarray, post_var: float, prior: GaussianMessage,
+              tape: Optional[dict] = None) -> GaussianMessage:
     """Divide the posterior by the incoming prior (Gaussian quotient).
 
     When the quotient variance is non-positive or above V_MAX (no information
     gained), fall back to a weak message: the posterior mean with variance
-    V_MAX.
+    V_MAX.  Otherwise the mean is scaled by the raw quotient variance and
+    only the returned variance is clamped.  A tape receives the fallback
+    flag and, without it, the inputs, the raw variance and the scaled
+    difference of means.
     """
     if not np.isfinite(post_var) or not np.isfinite(prior.variance):
         raise FloatingPointError("non-finite variance in extrinsic step")
     inv = 1.0 / post_var - 1.0 / prior.variance
-    if inv <= 1.0 / V_MAX:
+    fallback = inv <= 1.0 / V_MAX
+    if tape is not None:
+        tape["fallback"] = fallback
+    if fallback:
         return GaussianMessage(post_mean, V_MAX)
     v2 = 1.0 / inv
-    mean = v2 * (post_mean / post_var - prior.mean / prior.variance)
-    return GaussianMessage(mean, clamp_variance(v2))
+    combo = post_mean / post_var - prior.mean / prior.variance
+    if tape is not None:
+        tape.update(v2_raw=v2, combo=combo, post_mean=post_mean, post_var=post_var,
+                    pri_mean=prior.mean, pri_var=prior.variance)
+    return GaussianMessage(v2 * combo, clamp_variance(v2))
 
 
 def damp(current: tuple[np.ndarray, float], previous: tuple[np.ndarray, float],
@@ -309,6 +333,32 @@ def _query(policy: DampingPolicy, side: str, t: int,
     return min(max(float(beta), 0.0), 1.0)
 
 
+class DampedSide:
+    """One side's damping step: the policy query, damp() and the clamp.
+
+    Layer t's factor beta comes from the policy, which sees the scenario,
+    this side's two previous factors (1 before the first layer) and the
+    extrinsic variance.  The damped message is beta * previous + (1 - beta)
+    * extrinsic, where "previous" is the last damped message with its raw
+    variance (the initial message at the start); the clamped copy goes on.
+    """
+
+    def __init__(self, side: str, policy: DampingPolicy, sigma_tilde: np.ndarray,
+                 sqrt_snr: float, start: GaussianMessage):
+        self.side, self.policy = side, policy
+        self.sigma_tilde, self.sqrt_snr = sigma_tilde, sqrt_snr
+        self.hist = (start.mean, start.variance)
+        self.betas = (1.0, 1.0)
+
+    def step(self, t: int, ext: GaussianMessage) -> GaussianMessage:
+        beta = _query(self.policy, self.side, t, PolicyFeatures(
+            self.sigma_tilde, self.sqrt_snr, self.betas[0], self.betas[1],
+            ext.variance))
+        self.betas = (beta, self.betas[0])
+        self.hist = damp((ext.mean, ext.variance), self.hist, beta)
+        return GaussianMessage(self.hist[0], clamp_variance(self.hist[1]))
+
+
 def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
                layers: int,
                init: Optional[tuple[GaussianMessage, GaussianMessage]] = None
@@ -337,22 +387,13 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
 
     msg_1z = GaussianMessage(msg_z0.mean, clamp_variance(msg_z0.variance))
     msg_2x = GaussianMessage(msg_x0.mean, clamp_variance(msg_x0.variance))
-    hist_z = (msg_1z.mean, msg_1z.variance)
-    hist_x = (msg_2x.mean, msg_2x.variance)
-    beta_hist = {"z": (1.0, 1.0), "x": (1.0, 1.0)}
-
-    def features_for(side: str, v_ext: float) -> PolicyFeatures:
-        prev, prev2 = beta_hist[side]
-        return PolicyFeatures(sigma_tilde=sigma_tilde, sqrt_snr=sqrt_snr,
-                              beta_prev=prev, beta_prev2=prev2, v_ext=v_ext)
+    side_z = DampedSide("z", policy, sigma_tilde, sqrt_snr, msg_1z)
+    side_x = DampedSide("x", policy, sigma_tilde, sqrt_snr, msg_2x)
 
     for t in range(1, layers + 1):
         post_z, var_z = magnitude_posterior(msg_1z, sample.y)
         ext_z = extrinsic(post_z, var_z, msg_1z)
-        beta_z = _query(policy, "z", t, features_for("z", ext_z.variance))
-        beta_hist["z"] = (beta_z, beta_hist["z"][0])
-        hist_z = damp((ext_z.mean, ext_z.variance), hist_z, beta_z)
-        msg_2z = GaussianMessage(hist_z[0], clamp_variance(hist_z[1]))
+        msg_2z = side_z.step(t, ext_z)
 
         post_x, var_x = lmmse_posterior(msg_2z, msg_2x, matrix, output="x")
         msg_1x = extrinsic(post_x, var_x, msg_2x)
@@ -365,13 +406,10 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
         trace.nmse_db.append(nmse_db(sample.x, align_phase(sample.x, den_x)))
 
         ext_x = extrinsic(den_x, den_var, msg_1x)
-        beta_x = _query(policy, "x", t, features_for("x", ext_x.variance))
-        beta_hist["x"] = (beta_x, beta_hist["x"][0])
-        hist_x = damp((ext_x.mean, ext_x.variance), hist_x, beta_x)
-        msg_2x = GaussianMessage(hist_x[0], clamp_variance(hist_x[1]))
+        msg_2x = side_x.step(t, ext_x)
 
-        trace.beta_z.append(beta_z)
-        trace.beta_x.append(beta_x)
+        trace.beta_z.append(side_z.betas[0])
+        trace.beta_x.append(side_x.betas[0])
         trace.v2z.append(ext_z.variance)
         trace.v2x.append(ext_x.variance)
 

@@ -22,7 +22,18 @@ from gecsr import adjoint, hypernets, model
 from gecsr.adjoint import bessel_ratio_derivative, gradient_vector, loss_and_gradient
 from gecsr.hypernets import params_from_vector, params_to_vector, policy_for_params
 from gecsr.model import DatasetManifest, SignalPrior
-from gecsr.solver import bessel_ratio, run_solver, spectral_init
+from gecsr.solver import (
+    V_MAX,
+    V_MIN,
+    GaussianMessage,
+    PolicyError,
+    bessel_ratio,
+    extrinsic,
+    gb_posterior,
+    lmmse_posterior,
+    run_solver,
+    spectral_init,
+)
 from gecsr.training import TrainerConfig, sample_loss, train
 
 LAYERS = 4
@@ -178,6 +189,119 @@ class TestAdjointGradients:
                 fd_total += (lp - lm) / (2 * eps)
             fd = fd_total / len(tiny_batch)
             assert grad[i] == pytest.approx(fd, rel=2e-4, abs=1e-7)
+
+
+class TestEstimatorAdjoints:
+    """Each estimator's adjoint against central differences of the taped
+    solver function, one input at a time.
+
+    The probe loss is L = 2 Re(c^H mean) + a * var, so the adjoint is fed
+    (c, a) and must return dL/d(input*) for complex inputs (dL = 2 Re(g^H
+    d input)) and dL/d(input) for real ones.
+    """
+
+    @staticmethod
+    def _check(forward, backward, inputs, seed=0):
+        rng = np.random.default_rng(seed)
+        tape = {}
+        mean, _ = forward(*inputs, tape)
+        c = model.complex_normal(rng, mean.shape[0])
+        a = 0.7
+
+        def probe(args):
+            m, v = forward(*args, None)
+            return np.array([2.0 * float(np.real(np.vdot(c, m))), v])
+
+        grads = backward(c, a, tape)
+        assert len(grads) == len(inputs)
+        for k, (value, grad) in enumerate(zip(inputs, grads)):
+            if isinstance(value, np.ndarray):
+                direction = model.complex_normal(rng, value.shape[0])
+                h = 1e-6 * float(np.max(np.abs(value)))
+                want = 2.0 * float(np.real(np.vdot(grad, direction)))
+            else:
+                direction, h, want = 1.0, 1e-6 * value, float(grad)
+            plus, minus = list(inputs), list(inputs)
+            plus[k] = value + h * direction
+            minus[k] = value - h * direction
+            # Mean and variance terms differenced apart: V_MAX would swamp the sum.
+            fd = float(np.dot((probe(plus) - probe(minus)) / (2.0 * h), [1.0, a]))
+            assert want == pytest.approx(fd, rel=1e-6, abs=1e-9 * (1.0 + abs(fd))), k
+        return tape
+
+    @staticmethod
+    def _extrinsic(post_mean, post_var, pri_mean, pri_var, tape):
+        msg = extrinsic(post_mean, post_var, GaussianMessage(pri_mean, pri_var), tape)
+        return msg.mean, msg.variance
+
+    def _check_extrinsic(self, post_var, pri_var, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [np.sqrt(post_var) * model.complex_normal(rng, 6), post_var,
+                  np.sqrt(pri_var) * model.complex_normal(rng, 6), pri_var]
+        return self._check(self._extrinsic, adjoint._backward_extrinsic, inputs, seed)
+
+    def test_extrinsic_normal(self):
+        tape = self._check_extrinsic(0.3, 1.0, seed=1)
+        assert not tape["fallback"] and V_MIN < tape["v2_raw"] < V_MAX
+
+    def test_extrinsic_raw_variance_below_floor(self):
+        # v2 = 4e-12 * 1e-11 / 6e-12, under V_MIN: the mean scales with the
+        # raw v2 and the clamped variance passes no gradient.
+        tape = self._check_extrinsic(4e-12, 1e-11, seed=2)
+        assert not tape["fallback"] and tape["v2_raw"] < V_MIN
+        rng = np.random.default_rng(3)
+        g_mean = model.complex_normal(rng, 6)
+        with_var = adjoint._backward_extrinsic(g_mean, 5.0, tape)
+        without = adjoint._backward_extrinsic(g_mean, 0.0, tape)
+        for got, want in zip(with_var, without):
+            np.testing.assert_array_equal(got, want)
+
+    def test_extrinsic_no_information_fallback(self):
+        tape = self._check_extrinsic(2.0, 1.0, seed=4)
+        assert tape["fallback"]
+
+    @pytest.mark.parametrize("output", ("x", "z"))
+    def test_lmmse(self, output, tiny_batch):
+        matrix = tiny_batch[0][0].matrix
+        rng = np.random.default_rng(5)
+        inputs = [model.complex_normal(rng, matrix.m), 0.2,
+                  model.complex_normal(rng, matrix.n), 0.7]
+
+        def forward(mz, vz, mx, vx, tape):
+            return lmmse_posterior(GaussianMessage(mz, vz), GaussianMessage(mx, vx),
+                                   matrix, output, tape)
+
+        def backward(g_mean, g_var, tape):
+            return adjoint._backward_lmmse(matrix, g_mean, g_var, tape, output)
+
+        tape = self._check(forward, backward, inputs, seed=6)
+        assert V_MIN < tape["var_raw"] < V_MAX
+
+    @pytest.mark.parametrize("rho", (0.4, 1.0))
+    def test_gb(self, rho):
+        prior = SignalPrior(rho)
+        rng = np.random.default_rng(7)
+        inputs = [model.complex_normal(rng, 8), 0.3]
+
+        def forward(r, v, tape):
+            return gb_posterior(GaussianMessage(r, v), prior, tape)
+
+        def backward(g_mean, g_var, tape):
+            return adjoint._backward_gb(g_mean, g_var, prior, tape)
+
+        tape = self._check(forward, backward, inputs, seed=8)
+        assert (tape["resp"] is None) == (rho == 1.0)
+
+
+class TestPolicyQueries:
+    def test_non_finite_factor_raises_like_the_solver(self, tiny_batch):
+        params = hypernets.init_direct_params(LAYERS)
+        params.logits_z[1] = np.nan
+        sample, prior, init = tiny_batch[0]
+        with pytest.raises(PolicyError):
+            run_solver(sample, prior, policy_for_params(params), LAYERS, init=init)
+        with pytest.raises(PolicyError):
+            loss_and_gradient(sample, prior, params, LAYERS, init=init)
 
 
 class TestAdjointTraining:

@@ -149,6 +149,14 @@ class TestEval:
         assert "'w_out' has shape [5]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_non_finite_array_value_rejected(self, tmp_path, manifest_path, capsys):
+        params = hypernets.init_hypergru_params(8, hidden=4, seed=9)
+        payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
+        payload["arrays"]["w_out"]["data"][2] = float("nan")
+        assert self._eval_with(tmp_path, manifest_path, payload) == 2
+        assert "'w_out' holds non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_static_extension_beyond_trained_depth(self, tmp_path, manifest_path):
         params = hypernets.init_direct_params(2)
         payload = hypernets.checkpoint_payload("net_direct", params, n=8, layers=2)
