@@ -147,6 +147,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     manifest = model.load_manifest(args.manifest)
+    if manifest.count == 0:
+        raise EmptyResultError("manifest has no samples to evaluate")
     layers = args.layers
     scenario = _scenario_label(manifest)
     rows = [RESULT_HEADER]
@@ -197,6 +199,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ManifestError("sweep grid must be non-empty")
     layers = args.layers if args.layers is not None else int(raw.get("layers", 10))
     samples = int(raw.get("samples", 48))
+    if samples == 0:
+        raise EmptyResultError("sweep has no samples to evaluate")
     ratio = float(raw.get("ratio", 4.0))
     rows = [RESULT_HEADER]
     for k, value in enumerate(grid):

@@ -61,16 +61,22 @@ def sample_signal(prior: SignalPrior, n: int, rng: np.random.Generator) -> np.nd
     return np.where(support, values, 0.0 + 0.0j)
 
 
-def sample_haar_unitary(k: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a k x k unitary matrix uniformly from the Haar measure.
+def sample_haar_isometry(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw the first n columns of an m x m Haar unitary (an m x n isometry).
 
-    Uses the QR decomposition of an i.i.d. complex Gaussian matrix with the
-    phases of R's diagonal folded back into Q, which makes the factorization
-    unique and the resulting Q exactly Haar-distributed.
+    Q from the QR decomposition of an i.i.d. complex Gaussian matrix, with
+    the phases of R's diagonal folded back in, is exactly Haar-distributed;
+    its first n columns depend only on the first n columns of the draw
+    (Mezzadri, arXiv:math-ph/0609050), so only those are factorized.  The
+    whole m x m draw is still taken, so the generator ends in the same
+    state for any n, and the result matches the first n columns of the
+    full factorization to rounding.  n = m gives a Haar unitary.
     """
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
-    q, r = np.linalg.qr(complex_normal(rng, k, k))
+    if not (m >= n >= 1):
+        raise ValueError(f"need m >= n >= 1, got ({m}, {n})")
+    re = rng.standard_normal((m, m))
+    im = rng.standard_normal((m, m))
+    q, r = np.linalg.qr((re[:, :n] + 1j * im[:, :n]) * np.sqrt(0.5))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -172,10 +178,11 @@ def gaussian_matrix(m: int, n: int, snr_linear: float,
                     rng: np.random.Generator) -> TransformMatrix:
     """Gaussian-class transform: Haar factors, i.i.d.-Gaussian spectrum.
 
-    The left factor keeps the first N columns of an M x M Haar unitary.
+    The left factor is the M x N Haar isometry from the QR of the first N
+    columns of an M x M Gaussian draw; the right factor is N x N Haar.
     """
-    u = sample_haar_unitary(m, rng)[:, :n]
-    v = sample_haar_unitary(n, rng)
+    u = sample_haar_isometry(m, n, rng)
+    v = sample_haar_isometry(n, n, rng)
     s = scale_to_snr(gaussian_class_singulars(m, n, rng), m, snr_linear)
     return TransformMatrix(u, v, s)
 
@@ -183,8 +190,8 @@ def gaussian_matrix(m: int, n: int, snr_linear: float,
 def geometric_matrix(m: int, n: int, snr_linear: float, gamma: float,
                      rng: np.random.Generator) -> TransformMatrix:
     """Geometric-class transform: Haar factors, geometric spectrum."""
-    u = sample_haar_unitary(m, rng)[:, :n]
-    v = sample_haar_unitary(n, rng)
+    u = sample_haar_isometry(m, n, rng)
+    v = sample_haar_isometry(n, n, rng)
     s = scale_to_snr(geometric_singulars(n, gamma), m, snr_linear)
     return TransformMatrix(u, v, s)
 
@@ -210,8 +217,8 @@ def dense_gaussian_matrix(m: int, n: int, snr_linear: float,
                           rng: np.random.Generator) -> TransformMatrix:
     """Gaussian-class transform built from a dense i.i.d. draw (economy SVD).
 
-    Distributionally equivalent to gaussian_matrix but avoids forming the
-    M x M unitary; used for large image-reconstruction instances.
+    Distributionally equivalent to gaussian_matrix; used for large
+    image-reconstruction instances.
     """
     g = complex_normal(rng, m, n)
     u, s, vh = np.linalg.svd(g, full_matrices=False)

@@ -157,6 +157,14 @@ class TestEval:
         assert "'w_out' holds non-finite values" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_manifest_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(TINY_MANIFEST, count=0)))
+        out = tmp_path / "out"
+        assert main(["eval", "--manifest", str(path), "--out", str(out)]) == 6
+        assert "no samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_static_extension_beyond_trained_depth(self, tmp_path, manifest_path):
         params = hypernets.init_direct_params(2)
         payload = hypernets.checkpoint_payload("net_direct", params, n=8, layers=2)
@@ -200,6 +208,22 @@ class TestSweep:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+    def test_zero_samples_exit_code(self, tmp_path, capsys):
+        cfg = {
+            "kind": "snr",
+            "grid": [15.0],
+            "variants": [{"name": cli.BASELINE_CONSTANT}],
+            "manifest": TINY_MANIFEST,
+            "samples": 0,
+            "layers": 2,
+        }
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 6
+        assert "no samples" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = {"kind": "snr", "grid": [], "variants": [], "manifest": TINY_MANIFEST}

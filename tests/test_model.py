@@ -18,7 +18,7 @@ from gecsr.model import (
     generate_dataset,
     geometric_singulars,
     sample_at,
-    sample_haar_unitary,
+    sample_haar_isometry,
     sample_signal,
     scale_to_snr,
 )
@@ -63,18 +63,18 @@ class TestSignalPrior:
 
 class TestHaarUnitary:
     def test_scalar_case_unit_modulus(self):
-        q = sample_haar_unitary(1, np.random.default_rng(0))
+        q = sample_haar_isometry(1, 1, np.random.default_rng(0))
         assert abs(abs(q[0, 0]) - 1.0) < 1e-12
 
     def test_unitarity(self):
-        q = sample_haar_unitary(8, np.random.default_rng(1))
+        q = sample_haar_isometry(8, 8, np.random.default_rng(1))
         np.testing.assert_allclose(q.conj().T @ q, np.eye(8), atol=1e-9)
 
     def test_first_entry_moment(self):
         # |Q_11|^2 ~ Beta(1, k-1) under Haar, so E = 1/k; check a 3-sigma band.
         k, draws = 64, 200
         rng = np.random.default_rng(2)
-        vals = [abs(sample_haar_unitary(k, rng)[0, 0]) ** 2 for _ in range(draws)]
+        vals = [abs(sample_haar_isometry(k, k, rng)[0, 0]) ** 2 for _ in range(draws)]
         var = (k - 1.0) / (k**2 * (k + 1.0))
         tol = 3.0 * np.sqrt(var / draws)
         assert abs(np.mean(vals) - 1.0 / k) < tol
@@ -84,11 +84,63 @@ class TestHaarUnitary:
         rng = np.random.default_rng(3)
         acc = np.zeros((k, k))
         for _ in range(draws):
-            acc += np.abs(sample_haar_unitary(k, rng)) ** 2
+            acc += np.abs(sample_haar_isometry(k, k, rng)) ** 2
         mean_all = acc.mean() / draws
         var = (k - 1.0) / (k**2 * (k + 1.0))
         tol = 3.0 * np.sqrt(var / (draws * k * k))
         assert abs(mean_all - 1.0 / k) < tol
+
+
+class TestHaarIsometry:
+    @staticmethod
+    def _full_qr_columns(m, n, rng):
+        # Reference: QR of the whole m x m draw, phases folded, sliced to n.
+        q, r = np.linalg.qr(model.complex_normal(rng, m, m))
+        d = np.diagonal(r)
+        return (q * (d / np.abs(d)))[:, :n]
+
+    def test_matches_full_qr_columns(self):
+        for m, n, seed in ((400, 100, 0), (37, 5, 1), (9, 9, 2), (6, 1, 3)):
+            got = sample_haar_isometry(m, n, np.random.default_rng(seed))
+            want = self._full_qr_columns(m, n, np.random.default_rng(seed))
+            assert got.shape == (m, n)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_leaves_generator_where_full_draw_does(self):
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        sample_haar_isometry(50, 7, rng_a)
+        self._full_qr_columns(50, 7, rng_b)
+        np.testing.assert_array_equal(rng_a.standard_normal(5), rng_b.standard_normal(5))
+
+    def test_orthonormal_columns(self):
+        u = sample_haar_isometry(40, 12, np.random.default_rng(5))
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(12), atol=1e-12)
+
+    def test_rejects_bad_width(self):
+        rng = np.random.default_rng(6)
+        for m, n in ((4, 5), (4, 0), (4, -1)):
+            with pytest.raises(ValueError):
+                sample_haar_isometry(m, n, rng)
+
+    def test_tall_entry_moments(self):
+        # |Q_ij|^2 ~ Beta(1, m-1) under Haar, so E = 1/m; a fixed row is used
+        # because every column's squares sum to one.  The folded phases make
+        # E[Q_jj] = 0, which an unfolded QR misses (its diagonal leans
+        # negative).  3-sigma bands; the row entries correlate negatively,
+        # so the independent-draw band is conservative.
+        m, n, draws = 32, 4, 300
+        rng = np.random.default_rng(7)
+        row = np.zeros(n)
+        diag = np.zeros(n, dtype=complex)
+        for _ in range(draws):
+            q = sample_haar_isometry(m, n, rng)
+            row += np.abs(q[0]) ** 2
+            diag += np.diagonal(q)
+        var = (m - 1.0) / (m**2 * (m + 1.0))
+        assert abs(row.mean() / draws - 1.0 / m) < 3.0 * np.sqrt(var / (draws * n))
+        tol = 3.0 * np.sqrt(0.5 / m / (draws * n))
+        mean_diag = diag.mean() / draws
+        assert abs(mean_diag.real) < tol and abs(mean_diag.imag) < tol
 
 
 class TestSpectra:
@@ -185,8 +237,8 @@ class TestTransformMatrix:
 
     def test_factors_stored_contiguous(self):
         rng = np.random.default_rng(12)
-        u = sample_haar_unitary(6, rng)[:, :3]
-        v = sample_haar_unitary(3, rng).T
+        u = sample_haar_isometry(6, 6, rng)[:, :3]
+        v = sample_haar_isometry(3, 3, rng).T
         mat = TransformMatrix(u, v, np.array([3.0, 2.0, 1.0]))
         assert mat.left_unitary.flags.c_contiguous
         assert mat.right_unitary.flags.c_contiguous
