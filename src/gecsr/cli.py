@@ -229,6 +229,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_recon_image(args: argparse.Namespace) -> int:
+    # M = ceil(ratio * N) must be a finite count of at least N.
+    if not (math.isfinite(args.ratio) and args.ratio >= 1.0):
+        raise ManifestError(f"--ratio must be a finite number >= 1, got {args.ratio}")
     try:
         image = model.read_pgm(args.image)
     except ValueError as exc:

@@ -307,6 +307,22 @@ class TestReconImage:
         assert main(["recon-image", "--image", str(path),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("ratio", ["inf", "-inf", "nan", "0.5", "0", "-2"])
+    def test_bad_ratio_rejected(self, tmp_path, capsys, ratio):
+        image = self._write_image(tmp_path)
+        out = tmp_path / "out"
+        assert main(["recon-image", "--image", image, "--out", str(out),
+                     f"--ratio={ratio}"]) == 2
+        assert "--ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unit_ratio_accepted(self, tmp_path):
+        image = self._write_image(tmp_path)
+        out = tmp_path / "out"
+        assert main(["recon-image", "--image", image, "--out", str(out),
+                     "--ratio", "1", "--layers", "1"]) == 0
+        assert json.loads((out / "recon_report.json").read_text())["m"] == 64
+
 
 class TestPlot:
     def _table(self, tmp_path, rows):

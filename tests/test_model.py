@@ -1,6 +1,9 @@
 """Generation-layer tests: priors, matrices, measurements, manifests."""
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from gecsr.model import (
     SignalPrior,
     TransformMatrix,
     binary_matrix,
+    economy_factors,
     forward_measure,
     gaussian_class_singulars,
     gaussian_matrix,
@@ -80,15 +84,25 @@ class TestHaarUnitary:
         assert abs(np.mean(vals) - 1.0 / k) < tol
 
     def test_entry_moment_grid(self):
+        # Under Haar every entry has E[Q_ij] = 0 and E|Q_ij|^2 = 1/k, checked
+        # entry by entry.  An unfolded QR breaks the first: its diagonal
+        # leans negative.  Over k^2 = 256 entries, 3-sigma bands would
+        # expect 0.7 false failures per grid, so they are 4.5-sigma
+        # (two-sided p = 6.8e-6 each, 5.2e-3 over all 768 bands).
         k, draws = 16, 500
         rng = np.random.default_rng(3)
-        acc = np.zeros((k, k))
+        acc = np.zeros((k, k), dtype=complex)
+        acc_sq = np.zeros((k, k))
         for _ in range(draws):
-            acc += np.abs(sample_haar_isometry(k, k, rng)) ** 2
-        mean_all = acc.mean() / draws
+            q = sample_haar_isometry(k, k, rng)
+            acc += q
+            acc_sq += np.abs(q) ** 2
         var = (k - 1.0) / (k**2 * (k + 1.0))
-        tol = 3.0 * np.sqrt(var / (draws * k * k))
-        assert abs(mean_all - 1.0 / k) < tol
+        assert np.all(np.abs(acc_sq / draws - 1.0 / k) < 4.5 * np.sqrt(var / draws))
+        # Real and imaginary parts each have variance 1 / (2k).
+        tol = 4.5 * np.sqrt(0.5 / k / draws)
+        mean = acc / draws
+        assert np.all(np.abs(mean.real) < tol) and np.all(np.abs(mean.imag) < tol)
 
 
 class TestHaarIsometry:
@@ -244,6 +258,51 @@ class TestTransformMatrix:
         assert mat.right_unitary.flags.c_contiguous
 
 
+class TestEconomyFactors:
+    @staticmethod
+    def _check_factors(a, u, s, v):
+        k = a.shape[1]
+        assert u.shape == a.shape and s.shape == (k,) and v.shape == (k, k)
+        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
+        np.testing.assert_allclose(u.conj().T @ u, np.eye(k), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(k), rtol=0, atol=1e-12)
+        scale = np.abs(a).max()
+        np.testing.assert_allclose((u * s) @ v.conj().T / scale, a / scale,
+                                   rtol=0, atol=1e-12)
+
+    def test_well_conditioned_matches_svd(self):
+        a = model.complex_normal(np.random.default_rng(30), 60, 15)
+        u, s, v = economy_factors(a)
+        self._check_factors(a, u, s, v)
+        u_ref, s_ref, vh_ref = np.linalg.svd(a, full_matrices=False)
+        np.testing.assert_allclose(s, s_ref, rtol=1e-12, atol=0)
+        # Singular vectors are unique up to one unit phase per pair.
+        phase = np.sum(vh_ref * v.T, axis=1)
+        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v, vh_ref.conj().T * phase, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u, u_ref * phase, rtol=0, atol=1e-12)
+
+    def test_rank_deficient(self):
+        # Repeated columns: the Gram matrix is singular, so the SVD is used.
+        a = model.complex_normal(np.random.default_rng(31), 40, 6)
+        a[:, 4] = a[:, 0]
+        a[:, 5] = a[:, 1]
+        u, s, v = economy_factors(a)
+        self._check_factors(a, u, s, v)
+        assert s[-1] < 1e-12 * s[0] and s[-3] > 1e-3 * s[0]
+
+    def test_ill_conditioned(self):
+        # kappa = 1e6, past GRAM_CONDITION_CAP: squaring it would lose the
+        # small singular values, so the SVD is used.
+        rng = np.random.default_rng(32)
+        s_true = np.logspace(0.0, -6.0, 8)
+        a = ((sample_haar_isometry(50, 8, rng) * s_true)
+             @ sample_haar_isometry(8, 8, rng).conj().T)
+        u, s, v = economy_factors(a)
+        self._check_factors(a, u, s, v)
+        np.testing.assert_allclose(s, s_true, rtol=1e-9, atol=0)
+
+
 class TestBinaryMatrix:
     def test_all_ones_scale(self):
         # If every entry lands on c, 4 c^2 / 2 = snr=2 forces c = 1.  Draw
@@ -272,6 +331,39 @@ class TestBinaryMatrix:
         rng = np.random.default_rng(22)
         mat = binary_matrix(400, 100, 1e5, rng)
         assert abs(mat.snr / 1e5 - 1.0) < 1e-6
+
+
+_DUMP_BINARY_FACTORS = """
+import sys
+import numpy as np
+from gecsr.model import DatasetManifest, sample_at
+manifest = DatasetManifest(seed=11, count=12, m=400, n=100, matrix_class=("binary",),
+                           snr_db_range=(15.0, 30.0))
+mats = [sample_at(manifest, i).matrix for i in range(manifest.count)]
+np.savez(sys.argv[1], u=[a.left_unitary for a in mats], v=[a.right_unitary for a in mats],
+         s=[a.singulars for a in mats])
+"""
+
+
+class TestBlasThreadCount:
+    def test_binary_factors_match_across_thread_counts(self, tmp_path):
+        # A {0, c} draw has a real Gram matrix, whose product and N x N
+        # eigensolve came out identical under one and two OpenBLAS 0.3.31
+        # threads; the factors of LAPACK's M x N SVD move by up to about
+        # 1e-12.
+        src = os.path.dirname(os.path.dirname(model.__file__))
+        dumps = []
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, (src, os.environ.get("PYTHONPATH")))))
+            path = tmp_path / f"threads{threads}.npz"
+            subprocess.run([sys.executable, "-c", _DUMP_BINARY_FACTORS, str(path)],
+                           env=env, check=True, timeout=300)
+            with np.load(path) as dump:
+                dumps.append({key: dump[key] for key in dump.files})
+        for key in ("u", "v", "s"):
+            np.testing.assert_allclose(dumps[0][key], dumps[1][key], rtol=0, atol=1e-14)
 
 
 class TestForwardMeasure:
