@@ -26,10 +26,9 @@ from .solver import (
 from .hypernets import (
     VARIANTS,
     load_checkpoint,
-    policy_from_checkpoint,
     save_checkpoint,
 )
-from .training import TrainerConfig, evaluate, grad_check, train
+from .training import TrainerConfig, evaluate, train
 
 __all__ = [
     "DatasetManifest",
@@ -53,10 +52,8 @@ __all__ = [
     "spectral_init",
     "VARIANTS",
     "load_checkpoint",
-    "policy_from_checkpoint",
     "save_checkpoint",
     "TrainerConfig",
     "evaluate",
-    "grad_check",
     "train",
 ]

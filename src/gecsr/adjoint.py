@@ -21,7 +21,7 @@ to backpropagation through time over the interleaved solver/controller
 graph.
 
 Everything here is validated against central differences of the actual
-training loss (see grad_check and the adjoint tests).
+training loss (see tests/test_adjoint.py).
 """
 
 from __future__ import annotations

@@ -120,11 +120,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         trainer = replace(trainer, seed=args.seed)
     if args.layers is not None:
         trainer = replace(trainer, layers=args.layers)
+    # Check every name before the first one trains and writes files.
+    unknown = [v for v in variants if v not in hypernets.VARIANTS]
+    if unknown:
+        raise ManifestError(f"unknown variants {unknown}; "
+                            f"expected names from {tuple(hypernets.VARIANTS)}")
     os.makedirs(args.out, exist_ok=True)
     written: list[str] = []
     for variant in variants:
-        if variant not in hypernets.VARIANTS:
-            raise ManifestError(f"unknown variant {variant!r}")
         try:
             result = training.train(variant, manifest, trainer)
         except TrainingAborted:
@@ -157,7 +160,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         result = training.evaluate(payload, manifest, layers)
         rows += _result_rows(payload["variant"], scenario, result)
     for name, policy in BASELINES.items():
-        result = training.evaluate(policy, manifest, layers, variant=name)
+        result = training.evaluate(policy, manifest, layers)
         rows += _result_rows(name, scenario, result)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "eval.csv")
@@ -215,8 +218,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 result = training.evaluate(payload, manifest, layers)
                 rows += _result_rows(payload["variant"], scenario, result)
             elif name in BASELINES:
-                result = training.evaluate(BASELINES[name], manifest, layers,
-                                           variant=name)
+                result = training.evaluate(BASELINES[name], manifest, layers)
                 rows += _result_rows(name, scenario, result)
             else:
                 raise ManifestError(f"sweep variant {name!r} needs a checkpoint "
@@ -240,12 +242,16 @@ def cmd_recon_image(args: argparse.Namespace) -> int:
     if n > IMAGE_PIXEL_CAP:
         raise ManifestError(
             f"image has {n} pixels, above the desk-scale cap {IMAGE_PIXEL_CAP}")
+    m = math.ceil(args.ratio * n)
+    # The default ratio at the pixel cap is the largest draw: 1 GiB complex.
+    if m * n > 4 * IMAGE_PIXEL_CAP**2:
+        raise ManifestError(f"--ratio {args.ratio:g} needs a {m} x {n} transform, "
+                            f"above the cap of {4 * IMAGE_PIXEL_CAP**2} entries")
     x = image.reshape(-1).astype(complex)
     if not np.any(np.abs(x) > 0):
         raise InputFormatError("all-black image: zero signal has no defined NMSE")
     rho_est = min(max(float(np.mean(image > 0.05)), 1.0 / n), 1.0)
     prior = SignalPrior(rho_est)
-    m = math.ceil(args.ratio * n)
     snr = 10.0 ** (args.snr_db / 10.0)
     rng = np.random.default_rng([args.seed, n, m])
     matrix = model.dense_gaussian_matrix(m, n, snr, rng)

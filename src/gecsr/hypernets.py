@@ -490,7 +490,13 @@ def params_from_vector(template, vector: np.ndarray):
     return out
 
 
-VARIANTS = ("net_direct", "hypernet", "hypernet_attn", "hypergru", "hypergru_attn")
+# Each controller variant's weight family and attention flag.  HyperGruParams
+# is the only recurrent family; the others generate a fixed number of layers.
+VARIANTS = {"net_direct": (DirectDampingParams, False),
+            "hypernet": (HyperNetParams, False),
+            "hypernet_attn": (HyperNetParams, True),
+            "hypergru": (HyperGruParams, False),
+            "hypergru_attn": (HyperGruParams, True)}
 CHECKPOINT_FORMAT = "gecsr-checkpoint-v1"
 
 
@@ -498,18 +504,15 @@ def init_variant_params(variant: str, n: int, layers: int, hidden: int = 32,
                         heads: int = 4, tied: bool = False, seed: int = 0,
                         direct_init_base: float = 0.9):
     """Fresh parameter bundle for a named controller variant."""
-    if variant == "net_direct":
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected {tuple(VARIANTS)}")
+    family, attention = VARIANTS[variant]
+    if family is DirectDampingParams:
         return init_direct_params(layers, start_base=direct_init_base, tied=tied)
-    if variant == "hypernet":
-        return init_hypernet_params(n, layers, hidden, attention=False, seed=seed)
-    if variant == "hypernet_attn":
+    if family is HyperNetParams:
         return init_hypernet_params(n, layers, hidden, heads=heads,
-                                    attention=True, seed=seed)
-    if variant == "hypergru":
-        return init_hypergru_params(n, hidden, attention=False, seed=seed)
-    if variant == "hypergru_attn":
-        return init_hypergru_params(n, hidden, attention=True, seed=seed)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+                                    attention=attention, seed=seed)
+    return init_hypergru_params(n, hidden, attention=attention, seed=seed)
 
 
 _POLICIES = {DirectDampingParams: DirectSchedulePolicy,
@@ -578,15 +581,16 @@ def params_from_checkpoint(payload: dict):
     """Materialize the parameter bundle stored in a checkpoint.
 
     The header (variant, n, layers, hidden, heads, tied) fixes the layout;
-    every stored array must have the shape that layout implies and hold
+    the file must hold exactly its arrays, each with the implied shape and
     finite values only (JSON readers accept NaN and Infinity tokens).
     """
     template = init_variant_params(
         payload["variant"], int(payload["n"]), int(payload["layers"]),
         hidden=int(payload.get("hidden", 0)), heads=int(payload.get("heads", 0)),
         tied=bool(payload.get("tied", False)))
+    layout = _named_arrays(template)
     pieces = []
-    for name, arr in _named_arrays(template):
+    for name, arr in layout:
         try:
             entry = payload["arrays"][name]
             shape = tuple(entry["shape"])
@@ -600,8 +604,7 @@ def params_from_checkpoint(payload: dict):
         if not np.all(np.isfinite(data)):
             raise CheckpointError(f"checkpoint array {name!r} holds non-finite values")
         pieces.append(data)
+    extra = sorted(set(payload["arrays"]) - {name for name, _ in layout})
+    if extra:
+        raise CheckpointError(f"unexpected checkpoint arrays {extra} for this header")
     return params_from_vector(template, np.concatenate(pieces))
-
-
-def policy_from_checkpoint(payload: dict) -> DampingPolicy:
-    return policy_for_params(params_from_checkpoint(payload))

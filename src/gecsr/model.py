@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -260,14 +260,11 @@ def dense_gaussian_matrix(m: int, n: int, snr_linear: float,
 
 
 def forward_measure(matrix: TransformMatrix, x: np.ndarray,
-                    rng: np.random.Generator, noiseless: bool = False) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """Phase-less measurement y = |A x + n| with unit-variance complex noise."""
     if x.shape != (matrix.n,):
         raise ValueError(f"signal shape {x.shape} does not match N={matrix.n}")
-    z = matrix.apply(x)
-    if not noiseless:
-        z = z + complex_normal(rng, matrix.m)
-    return np.abs(z)
+    return np.abs(matrix.apply(x) + complex_normal(rng, matrix.m))
 
 
 @dataclass
@@ -324,17 +321,7 @@ class DatasetManifest:
             raise ManifestError(f"rho_range must lie in (0, 1], got {self.rho_range}")
 
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "count": self.count,
-            "m": self.m,
-            "n": self.n,
-            "matrix_class": list(self.matrix_class),
-            "gammas": list(self.gammas),
-            "snr_db_range": list(self.snr_db_range),
-            "rho_range": list(self.rho_range),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "DatasetManifest":
@@ -348,22 +335,16 @@ class DatasetManifest:
         missing = required - raw.keys()
         if missing:
             raise ManifestError(f"manifest missing fields: {sorted(missing)}")
-        classes = raw.get("matrix_class", "gaussian")
-        if isinstance(classes, str):
-            classes = (classes,)
-        else:
-            classes = tuple(classes)
         try:
-            return DatasetManifest(
-                seed=int(raw["seed"]),
-                count=int(raw["count"]),
-                m=int(raw["m"]),
-                n=int(raw["n"]),
-                matrix_class=classes,
-                gammas=tuple(float(g) for g in raw.get("gammas", (1.0, 0.97))),
-                snr_db_range=tuple(float(v) for v in raw.get("snr_db_range", (15.0, 25.0))),
-                rho_range=tuple(float(v) for v in raw.get("rho_range", (0.3, 0.8))),
-            )
+            fields = {key: int(raw[key]) for key in required}
+            if "matrix_class" in raw:
+                classes = raw["matrix_class"]
+                fields["matrix_class"] = ((classes,) if isinstance(classes, str)
+                                          else tuple(classes))
+            for key in ("gammas", "snr_db_range", "rho_range"):
+                if key in raw:
+                    fields[key] = tuple(float(v) for v in raw[key])
+            return DatasetManifest(**fields)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ManifestError):
                 raise

@@ -289,9 +289,8 @@ class DampingPolicy:
 class SchedulePolicy(DampingPolicy):
     """Fixed schedule beta(t), identical for both sides."""
 
-    def __init__(self, schedule: Callable[[int], float], name: str = "schedule"):
+    def __init__(self, schedule: Callable[[int], float]):
         self._schedule = schedule
-        self.name = name
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
         return float(self._schedule(t))
@@ -299,12 +298,12 @@ class SchedulePolicy(DampingPolicy):
 
 def geometric_schedule(base: float = 0.9) -> SchedulePolicy:
     """beta(t) = base^t."""
-    return SchedulePolicy(lambda t: base**t, name=f"schedule_{base}^t")
+    return SchedulePolicy(lambda t: base**t)
 
 
 def constant_schedule(value: float = 0.5) -> SchedulePolicy:
     """beta(t) = value for every layer."""
-    return SchedulePolicy(lambda t: value, name=f"schedule_{value}")
+    return SchedulePolicy(lambda t: value)
 
 
 @dataclass

@@ -5,8 +5,7 @@ solver loss: simultaneous perturbation (SPSA) with common random numbers --
 the same batch, measurements, and spectral initializations are reused for
 both perturbation signs -- componentwise central differences as a
 slow-but-exact-to-O(step^2) cross-check, and exact reverse-mode gradients
-from the adjoint module.  grad_check compares SPSA against central
-differences on a quadratic surrogate and on a tiny end-to-end scenario.
+from the adjoint module.
 
 The per-sample loss is the phase-aligned squared error summed over layers;
 a batch is scored by its mean.  Divergent runs are charged the loss clip
@@ -113,7 +112,6 @@ def sample_loss(x_true: np.ndarray, trace: SolverTrace, layers: int) -> float:
 class SpsaEstimate:
     gradient: np.ndarray
     loss_mean: float
-    evaluations: int
 
 
 def spsa_gradient(loss_fn: Callable[[np.ndarray], float], theta: np.ndarray,
@@ -140,8 +138,7 @@ def spsa_gradient(loss_fn: Callable[[np.ndarray], float], theta: np.ndarray,
             raise EstimatorError("non-finite loss during SPSA", theta=theta)
         grad += (plus - minus) / (2.0 * perturbation) * delta
         loss_sum += plus + minus
-    return SpsaEstimate(gradient=grad / pairs, loss_mean=loss_sum / (2 * pairs),
-                        evaluations=2 * pairs)
+    return SpsaEstimate(gradient=grad / pairs, loss_mean=loss_sum / (2 * pairs))
 
 
 def central_diff_gradient(loss_fn: Callable[[np.ndarray], float],
@@ -340,12 +337,11 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
 
 
 class ExtendedPolicy(DampingPolicy):
-    """Wraps a fixed-depth policy; beyond its depth the factor is constant."""
+    """Wraps a fixed-depth policy; beyond its depth the factor is 0.5."""
 
-    def __init__(self, base: DampingPolicy, base_layers: int, fill: float = 0.5):
+    def __init__(self, base: DampingPolicy, base_layers: int):
         self.base = base
         self.base_layers = base_layers
-        self.fill = fill
 
     def reset(self) -> None:
         self.base.reset()
@@ -353,7 +349,7 @@ class ExtendedPolicy(DampingPolicy):
     def beta(self, side: str, t: int, features) -> float:
         if t <= self.base_layers:
             return self.base.beta(side, t, features)
-        return self.fill
+        return 0.5
 
 
 class FeatureResamplePolicy(DampingPolicy):
@@ -390,9 +386,6 @@ class FeatureResamplePolicy(DampingPolicy):
         return self.base.beta(side, t, features)
 
 
-STATIC_VARIANTS = ("net_direct", "hypernet", "hypernet_attn")
-
-
 def policy_for_evaluation(source: Union[DampingPolicy, dict], layers: int,
                           n: Optional[int] = None) -> DampingPolicy:
     """Build the evaluation policy for a checkpoint or pass one through.
@@ -407,10 +400,11 @@ def policy_for_evaluation(source: Union[DampingPolicy, dict], layers: int,
     if n is not None and int(payload["n"]) != n:
         raise IncompatibleError(
             f"checkpoint trained at N={payload['n']}, scenario has N={n}")
-    policy = hypernets.policy_from_checkpoint(payload)
+    policy = policy_for_params(hypernets.params_from_checkpoint(payload))
+    family, _ = hypernets.VARIANTS[payload["variant"]]
     trained_layers = int(payload["layers"])
-    if payload["variant"] in STATIC_VARIANTS and layers > trained_layers:
-        return ExtendedPolicy(policy, trained_layers, fill=0.5)
+    if family is not hypernets.HyperGruParams and layers > trained_layers:
+        return ExtendedPolicy(policy, trained_layers)
     return policy
 
 
@@ -418,7 +412,6 @@ def policy_for_evaluation(source: Union[DampingPolicy, dict], layers: int,
 class EvalResult:
     """Per-layer reconstruction quality over a test manifest."""
 
-    variant: str
     layers: int
     nmse_db: np.ndarray        # (samples, layers)
     init_nmse_db: np.ndarray   # (samples,)
@@ -434,14 +427,12 @@ class EvalResult:
 
 
 def evaluate(source: Union[DampingPolicy, dict], manifest: DatasetManifest,
-             layers: int, variant: str = "policy") -> EvalResult:
+             layers: int) -> EvalResult:
     """Run the solver over every manifest sample and collect NMSE curves.
 
     Divergent runs keep their recorded prefix; the remaining layers are
     charged 0 dB (no better than a zero estimate) and the run is flagged.
     """
-    if isinstance(source, dict):
-        variant = source.get("variant", variant)
     policy = policy_for_evaluation(source, layers, n=manifest.n)
     curves = np.zeros((manifest.count, layers))
     inits = np.zeros(manifest.count)
@@ -455,67 +446,5 @@ def evaluate(source: Union[DampingPolicy, dict], manifest: DatasetManifest,
             curves[i, got:] = 0.0
         inits[i] = trace.init_nmse_db
         flags[i] = trace.diverged
-    return EvalResult(variant=variant, layers=layers, nmse_db=curves,
-                      init_nmse_db=inits, diverged=flags)
-
-
-@dataclass
-class GradCheckReport:
-    quadratic_cosine: float
-    end_to_end_cosine: float
-    end_to_end_rel_norm_error: float
-
-
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
-def grad_check(pairs: int = 64, perturbation: float = 1e-3,
-               seed: int = 0) -> GradCheckReport:
-    """Compare SPSA against exact/central-difference gradients.
-
-    Part one uses a 2-D quadratic with an analytic gradient; part two uses
-    the true training loss of a tiny static controller (60 parameters) on a
-    fixed (16, 8), 3-layer scenario, where central differences serve as the
-    reference.
-    """
-    if perturbation <= 0:
-        raise ValueError("perturbation must be positive")
-    rng = np.random.default_rng(seed)
-
-    anchor = np.array([0.3, -1.2])
-    quad = lambda th: float(np.sum((th - anchor) ** 2))
-    theta_q = np.array([1.0, -2.0])
-    est_q = spsa_gradient(quad, theta_q, pairs, perturbation, rng)
-    quad_cos = _cosine(est_q.gradient, 2.0 * (theta_q - anchor))
-
-    manifest = DatasetManifest(seed=20, count=4, m=16, n=8,
-                               matrix_class=("gaussian",),
-                               snr_db_range=(20.0, 20.0), rho_range=(0.5, 0.5))
-    cache = _SampleCache(manifest)
-    template = hypernets.init_hypernet_params(manifest.n, layers=3, hidden=5,
-                                              attention=False, seed=seed)
-    theta_e = params_to_vector(template)
-    if theta_e.size > 64:
-        raise ValueError("end-to-end surrogate exceeds 64 parameters")
-
-    def end_loss(vec: np.ndarray) -> float:
-        policy = hypernets.StaticHyperNetPolicy(params_from_vector(template, vec))
-        total = 0.0
-        for i in range(manifest.count):
-            sample, prior, init = cache.get(i)
-            trace = run_solver(sample, prior, policy, 3, init=init)
-            total += min(sample_loss(sample.x, trace, 3), 1e6)
-        return total / manifest.count
-
-    est_e = spsa_gradient(end_loss, theta_e, max(pairs, 64), perturbation, rng)
-    reference = central_diff_gradient(end_loss, theta_e, perturbation)
-    cos = _cosine(est_e.gradient, reference)
-    ref_norm = float(np.linalg.norm(reference))
-    rel = (float(np.linalg.norm(est_e.gradient - reference)) / ref_norm
-           if ref_norm > 0 else float("inf"))
-    return GradCheckReport(quadratic_cosine=quad_cos, end_to_end_cosine=cos,
-                           end_to_end_rel_norm_error=rel)
+    return EvalResult(layers=layers, nmse_db=curves, init_nmse_db=inits,
+                      diverged=flags)

@@ -28,7 +28,8 @@ from gecsr.solver import (
     magnitude_posterior,
     run_solver,
 )
-from gecsr.training import evaluate, grad_check, policy_for_evaluation, sample_loss
+from gecsr.training import evaluate, policy_for_evaluation, sample_loss
+from gradcheck import grad_check
 from test_solver import (
     _small_sample,
     gb_posterior_quadrature,
@@ -47,8 +48,7 @@ def record(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def baseline_matched():
     start = time.monotonic()
-    result = evaluate(geometric_schedule(0.9), conftest.TEST_MATCHED, layers=30,
-                      variant="schedule_0.9t")
+    result = evaluate(geometric_schedule(0.9), conftest.TEST_MATCHED, layers=30)
     result.elapsed_seconds = time.monotonic() - start
     return result
 
@@ -211,8 +211,7 @@ def test_criterion_7_measurement_ratio_ordering(hypergru_attn_ckpt):
                                    n=100, matrix_class=("gaussian",),
                                    snr_db_range=(30.0, 30.0), rho_range=(0.5, 0.5))
         gru = evaluate(hypergru_attn_ckpt, manifest, layers=10)
-        base = evaluate(geometric_schedule(0.9), manifest, layers=10,
-                        variant="schedule_0.9t")
+        base = evaluate(geometric_schedule(0.9), manifest, layers=10)
         gru_final = float(gru.median_db[-1])
         base_final = float(base.median_db[-1])
         details.append(f"R={ratio:g}: gru {gru_final:.1f}, base {base_final:.1f}")

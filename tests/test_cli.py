@@ -95,6 +95,16 @@ class TestTrain:
         path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_unknown_variant_rejected_before_training(self, tmp_path, capsys):
+        cfg = {"variants": ["net_direct", "bogus"], "manifest": TINY_MANIFEST,
+               "trainer": {"epochs": 1, "batch_size": 2, "layers": 2}}
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert "bogus" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
 
 class TestEval:
     def test_baseline_only_table(self, tmp_path, manifest_path):
@@ -155,6 +165,15 @@ class TestEval:
         payload["arrays"]["w_out"]["data"][2] = float("nan")
         assert self._eval_with(tmp_path, manifest_path, payload) == 2
         assert "'w_out' holds non-finite values" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_array_outside_header_rejected(self, tmp_path, manifest_path, capsys):
+        # Attention weights under a plain "hypergru" header must not load as
+        # a controller without attention.
+        params = hypernets.init_hypergru_params(8, hidden=4, attention=True, seed=9)
+        payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
+        assert self._eval_with(tmp_path, manifest_path, payload) == 2
+        assert "attn_w_b" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_empty_manifest_exit_code(self, tmp_path, capsys):
@@ -315,6 +334,37 @@ class TestReconImage:
                      f"--ratio={ratio}"]) == 2
         assert "--ratio" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_draw_beyond_cap_rejected_before_drawing(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("transform drawn")
+
+        monkeypatch.setattr(model, "dense_gaussian_matrix", no_draw)
+        image = self._write_image(tmp_path)
+        out = tmp_path / "out"
+        assert main(["recon-image", "--image", image, "--out", str(out),
+                     "--ratio", "1e9"]) == 2
+        assert "--ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_draw_cap_at_pixel_cap(self, tmp_path, capsys, monkeypatch):
+        # A 64 x 64 image at ratio 4 is the largest draw allowed.  The
+        # transform is stubbed, so the 1 GiB draw is never taken.
+        class Drawn(Exception):
+            pass
+
+        def stub(*args):
+            raise Drawn
+
+        monkeypatch.setattr(model, "dense_gaussian_matrix", stub)
+        path = tmp_path / "cap.pgm"
+        model.write_pgm(str(path), np.random.default_rng(10).random((64, 64)))
+        argv = ["recon-image", "--image", str(path), "--out", str(tmp_path / "out")]
+        with pytest.raises(Drawn):
+            main(argv + ["--ratio", "4"])
+        assert main(argv + ["--ratio", "4.001"]) == 2
+        assert "--ratio" in capsys.readouterr().err
 
     def test_unit_ratio_accepted(self, tmp_path):
         image = self._write_image(tmp_path)

@@ -27,7 +27,6 @@ from gecsr.hypernets import (
     params_from_checkpoint,
     params_from_vector,
     params_to_vector,
-    policy_from_checkpoint,
     relu,
     save_checkpoint,
     sigmoid,
@@ -314,7 +313,7 @@ class TestCheckpoints:
         restored = params_from_checkpoint(loaded)
         np.testing.assert_array_equal(params_to_vector(restored),
                                       params_to_vector(params))
-        policy = policy_from_checkpoint(loaded)
+        policy = hypernets.policy_for_params(restored)
         assert policy.beta("z", 1, feats()) == pytest.approx(
             hypernets.policy_for_params(params).beta("z", 1, feats()))
 

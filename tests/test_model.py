@@ -370,15 +370,12 @@ class TestForwardMeasure:
     def test_zero_signal_noiseless(self):
         rng = np.random.default_rng(30)
         mat = gaussian_matrix(10, 4, 2.0, rng)
-        y = forward_measure(mat, np.zeros(4, complex), rng, noiseless=True)
-        np.testing.assert_allclose(y, 0.0)
+        np.testing.assert_allclose(np.abs(mat.apply(np.zeros(4, complex))), 0.0)
 
     def test_identity_modulus(self):
         mat = TransformMatrix(np.eye(1, dtype=complex), np.eye(1, dtype=complex),
                               np.array([1.0]))
-        y = forward_measure(mat, np.array([3 + 4j]), np.random.default_rng(0),
-                            noiseless=True)
-        np.testing.assert_allclose(y, [5.0])
+        np.testing.assert_allclose(np.abs(mat.apply(np.array([3 + 4j]))), [5.0])
 
     def test_noise_second_moment(self):
         # Rows with (Ax)_m = 0 see pure noise: E[y^2] = 1 within 3 sigma.
@@ -462,6 +459,24 @@ class TestManifest:
         again = DatasetManifest.from_json(m.to_json())
         assert again == m
         assert again.hash() == m.hash()
+
+    def test_json_bytes_pinned(self):
+        # Checkpoints and the acceptance cache key on these bytes' hash.
+        assert self._small().hash() == (
+            "989863211964e3ad8fd98b7099dc07832e636fdd63ed7fb252759c0c51e2c357")
+        assert DatasetManifest(seed=3, count=10, m=40, n=10).hash() == (
+            "18de1454db7433196bc1b188b16729c9f89c53414b33bac7810b30d97a7edc62")
+
+    def test_from_json_fills_absent_fields_with_defaults(self):
+        got = DatasetManifest.from_json(
+            '{"seed": 3, "count": 10, "m": 40, "n": 10, "matrix_class": "binary"}')
+        assert got == DatasetManifest(seed=3, count=10, m=40, n=10,
+                                      matrix_class=("binary",))
+
+    def test_from_json_rejects_non_list_class(self):
+        with pytest.raises(ManifestError):
+            DatasetManifest.from_json(
+                '{"seed": 3, "count": 10, "m": 40, "n": 10, "matrix_class": 3}')
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(ManifestError):

@@ -16,12 +16,16 @@ from gecsr.training import (
     adam_step,
     central_diff_gradient,
     evaluate,
-    grad_check,
     policy_for_evaluation,
     sample_loss,
     spsa_gradient,
     train,
 )
+from gradcheck import grad_check
+
+RECURRENT = [v for v, (family, _) in hypernets.VARIANTS.items()
+             if family is hypernets.HyperGruParams]
+STATIC = [v for v in hypernets.VARIANTS if v not in RECURRENT]
 
 TINY = dict(m=16, n=8, matrix_class=("gaussian",), snr_db_range=(20.0, 20.0),
             rho_range=(0.5, 0.5))
@@ -248,17 +252,21 @@ class TestEvaluate:
         with pytest.raises(IncompatibleError):
             evaluate(payload, tiny_manifest(), layers=3)
 
-    def test_static_extension_uses_half_beyond_trained_depth(self):
-        params = hypernets.init_direct_params(2)
-        payload = hypernets.checkpoint_payload("net_direct", params, n=8, layers=2)
+    @pytest.mark.parametrize("variant", STATIC)
+    def test_static_extension_uses_half_beyond_trained_depth(self, variant):
+        params = hypernets.init_variant_params(variant, n=8, layers=2, hidden=4,
+                                               heads=2, seed=14)
+        payload = hypernets.checkpoint_payload(variant, params, n=8, layers=2)
         policy = policy_for_evaluation(payload, layers=5, n=8)
         assert isinstance(policy, ExtendedPolicy)
         assert policy.beta("z", 3, None) == 0.5
         assert policy.beta("x", 5, None) == 0.5
 
-    def test_recurrent_extends_natively(self):
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=15)
-        payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
+    @pytest.mark.parametrize("variant", RECURRENT)
+    def test_recurrent_extends_natively(self, variant):
+        params = hypernets.init_variant_params(variant, n=8, layers=2, hidden=4,
+                                               seed=15)
+        payload = hypernets.checkpoint_payload(variant, params, n=8, layers=2)
         policy = policy_for_evaluation(payload, layers=6, n=8)
         assert not isinstance(policy, ExtendedPolicy)
         manifest = tiny_manifest(seed=54, count=2)
