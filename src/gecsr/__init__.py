@@ -7,7 +7,6 @@ from .model import (
     SignalPrior,
     TransformMatrix,
     forward_measure,
-    generate_dataset,
     sample_at,
     sample_signal,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "SignalPrior",
     "TransformMatrix",
     "forward_measure",
-    "generate_dataset",
     "sample_at",
     "sample_signal",
     "DampingPolicy",

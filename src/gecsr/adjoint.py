@@ -59,11 +59,14 @@ def bessel_ratio_derivative(kappa, ratio):
 # ----------------------------------------------------------- primitives
 
 
-def _aligned_sq_error(x, est):
-    """Phase-aligned squared error and its adjoint wrt the estimate."""
+def _aligned_sq_error(x, x_sq, est):
+    """Phase-aligned squared error and its adjoint wrt the estimate.
+
+    `x_sq` is the reference energy sum(|x|^2), a constant of the sample.
+    """
     inner = np.vdot(est, x)
     mag = abs(inner)
-    value = float(np.sum(np.abs(x) ** 2) + np.sum(np.abs(est) ** 2) - 2.0 * mag)
+    value = float(x_sq + np.sum(np.abs(est) ** 2) - 2.0 * mag)
     if mag > 0:
         grad = est - (np.conj(inner) / mag) * x
     else:
@@ -92,10 +95,10 @@ def _forward_magnitude(mu, v, y, rec):
     safe = np.where(amu > 0, amu, 1.0)
     scale = (1.0 - c) + (c * ratio) * (y / safe)
     mean = scale * mu
-    spread = y * y * (1.0 - ratio * ratio)
-    var_raw = c + c * c * float(np.mean(spread))
+    t_mean = float(np.mean(y * y * (1.0 - ratio * ratio)))
+    var_raw = c + c * c * t_mean
     rec.update(mu=mu, v=v, c=c, amu=amu, kappa=kappa, ratio=ratio,
-               safe=safe, scale=scale, spread=spread, var_raw=var_raw)
+               safe=safe, scale=scale, t_mean=t_mean, var_raw=var_raw)
     return mean, clamp_variance(var_raw)
 
 
@@ -107,27 +110,27 @@ def _backward_magnitude(g_mean, g_var, y, rec):
     g_var = g_var * _clamp_grad(rec["var_raw"])
     dratio = bessel_ratio_derivative(kappa, ratio)
     # Variance path: var = c + c^2 * mean(y^2 (1 - ratio^2)).
-    t_mean = float(np.mean(rec["spread"]))
     dc = 1.0 / (v + 1.0) ** 2
-    g_c = g_var * (1.0 + 2.0 * c * t_mean)
+    g_c = g_var * (1.0 + 2.0 * c * rec["t_mean"])
     g_ratio = g_var * (c * c) * (-2.0 * y * y * ratio) / m
     # Mean path: mean_i = scale_i * mu_i with real scale_i.
     g_scale = 2.0 * np.real(np.conj(g_mean) * mu)
     g_mu = scale * g_mean
     # scale = (1 - c) + c * ratio * y / safe.
-    g_c += float(np.sum(g_scale * (ratio * y / safe - 1.0)))
-    g_ratio = g_ratio + g_scale * (c * y / safe)
+    y_safe = y / safe
+    g_c += float(np.dot(g_scale, ratio * y_safe - 1.0))
+    g_ratio = g_ratio + g_scale * (c * y_safe)
     # ratio depends on kappa = (2 /(v+1)) y amu.
     g_kappa = g_ratio * dratio
     g_amu = g_kappa * (2.0 * y / (v + 1.0))
     # scale's explicit 1/safe dependence (safe == amu where amu > 0).
-    g_amu = g_amu - g_scale * (c * ratio * y / (safe * safe))
+    g_amu = g_amu - g_scale * (c * ratio * y_safe / safe)
     g_amu = np.where(amu > 0, g_amu, 0.0)
     # |mu| adjoint folds into the complex gradient along the phase direction.
     unit = np.where(amu > 0, mu / safe, 0.0)
     g_mu = g_mu + 0.5 * g_amu * unit
     # v enters through c and through kappa's 1/(v+1).
-    g_v = g_c * dc + float(np.sum(g_kappa * (-kappa / (v + 1.0))))
+    g_v = g_c * dc - float(np.dot(g_kappa, kappa)) / (v + 1.0)
     return g_mu, g_v
 
 
@@ -140,61 +143,62 @@ def _backward_gb(g_mean, g_var, prior: SignalPrior, tape):
     resp = tape["resp"]
     if resp is None:
         g_r = gain * g_mean
-        g_gain = 2.0 * float(np.sum(np.real(np.conj(g_mean) * r))) + g_var * v
+        g_gain = 2.0 * float(np.vdot(g_mean, r).real) + g_var * v
         g_v = g_gain * dgain + g_var * gain
         return g_r, g_v
     n = r.shape[0]
-    # mean_i = resp_i * gain * r_i ; var = mean_i over (second - (resp gain)^2 q).
-    g_resp = 2.0 * np.real(np.conj(g_mean) * (gain * r))
-    g_gain = 2.0 * float(np.sum(np.real(np.conj(g_mean) * (resp * r))))
+    # mean_i = resp_i * gain * r_i, so with p_i = Re(conj(g_i) r_i) the mean
+    # path gives dL/dresp_i = 2 gain p_i and dL/dgain = 2 sum(resp_i p_i).
+    p = np.real(np.conj(g_mean) * r)
     g_r = (resp * gain) * g_mean
     g_second_coeff = g_var / n
-    # second_i = resp (gain^2 q + gain v); sub_i = resp^2 gain^2 q.
-    g_resp = g_resp + g_second_coeff * ((gain * gain) * q + gain * v)
-    g_resp = g_resp - g_second_coeff * (2.0 * resp * gain * gain * q)
-    g_gain += float(np.sum(g_second_coeff * resp * (2.0 * gain * q + v)))
-    g_gain -= float(np.sum(g_second_coeff * (resp * resp) * 2.0 * gain * q))
-    g_q = g_second_coeff * (resp * gain * gain - (resp * gain) ** 2)
-    g_v_direct = float(np.sum(g_second_coeff * resp * gain))
-    # resp = sigmoid(logit), logit = const(v) + q (1/v - 1/(s2+v)).
-    dresp = resp * (1.0 - resp)
-    g_logit = g_resp * dresp
-    g_q = g_q + g_logit * (1.0 / v - 1.0 / (s2 + v))
-    dlogit_dv = (q * (1.0 / (s2 + v) ** 2 - 1.0 / (v * v))
-                 - 1.0 / (s2 + v) + 1.0 / v)
-    g_v = (float(np.sum(g_logit * dlogit_dv)) + g_gain * dgain + g_v_direct)
+    # var = mean_i of resp (gain^2 q + gain v) - resp^2 gain^2 q.
+    gq = gain * q
+    keep = 1.0 - resp
+    g_resp = gain * (2.0 * p + g_second_coeff * (gq * (keep - resp) + v))
+    g_gain = float(np.dot(resp, 2.0 * p + g_second_coeff * (2.0 * gq * keep + v)))
+    g_q = g_second_coeff * (gain * gain) * (resp * keep)
+    g_v_direct = g_second_coeff * gain * float(np.sum(resp))
+    # resp = sigmoid(logit), logit = const(v) + q a with a = 1/v - 1/(s2+v),
+    # so dlogit/dv = a (1 - q b) with b = 1/v + 1/(s2+v).
+    g_logit = g_resp * (resp * keep)
+    a = 1.0 / v - 1.0 / (s2 + v)
+    b = 1.0 / v + 1.0 / (s2 + v)
+    g_q = g_q + g_logit * a
+    g_v = (a * float(np.dot(g_logit, 1.0 - b * q)) + g_gain * dgain + g_v_direct)
     g_r = g_r + g_q * r
     return g_r, g_v
 
 
 def _backward_lmmse(matrix, g_mean, g_var, tape, output):
-    """Adjoint of `solver.lmmse_posterior`: (dL/dmu_z*, dL/dv_z, dL/dmu_x*, dL/dv_x)."""
-    u, v = matrix.left_unitary, matrix.right_unitary
-    sig = matrix.singulars
-    x_modes, z_modes, d, w = tape["x_modes"], tape["z_modes"], tape["d"], tape["w"]
+    """Adjoint of `solver.lmmse_posterior`: (dL/d z_modes*, dL/dv_z, dL/dmu_x*, dL/dv_x).
+
+    The z mean's adjoint stays in mode space, dL/dmu_z* = U dL/d z_modes*:
+    a layer's two calls read mu_z through one shared projection, so the
+    caller sums their mode-space adjoints and applies U once.
+    """
+    v, sig = matrix.right_unitary, matrix.singulars
+    x_modes, z_modes, d, combo = tape["x_modes"], tape["z_modes"], tape["d"], tape["combo"]
     vx, vz = tape["vx"], tape["vz"]
     g_var = g_var * _clamp_grad(tape["var_raw"])
-    n = d.shape[0]
     if output == "x":
         g_w = (g_mean.conj() @ v).conj()
-        g_d_var = np.full(n, g_var / n)
+        g_d_var = g_var / d.shape[0]
     else:
-        g_w = sig * (g_mean.conj() @ u).conj()
+        g_w = sig * matrix.left_modes(g_mean)
         g_d_var = g_var * (sig * sig) / matrix.m
-    combo = x_modes / vx + sig * (z_modes / vz)
+    # w = d * combo with d = (1/vx + sig^2/vz)^-1, combo = x_modes/vx + sig z_modes/vz.
     g_d = 2.0 * np.real(np.conj(g_w) * combo) + g_d_var
     g_combo = d * g_w
     g_x_modes = g_combo / vx
     g_z_modes = (sig / vz) * g_combo
     g_mx = v @ g_x_modes
-    g_mz = u @ g_z_modes
-    dd_dvx = (d * d) / (vx * vx)
-    dd_dvz = (d * d) * (sig * sig) / (vz * vz)
-    g_vx = float(np.sum(g_d * dd_dvx))
-    g_vz = float(np.sum(g_d * dd_dvz))
-    g_vx -= 2.0 * float(np.sum(np.real(np.conj(g_combo) * x_modes))) / (vx * vx)
-    g_vz -= 2.0 * float(np.sum(np.real(np.conj(g_combo) * (sig * z_modes)))) / (vz * vz)
-    return g_mz, g_vz, g_mx, g_vx
+    d2 = d * d
+    g_vx = (float(np.dot(g_d, d2)) / (vx * vx)
+            - 2.0 * float(np.vdot(g_x_modes, x_modes).real) / vx)
+    g_vz = (float(np.dot(g_d, d2 * (sig * sig))) / (vz * vz)
+            - 2.0 * float(np.vdot(g_z_modes, z_modes).real) / vz)
+    return g_z_modes, g_vz, g_mx, g_vx
 
 
 def _backward_extrinsic(g_mean, g_var, tape):
@@ -206,15 +210,14 @@ def _backward_extrinsic(g_mean, g_var, tape):
     post_var, pri_var = tape["post_var"], tape["pri_var"]
     # mean = v2 * combo with the raw v2; only the variance passes the clamp.
     g_combo = v2 * g_mean
-    g_v2 = (2.0 * float(np.sum(np.real(np.conj(g_mean) * combo)))
-            + g_var * _clamp_grad(v2))
+    g_v2 = 2.0 * float(np.vdot(g_mean, combo).real) + g_var * _clamp_grad(v2)
     # v2 = (1/post_var - 1/pri_var)^(-1).
     g_post_var = g_v2 * (v2 * v2) / (post_var * post_var)
     g_pri_var = -g_v2 * (v2 * v2) / (pri_var * pri_var)
     g_post_mean = g_combo / post_var
     g_pri_mean = -g_combo / pri_var
-    g_post_var -= 2.0 * float(np.sum(np.real(np.conj(g_combo) * tape["post_mean"]))) / post_var**2
-    g_pri_var += 2.0 * float(np.sum(np.real(np.conj(g_combo) * tape["pri_mean"]))) / pri_var**2
+    g_post_var -= 2.0 * float(np.vdot(g_combo, tape["post_mean"]).real) / post_var**2
+    g_pri_var += 2.0 * float(np.vdot(g_combo, tape["pri_mean"]).real) / pri_var**2
     return g_post_mean, g_post_var, g_pri_mean, g_pri_var
 
 
@@ -245,7 +248,7 @@ class _TapedSide(DampedSide):
         beta, (hist_m, hist_v), ext, var = self.records.pop()
         g_mean = g_mean + self.g_hist[0]
         g_var = g_var * _clamp_grad(var) + self.g_hist[1]
-        g_beta = (2.0 * float(np.sum(np.real(np.conj(g_mean) * (hist_m - ext.mean))))
+        g_beta = (2.0 * float(np.vdot(g_mean, hist_m - ext.mean).real)
                   + g_var * (hist_v - ext.variance))
         self.g_hist = (beta * g_mean, beta * g_var)
         fb1, fb2 = self.g_feed
@@ -282,6 +285,7 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
 
     y = sample.y
     x_true = sample.x
+    x_sq = np.sum(np.abs(x_true) ** 2)
     records = []
     loss = 0.0
     diverged = False
@@ -291,21 +295,24 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
         post_z, pvar_z = _forward_magnitude(msg_1z.mean, msg_1z.variance, y, rec["mag"])
         ext_z = extrinsic(post_z, pvar_z, msg_1z, rec["ez"])
         msg_2z = side_z.step(t, ext_z)
+        z_modes = matrix.left_modes(msg_2z.mean)
 
         # `matrix` stays positional: perfbench's tracer reads it as args[2].
-        post_x, pvar_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", rec["bx"])
+        post_x, pvar_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", rec["bx"],
+                                         z_modes=z_modes)
         msg_1x = extrinsic(post_x, pvar_x, msg_2x, rec["ex1"])
         den_x, den_v = gb_posterior(msg_1x, prior, rec["gb"])
         if not np.all(np.isfinite(den_x)):
             diverged = True
             break
-        term, rec["g_est"] = _aligned_sq_error(x_true, den_x)
+        term, rec["g_est"] = _aligned_sq_error(x_true, x_sq, den_x)
         loss += term
 
         ext_x = extrinsic(den_x, den_v, msg_1x, rec["ex2"])
         msg_2x = side_x.step(t, ext_x)
 
-        post_z2, pvar_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", rec["bz"])
+        post_z2, pvar_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", rec["bz"],
+                                           z_modes=z_modes)
         msg_1z = extrinsic(post_z2, pvar_z2, msg_2z, rec["ez2"])
         records.append(rec)
         if not (np.all(np.isfinite(msg_1z.mean)) and np.all(np.isfinite(msg_2x.mean))):
@@ -327,7 +334,7 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
         rec = records[t - 1]
         g_post_z2, g_pvar_z2, g_dzm_pri, g_dzv_pri = _backward_extrinsic(
             g_m1z, g_v1z, rec["ez2"])
-        g_dzm_b, g_dzv_b, g_dxm_b, g_dxv_b = _backward_lmmse(
+        g_dzk_b, g_dzv_b, g_dxm_b, g_dxv_b = _backward_lmmse(
             matrix, g_post_z2, g_pvar_z2, rec["bz"], "z")
         g_ext_mx, g_ext_vx = side_x.backward(t, g_m2x + g_dxm_b, g_v2x + g_dxv_b)
 
@@ -337,10 +344,11 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
         g_r, g_v1x_b = _backward_gb(g_den_x + rec["g_est"], g_den_v, prior, rec["gb"])
         g_post_x, g_pvar_x, g_m2x_pri, g_v2x_pri = _backward_extrinsic(
             g_m1x_a + g_r, g_v1x_a + g_v1x_b, rec["ex1"])
-        g_dzm_bx, g_dzv_bx, g_m2x_bx, g_v2x_bx = _backward_lmmse(
+        g_dzk_bx, g_dzv_bx, g_m2x_bx, g_v2x_bx = _backward_lmmse(
             matrix, g_post_x, g_pvar_x, rec["bx"], "x")
-        g_ext_mz, g_ext_vz = side_z.backward(t, g_dzm_pri + g_dzm_b + g_dzm_bx,
-                                             g_dzv_pri + g_dzv_b + g_dzv_bx)
+        # Both LMMSE calls read the damped z mean through one U^H projection.
+        g_dzm = g_dzm_pri + matrix.left_unitary @ (g_dzk_b + g_dzk_bx)
+        g_ext_mz, g_ext_vz = side_z.backward(t, g_dzm, g_dzv_pri + g_dzv_b + g_dzv_bx)
 
         # Extrinsic after the phase reconstructor, then the reconstructor.
         g_post_zp, g_pvar_zp, g_m1z_pri, g_v1z_pri = _backward_extrinsic(

@@ -75,27 +75,28 @@ def attention_head(s: np.ndarray, head: AttentionHead,
     logits -= logits.max(axis=1, keepdims=True)
     weights = np.exp(logits)
     weights /= weights.sum(axis=1, keepdims=True)
+    out = weights @ s
     if tape is not None:
-        tape.update(s=s, b=b, c=c, weights=weights)
-    return weights @ s
+        tape.update(s=s, b=b, c=c, weights=weights, out=out)
+    return out
 
 
-def attention_backward(g_out: np.ndarray, head: AttentionHead, tape: dict,
-                       g_head: AttentionHead) -> np.ndarray:
-    """Adjoint of attention_head: adds weight gradients to g_head, returns dL/ds."""
+def attention_backward(g_out: np.ndarray, head: AttentionHead, tape: dict
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjoint of attention_head: (dL/ds, dL/db, dL/dc).
+
+    b = w_b s and c = w_c s, so the weight gradients are outer(dL/db, s)
+    and outer(dL/dc, s); callers form them.
+    """
     s, b, c, weights = tape["s"], tape["b"], tape["c"], tape["weights"]
-    g_weights = np.outer(g_out, s)
     g_s = weights.T @ g_out
-    # Softmax rows: dL/dlogits = W * (g - (g*W).sum(row)).
-    row_dot = np.sum(g_weights * weights, axis=1, keepdims=True)
-    g_logits = weights * (g_weights - row_dot)
+    # Softmax rows with out = W s: dL/dlogits_ij = W_ij g_i (s_j - out_i).
+    g_logits = weights * (g_out[:, None] * (s - tape["out"][:, None]))
     scale = 1.0 / np.sqrt(s.shape[0])
     g_b = scale * (g_logits @ c)
     g_c = scale * (g_logits.T @ b)
-    g_head.w_b += np.outer(g_b, s)
-    g_head.w_c += np.outer(g_c, s)
     g_s += head.w_b.T @ g_b + head.w_c.T @ g_c
-    return g_s
+    return g_s, g_b, g_c
 
 
 @dataclass
@@ -171,10 +172,11 @@ def hypernet_backward(g_betas: np.ndarray, params: HyperNetParams, tape: dict,
     g_s_in = params.w1.T @ g_pre
     for i, head in enumerate(params.attention.heads):
         head_tape = tape["heads"][i]
-        head_out = head_tape["weights"] @ head_tape["s"]
-        grads.attention.mix[i] += float(np.dot(g_s_in, head_out))
-        attention_backward(params.attention.mix[i] * g_s_in, head, head_tape,
-                           grads.attention.heads[i])
+        grads.attention.mix[i] += float(np.dot(g_s_in, head_tape["out"]))
+        _, g_b, g_c = attention_backward(params.attention.mix[i] * g_s_in, head,
+                                         head_tape)
+        grads.attention.heads[i].w_b += np.outer(g_b, head_tape["s"])
+        grads.attention.heads[i].w_c += np.outer(g_c, head_tape["s"])
 
 
 @dataclass
@@ -224,20 +226,22 @@ def gru_step(state: np.ndarray, s: np.ndarray, params: HyperGruParams,
 
 
 def gru_step_backward(g_beta: float, g_state: np.ndarray, params: HyperGruParams,
-                      tape: dict, grads: HyperGruParams
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of gru_step: adds dL/dweights to `grads`.
+                      tape: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Adjoint of gru_step.
 
     `g_state` is dL/d(new state) from the later steps; returns dL/d(state)
-    and dL/d(input).
+    and dL/d(input).  Each weight's gradient is an outer product of a
+    pre-activation adjoint with that weight's input; the adjoints go into
+    the tape under "g_" names, and `gru_weight_gradients` sums the products
+    over a run.
     """
     beta = tape["beta"]
     g_pre = g_beta * beta * (1.0 - beta)
     g_readout = g_pre * params.w_out
-    grads.w_out += g_pre * tape["readout"]
+    tape["g_out"] = g_pre
     if params.attention is not None:
-        g_readout = attention_backward(g_readout, params.attention,
-                                       tape["attention"], grads.attention)
+        g_readout, tape["g_attn_b"], tape["g_attn_c"] = attention_backward(
+            g_readout, params.attention, tape["attention"])
     g_new_state = g_readout + g_state
     # new_state = (1 - z) prev + z cand.
     prev, z, r, cand = tape["prev"], tape["z"], tape["r"], tape["cand"]
@@ -246,7 +250,6 @@ def gru_step_backward(g_beta: float, g_state: np.ndarray, params: HyperGruParams
     g_prev = g_new_state * (1.0 - z)
     # cand = tanh(w_cand [r*prev, s]).
     g_cand_pre = g_cand * (1.0 - cand * cand)
-    grads.w_cand += np.outer(g_cand_pre, tape["joint_c"])
     g_joint_c = params.w_cand.T @ g_cand_pre
     h = params.hidden
     g_rprev = g_joint_c[:h]
@@ -256,10 +259,34 @@ def gru_step_backward(g_beta: float, g_state: np.ndarray, params: HyperGruParams
     # Gates.
     g_z_pre = g_z * z * (1.0 - z)
     g_r_pre = g_r * r * (1.0 - r)
-    grads.w_update += np.outer(g_z_pre, tape["joint"])
-    grads.w_reset += np.outer(g_r_pre, tape["joint"])
+    tape.update(g_update=g_z_pre, g_reset=g_r_pre, g_cand=g_cand_pre)
     g_joint = params.w_update.T @ g_z_pre + params.w_reset.T @ g_r_pre
     return g_prev + g_joint[:h], g_s + g_joint[h:]
+
+
+def gru_weight_gradients(params: HyperGruParams, tapes: list[dict]) -> HyperGruParams:
+    """dL/dweights of a run from its steps' tapes, after `gru_step_backward`.
+
+    Each weight's gradient is one (hidden x T) @ (T x width) product of the
+    T steps' pre-activation adjoints with their inputs.
+    """
+    grads = _zeros_like(params)
+    if not tapes:
+        return grads
+
+    def stack(key: str) -> np.ndarray:
+        return np.array([tape[key] for tape in tapes])
+
+    joint = stack("joint")
+    grads.w_update[...] = stack("g_update").T @ joint
+    grads.w_reset[...] = stack("g_reset").T @ joint
+    grads.w_cand[...] = stack("g_cand").T @ stack("joint_c")
+    grads.w_out[...] = stack("g_out") @ stack("readout")
+    if params.attention is not None:
+        states = np.array([tape["attention"]["s"] for tape in tapes])
+        grads.attention.w_b[...] = stack("g_attn_b").T @ states
+        grads.attention.w_c[...] = stack("g_attn_c").T @ states
+    return grads
 
 
 @dataclass
@@ -361,8 +388,8 @@ class HyperGruPolicy(DampingPolicy):
     def reset(self, tape: bool = False) -> None:
         self.state = np.zeros(self.params.hidden)
         self._steps: Optional[list[dict]] = [] if tape else None
+        self._done: list[dict] = []
         self._g_state = np.zeros(self.params.hidden)
-        self._grads = _zeros_like(self.params) if tape else None
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
         if features.sigma_tilde.shape[0] != self.params.n:
@@ -388,8 +415,8 @@ class HyperGruPolicy(DampingPolicy):
         variance, which the solver's own adjoint carries onwards.
         """
         step = self._steps.pop()
-        self._g_state, g_s = gru_step_backward(g_beta, self._g_state, self.params,
-                                               step, self._grads)
+        self._g_state, g_s = gru_step_backward(g_beta, self._g_state, self.params, step)
+        self._done.append(step)
         n = self.params.n
         g_v_ext = 0.0
         if step["log_inside"]:
@@ -398,7 +425,7 @@ class HyperGruPolicy(DampingPolicy):
                 "v_ext": g_v_ext}
 
     def gradients(self) -> HyperGruParams:
-        return self._grads
+        return gru_weight_gradients(self.params, self._done)
 
 
 def _uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
@@ -530,7 +557,20 @@ def policy_for_params(params) -> DampingPolicy:
 def checkpoint_payload(variant: str, params, n: int, layers: int,
                        metadata: Optional[dict] = None,
                        optimizer: Optional[dict] = None) -> dict:
-    """Assemble the JSON-serializable checkpoint structure."""
+    """Assemble the JSON-serializable checkpoint structure.
+
+    The variant label must name the bundle's weight family and attention
+    flag (see VARIANTS), as `params_from_checkpoint` will read it.
+    """
+    if variant not in VARIANTS:
+        raise CheckpointError(f"unknown variant {variant!r}; expected {tuple(VARIANTS)}")
+    family, attention = VARIANTS[variant]
+    has_attention = getattr(params, "attention", None) is not None
+    if type(params) is not family or has_attention != attention:
+        raise CheckpointError(
+            f"variant {variant!r} needs {family.__name__} "
+            f"{'with' if attention else 'without'} attention, got "
+            f"{type(params).__name__} {'with' if has_attention else 'without'} attention")
     arrays = {}
     for name, arr in _named_arrays(params):
         arrays[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -164,10 +164,13 @@ class TransformMatrix:
         x_modes = (x.conj() @ self.right_unitary).conj()
         return self.left_unitary @ (self.singulars * x_modes)
 
+    def left_modes(self, z: np.ndarray) -> np.ndarray:
+        """U^H @ z, the coordinates of z in the left singular basis."""
+        return (z.conj() @ self.left_unitary).conj()
+
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """A^H @ z via the SVD factors."""
-        z_modes = (z.conj() @ self.left_unitary).conj()
-        return self.right_unitary @ (self.singulars * z_modes)
+        return self.right_unitary @ (self.singulars * self.left_modes(z))
 
     def to_dense(self) -> np.ndarray:
         """The M x N matrix, rebuilt from the factors."""
@@ -395,12 +398,6 @@ def sample_at(manifest: DatasetManifest, index: int) -> Sample:
         matrix = binary_matrix(manifest.m, manifest.n, snr, rng)
     y = forward_measure(matrix, x, rng)
     return Sample(x=x, y=y, matrix=matrix, snr=snr, rho=rho)
-
-
-def generate_dataset(manifest: DatasetManifest) -> Iterator[Sample]:
-    """Stream every sample of a manifest in index order."""
-    for index in range(manifest.count):
-        yield sample_at(manifest, index)
 
 
 def read_pgm(path: str) -> np.ndarray:

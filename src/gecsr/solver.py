@@ -15,6 +15,7 @@ component average).  Variances are clamped to [V_MIN, V_MAX] throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -30,6 +31,10 @@ NMSE_FLOOR_DB = -120.0
 _POWER_ITERATIONS = 50
 _CF_DEPTH = 40
 _CF_CUTOFF = 30.0
+# Terms the continued fraction needs beyond ceil(k) before its tail no
+# longer changes a float64 result; tests/test_solver.py checks the rule
+# against the fixed 40-deep fraction.
+_CF_EXTRA_DEPTH = 20
 
 
 class PolicyError(RuntimeError):
@@ -51,9 +56,11 @@ class GaussianMessage:
 def bessel_ratio(kappa):
     """Ratio of modified Bessel functions I1(k)/I0(k) for k >= 0.
 
-    Monotone increasing from 0 towards 1.  Small arguments use a fixed-depth
-    continued fraction; above the cutoff an asymptotic expansion takes over
-    (both branches agree to ~1e-8 at the switch).  Accepts scalars or arrays.
+    Monotone increasing from 0 towards 1.  Small arguments use a continued
+    fraction, min(40, 20 + ceil(k)) terms deep for the largest such k, which
+    gives the same bits as 40 terms; above the cutoff an asymptotic expansion
+    takes over (both branches agree to ~1e-8 at the switch).  Accepts scalars
+    or arrays.
     """
     k = np.asarray(kappa, dtype=float)
     if np.any(k < 0):
@@ -70,9 +77,13 @@ def bessel_ratio(kappa):
     small = ~big
     if np.any(small):
         ks = np.where(k[small] > 0, k[small], 1.0)
+        depth = min(_CF_DEPTH, _CF_EXTRA_DEPTH + math.ceil(np.max(ks)))
+        # Row i holds 2 j / k for j = depth - i, the innermost term first.
+        table = (2.0 * np.arange(depth, 0, -1.0))[:, None] / ks
         r = np.zeros_like(ks)
-        for j in range(_CF_DEPTH, 0, -1):
-            r = 1.0 / (2.0 * j / ks + r)
+        for row in table:
+            r += row
+            np.divide(1.0, r, out=r)
         out[small] = np.where(k[small] > 0, r, 0.0)
     return float(out[0]) if scalar else out
 
@@ -138,15 +149,18 @@ def gb_posterior(msg: GaussianMessage, prior: SignalPrior,
 
 def lmmse_posterior(msg_z: GaussianMessage, msg_x: GaussianMessage,
                     matrix: TransformMatrix, output: str,
-                    tape: Optional[dict] = None) -> tuple[np.ndarray, float]:
+                    tape: Optional[dict] = None,
+                    z_modes: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
     """Joint-Gaussian (LMMSE) posterior of x or z = A x in the SVD basis.
 
     The model couples x ~ CN(mu_x, v_x I) with the pseudo-observation
     mu_z = A x + e, e ~ CN(0, v_z I); per singular mode the posterior variance
     is (1/v_x + s^2/v_z)^{-1}.  `output` selects which variable's (mean,
-    averaged variance) is returned: "x" or "z".  A tape receives the modes,
-    the per-mode variances d and means w, the input variances and the
-    variance before the clamp.
+    averaged variance) is returned: "x" or "z".  `z_modes` may carry
+    `matrix.left_modes(msg_z.mean)` when the caller already has it: a layer's
+    two calls share one damped z message.  A tape receives the modes, the
+    per-mode variances d, the mode combination that d scales into the
+    per-mode means, the input variances and the variance before the clamp.
     """
     if msg_x.mean.shape != (matrix.n,) or msg_z.mean.shape != (matrix.m,):
         raise ValueError("message shapes do not match the transform size")
@@ -157,15 +171,17 @@ def lmmse_posterior(msg_z: GaussianMessage, msg_x: GaussianMessage,
     vx = float(msg_x.variance)
     vz = float(msg_z.variance)
     x_modes = (msg_x.mean.conj() @ v).conj()
-    z_modes = (msg_z.mean.conj() @ u).conj()
+    if z_modes is None:
+        z_modes = matrix.left_modes(msg_z.mean)
     d = 1.0 / (1.0 / vx + (sig * sig) / vz)
-    w = d * (x_modes / vx + sig * (z_modes / vz))
+    combo = x_modes / vx + sig * (z_modes / vz)
+    w = d * combo
     if output == "x":
         mean, var = v @ w, float(np.mean(d))
     else:
         mean, var = u @ (sig * w), float(np.sum(sig * sig * d)) / matrix.m
     if tape is not None:
-        tape.update(x_modes=x_modes, z_modes=z_modes, d=d, w=w, vx=vx, vz=vz,
+        tape.update(x_modes=x_modes, z_modes=z_modes, d=d, combo=combo, vx=vx, vz=vz,
                     var_raw=var)
     return mean, clamp_variance(var)
 
@@ -393,8 +409,9 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
         post_z, var_z = magnitude_posterior(msg_1z, sample.y)
         ext_z = extrinsic(post_z, var_z, msg_1z)
         msg_2z = side_z.step(t, ext_z)
+        z_modes = matrix.left_modes(msg_2z.mean)
 
-        post_x, var_x = lmmse_posterior(msg_2z, msg_2x, matrix, output="x")
+        post_x, var_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", z_modes=z_modes)
         msg_1x = extrinsic(post_x, var_x, msg_2x)
 
         den_x, den_var = gb_posterior(msg_1x, prior)
@@ -412,7 +429,7 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
         trace.v2z.append(ext_z.variance)
         trace.v2x.append(ext_x.variance)
 
-        post_z2, var_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, output="z")
+        post_z2, var_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", z_modes=z_modes)
         msg_1z = extrinsic(post_z2, var_z2, msg_2z)
 
         if not (np.all(np.isfinite(msg_1z.mean)) and np.all(np.isfinite(msg_2x.mean))):

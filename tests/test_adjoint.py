@@ -272,7 +272,11 @@ class TestEstimatorAdjoints:
                                    matrix, output, tape)
 
         def backward(g_mean, g_var, tape):
-            return adjoint._backward_lmmse(matrix, g_mean, g_var, tape, output)
+            # The z mean's adjoint comes back in mode space: dL/dmu_z* = U g.
+            g_modes, g_vz, g_mx, g_vx = adjoint._backward_lmmse(
+                matrix, g_mean, g_var, tape, output)
+            assert g_modes.shape == (matrix.n,)
+            return matrix.left_unitary @ g_modes, g_vz, g_mx, g_vx
 
         tape = self._check(forward, backward, inputs, seed=6)
         assert V_MIN < tape["var_raw"] < V_MAX

@@ -169,9 +169,15 @@ class TestEval:
 
     def test_array_outside_header_rejected(self, tmp_path, manifest_path, capsys):
         # Attention weights under a plain "hypergru" header must not load as
-        # a controller without attention.
-        params = hypernets.init_hypergru_params(8, hidden=4, attention=True, seed=9)
+        # a controller without attention.  The writer refuses such a bundle,
+        # so the arrays are added to a valid payload by hand.
+        params = hypernets.init_hypergru_params(8, hidden=4, seed=9)
         payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
+        head = hypernets.init_hypergru_params(8, hidden=4, attention=True,
+                                              seed=9).attention
+        for name, arr in (("attn_w_b", head.w_b), ("attn_w_c", head.w_c)):
+            payload["arrays"][name] = {"shape": list(arr.shape),
+                                       "data": arr.ravel().tolist()}
         assert self._eval_with(tmp_path, manifest_path, payload) == 2
         assert "attn_w_b" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -317,6 +317,21 @@ class TestCheckpoints:
         assert policy.beta("z", 1, feats()) == pytest.approx(
             hypernets.policy_for_params(params).beta("z", 1, feats()))
 
+    def test_payload_rejects_mismatched_variant(self):
+        # The label must agree with the bundle's family and attention flag,
+        # or the loader would refuse the file the writer made.
+        for variant in hypernets.VARIANTS:
+            for label in hypernets.VARIANTS:
+                params = init_variant_params(variant, n=8, layers=4, hidden=5,
+                                             heads=2, seed=21)
+                if label == variant:
+                    checkpoint_payload(label, params, n=8, layers=4)
+                    continue
+                with pytest.raises(hypernets.CheckpointError, match=label):
+                    checkpoint_payload(label, params, n=8, layers=4)
+        with pytest.raises(hypernets.CheckpointError, match="mystery"):
+            checkpoint_payload("mystery", init_direct_params(3), n=4, layers=3)
+
     def test_deterministic_bytes(self, tmp_path):
         params = init_variant_params("hypernet", n=8, layers=4, hidden=5, seed=20)
         payload = checkpoint_payload("hypernet", params, n=8, layers=4)

@@ -19,7 +19,6 @@ from gecsr.model import (
     forward_measure,
     gaussian_class_singulars,
     gaussian_matrix,
-    generate_dataset,
     geometric_singulars,
     sample_at,
     sample_haar_isometry,
@@ -394,7 +393,8 @@ class TestForwardMeasure:
 
 def _dataset_digest(manifest: DatasetManifest) -> str:
     h = hashlib.sha256()
-    for sample in generate_dataset(manifest):
+    for index in range(manifest.count):
+        sample = sample_at(manifest, index)
         h.update(sample.x.tobytes())
         h.update(sample.y.tobytes())
         h.update(sample.matrix.singulars.tobytes())
@@ -410,14 +410,21 @@ class TestManifest:
         return DatasetManifest(**base)
 
     def test_empty_stream(self):
-        assert list(generate_dataset(self._small(count=0))) == []
+        # An empty manifest holds no sample to access; nor does any index
+        # past the count.
+        with pytest.raises(IndexError):
+            sample_at(self._small(count=0), 0)
+        with pytest.raises(IndexError):
+            sample_at(self._small(), 6)
 
     def test_regeneration_bit_identical(self):
         m = self._small()
         assert _dataset_digest(m) == _dataset_digest(m)
 
     def test_sample_invariants(self):
-        for i, sample in enumerate(generate_dataset(self._small())):
+        m = self._small()
+        for i in range(m.count):
+            sample = sample_at(m, i)
             assert np.all(sample.y >= 0)
             assert sample.y.shape == (16,) and sample.x.shape == (4,)
             assert abs(sample.matrix.snr / sample.snr - 1.0) < 1e-9
@@ -430,13 +437,6 @@ class TestManifest:
         gammas = [model.scenario_at(m, i)[1] for i in range(8)
                   if model.scenario_at(m, i)[0] == "geometric"]
         assert gammas.count(1.0) == gammas.count(0.97) == 2
-
-    def test_random_access_matches_stream(self):
-        m = self._small()
-        streamed = list(generate_dataset(m))
-        direct = sample_at(m, 3)
-        np.testing.assert_array_equal(direct.x, streamed[3].x)
-        np.testing.assert_array_equal(direct.y, streamed[3].y)
 
     def test_snr_sampled_uniform_in_db(self):
         m = self._small(count=400, m=4, n=2, matrix_class=("geometric",))

@@ -50,6 +50,20 @@ def bessel_ratio_quadrature(kappa: float) -> float:
     return i1 / i0
 
 
+def bessel_ratio_fixed_depth(kappa: float) -> float:
+    """The small-argument continued fraction at its full 40-term depth.
+
+    `bessel_ratio` picks a shallower depth from its largest argument and
+    must reproduce this loop bit for bit.
+    """
+    if kappa == 0.0:
+        return 0.0
+    r = 0.0
+    for j in range(40, 0, -1):
+        r = 1.0 / (2.0 * j / kappa + r)
+    return r
+
+
 def phase_posterior_quadrature(y: float, mu_abs: float, v: float) -> tuple[float, float]:
     """Oracle for the phase reconstructor: quadrature of the phase posterior.
 
@@ -166,6 +180,23 @@ class TestBesselRatio:
         for kappa in (0.01, 0.1, 0.5, 2.0, 7.5, 29.9, 30.1, 55.0, 400.0):
             oracle = bessel_ratio_quadrature(kappa)
             assert abs(bessel_ratio(kappa) - oracle) <= 1e-6 * max(oracle, 1e-9)
+
+    def test_adaptive_depth_matches_fixed_depth(self):
+        grid = np.unique(np.concatenate([
+            np.geomspace(1e-9, 30.0, 2000), np.linspace(0.0, 30.0, 2001),
+            [np.nextafter(30.0, 0.0), np.nextafter(30.0, 31.0), 30.0 + 1e-9, 31.0]]))
+        small = grid <= 30.0
+        want = np.array([bessel_ratio_fixed_depth(k) for k in grid[small]])
+        # Alone, each argument gets the shallowest depth the rule allows.
+        np.testing.assert_array_equal([bessel_ratio(k) for k in grid[small]], want)
+        # In an array the largest small argument sets the depth.
+        for chunk, chunk_want in zip(np.array_split(grid[small], 40),
+                                     np.array_split(want, 40)):
+            np.testing.assert_array_equal(bessel_ratio(chunk), chunk_want)
+        mixed = bessel_ratio(grid)
+        np.testing.assert_array_equal(mixed[small], want)
+        np.testing.assert_array_equal(mixed[~small],
+                                      [bessel_ratio(k) for k in grid[~small]])
 
     def test_monotone_increasing(self):
         grid = np.concatenate([np.linspace(0, 29.9, 200), np.linspace(30.2, 300, 200)])
@@ -340,6 +371,22 @@ class TestLmmsePosterior:
                                         GaussianMessage(mu_x, 2.2), mat, output="x")
         np.testing.assert_allclose(got_x, x_hat, atol=1e-9)
         np.testing.assert_allclose(got_vx, vx_hat, atol=1e-9)
+
+    @pytest.mark.parametrize("output", ("x", "z"))
+    def test_shared_projection_is_bit_identical(self, output):
+        rng = np.random.default_rng(12)
+        mat = gaussian_matrix(40, 10, 5.0, rng)
+        msg_z = GaussianMessage(model.complex_normal(rng, 40), 0.4)
+        msg_x = GaussianMessage(model.complex_normal(rng, 10), 1.3)
+        own_tape, shared_tape = {}, {}
+        own = lmmse_posterior(msg_z, msg_x, mat, output, own_tape)
+        shared = lmmse_posterior(msg_z, msg_x, mat, output, shared_tape,
+                                 z_modes=mat.left_modes(msg_z.mean))
+        np.testing.assert_array_equal(shared[0], own[0])
+        assert shared[1] == own[1]
+        assert own_tape.keys() == shared_tape.keys()
+        for key, value in own_tape.items():
+            np.testing.assert_array_equal(shared_tape[key], value)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(8)
