@@ -562,15 +562,11 @@ def checkpoint_payload(variant: str, params, n: int, layers: int,
     The variant label must name the bundle's weight family and attention
     flag (see VARIANTS), as `params_from_checkpoint` will read it.
     """
-    if variant not in VARIANTS:
-        raise CheckpointError(f"unknown variant {variant!r}; expected {tuple(VARIANTS)}")
-    family, attention = VARIANTS[variant]
-    has_attention = getattr(params, "attention", None) is not None
-    if type(params) is not family or has_attention != attention:
-        raise CheckpointError(
-            f"variant {variant!r} needs {family.__name__} "
-            f"{'with' if attention else 'without'} attention, got "
-            f"{type(params).__name__} {'with' if has_attention else 'without'} attention")
+    attention = getattr(params, "attention", None) is not None
+    if VARIANTS.get(variant) != (type(params), attention):
+        raise CheckpointError(f"variant {variant!r} does not describe a "
+                              f"{type(params).__name__} bundle "
+                              f"{'with' if attention else 'without'} attention")
     arrays = {}
     for name, arr in _named_arrays(params):
         arrays[name] = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
@@ -581,8 +577,7 @@ def checkpoint_payload(variant: str, params, n: int, layers: int,
         "layers": layers,
         "hidden": getattr(params, "hidden", 0),
         "heads": (len(params.attention.heads)
-                  if isinstance(params, HyperNetParams) and params.attention else
-                  (1 if getattr(params, "attention", None) is not None else 0)),
+                  if isinstance(params, HyperNetParams) and attention else int(attention)),
         "tied": getattr(params, "tied", False),
         "arrays": arrays,
         "metadata": metadata or {},
