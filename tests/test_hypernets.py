@@ -321,9 +321,9 @@ class TestCheckpoints:
         # The label must agree with the bundle's family and attention flag,
         # or the loader would refuse the file the writer made.
         for variant in hypernets.VARIANTS:
+            params = init_variant_params(variant, n=8, layers=4, hidden=5,
+                                         heads=2, seed=21)
             for label in hypernets.VARIANTS:
-                params = init_variant_params(variant, n=8, layers=4, hidden=5,
-                                             heads=2, seed=21)
                 if label == variant:
                     checkpoint_payload(label, params, n=8, layers=4)
                     continue
