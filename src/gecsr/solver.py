@@ -15,7 +15,6 @@ component average).  Variances are clamped to [V_MIN, V_MAX] throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,10 +30,6 @@ NMSE_FLOOR_DB = -120.0
 _POWER_ITERATIONS = 50
 _CF_DEPTH = 40
 _CF_CUTOFF = 30.0
-# Terms the continued fraction needs beyond ceil(k) before its tail no
-# longer changes a float64 result; tests/test_solver.py checks the rule
-# against the fixed 40-deep fraction.
-_CF_EXTRA_DEPTH = 20
 
 
 class PolicyError(RuntimeError):
@@ -56,11 +51,9 @@ class GaussianMessage:
 def bessel_ratio(kappa):
     """Ratio of modified Bessel functions I1(k)/I0(k) for k >= 0.
 
-    Monotone increasing from 0 towards 1.  Small arguments use a continued
-    fraction, min(40, 20 + ceil(k)) terms deep for the largest such k, which
-    gives the same bits as 40 terms; above the cutoff an asymptotic expansion
-    takes over (both branches agree to ~1e-8 at the switch).  Accepts scalars
-    or arrays.
+    Monotone increasing from 0 towards 1.  Small arguments use a 40-term
+    continued fraction; above the cutoff an asymptotic expansion takes over
+    (both branches agree to ~1e-8 at the switch).  Accepts scalars or arrays.
     """
     k = np.asarray(kappa, dtype=float)
     if np.any(k < 0):
@@ -77,9 +70,8 @@ def bessel_ratio(kappa):
     small = ~big
     if np.any(small):
         ks = np.where(k[small] > 0, k[small], 1.0)
-        depth = min(_CF_DEPTH, _CF_EXTRA_DEPTH + math.ceil(np.max(ks)))
-        # Row i holds 2 j / k for j = depth - i, the innermost term first.
-        table = (2.0 * np.arange(depth, 0, -1.0))[:, None] / ks
+        # Row i holds 2 j / k for j = 40 - i, the innermost term first.
+        table = (2.0 * np.arange(_CF_DEPTH, 0, -1.0))[:, None] / ks
         r = np.zeros_like(ks)
         for row in table:
             r += row
