@@ -171,34 +171,35 @@ def _backward_gb(g_mean, g_var, prior: SignalPrior, tape):
 
 
 def _backward_lmmse(matrix, g_mean, g_var, tape, output):
-    """Adjoint of `solver.lmmse_posterior`: (dL/d z_modes*, dL/dv_z, dL/dmu_x*, dL/dv_x).
+    """Adjoint of `solver.lmmse_posterior`: (dL/d z_proj*, dL/dv_z, dL/dmu_x*, dL/dv_x).
 
-    The z mean's adjoint stays in mode space, dL/dmu_z* = U dL/d z_modes*:
-    a layer's two calls read mu_z through one shared projection, so the
-    caller sums their mode-space adjoints and applies U once.
+    The z mean's adjoint stays in mode space: with z_proj = S U^H mu_z,
+    dL/dmu_z* = U S dL/d z_proj* = A V dL/d z_proj*.  A layer's two calls
+    read mu_z through one shared projection, so the caller sums their
+    mode-space adjoints and applies A V once (`apply_modes`).
     """
     v, sig = matrix.right_unitary, matrix.singulars
-    x_modes, z_modes, d, combo = tape["x_modes"], tape["z_modes"], tape["d"], tape["combo"]
+    x_modes, z_proj, d, combo = tape["x_modes"], tape["z_proj"], tape["d"], tape["combo"]
     vx, vz = tape["vx"], tape["vz"]
     g_var = g_var * _clamp_grad(tape["var_raw"])
     if output == "x":
         g_w = (g_mean.conj() @ v).conj()
         g_d_var = g_var / d.shape[0]
     else:
-        g_w = sig * matrix.left_modes(g_mean)
+        g_w = matrix.project(g_mean)
         g_d_var = g_var * (sig * sig) / matrix.m
-    # w = d * combo with d = (1/vx + sig^2/vz)^-1, combo = x_modes/vx + sig z_modes/vz.
+    # w = d * combo with d = (1/vx + sig^2/vz)^-1, combo = x_modes/vx + z_proj/vz.
     g_d = 2.0 * np.real(np.conj(g_w) * combo) + g_d_var
     g_combo = d * g_w
     g_x_modes = g_combo / vx
-    g_z_modes = (sig / vz) * g_combo
+    g_z_proj = g_combo / vz
     g_mx = v @ g_x_modes
     d2 = d * d
     g_vx = (float(np.dot(g_d, d2)) / (vx * vx)
             - 2.0 * float(np.vdot(g_x_modes, x_modes).real) / vx)
     g_vz = (float(np.dot(g_d, d2 * (sig * sig))) / (vz * vz)
-            - 2.0 * float(np.vdot(g_z_modes, z_modes).real) / vz)
-    return g_z_modes, g_vz, g_mx, g_vx
+            - 2.0 * float(np.vdot(g_z_proj, z_proj).real) / vz)
+    return g_z_proj, g_vz, g_mx, g_vx
 
 
 def _backward_extrinsic(g_mean, g_var, tape):
@@ -295,11 +296,11 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
         post_z, pvar_z = _forward_magnitude(msg_1z.mean, msg_1z.variance, y, rec["mag"])
         ext_z = extrinsic(post_z, pvar_z, msg_1z, rec["ez"])
         msg_2z = side_z.step(t, ext_z)
-        z_modes = matrix.left_modes(msg_2z.mean)
+        z_proj = matrix.project(msg_2z.mean)
 
         # `matrix` stays positional: perfbench's tracer reads it as args[2].
         post_x, pvar_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", rec["bx"],
-                                         z_modes=z_modes)
+                                         z_proj=z_proj)
         msg_1x = extrinsic(post_x, pvar_x, msg_2x, rec["ex1"])
         den_x, den_v = gb_posterior(msg_1x, prior, rec["gb"])
         if not np.all(np.isfinite(den_x)):
@@ -312,7 +313,7 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
         msg_2x = side_x.step(t, ext_x)
 
         post_z2, pvar_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", rec["bz"],
-                                           z_modes=z_modes)
+                                           z_proj=z_proj)
         msg_1z = extrinsic(post_z2, pvar_z2, msg_2z, rec["ez2"])
         records.append(rec)
         if not (np.all(np.isfinite(msg_1z.mean)) and np.all(np.isfinite(msg_2x.mean))):
@@ -346,8 +347,8 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
             g_m1x_a + g_r, g_v1x_a + g_v1x_b, rec["ex1"])
         g_dzk_bx, g_dzv_bx, g_m2x_bx, g_v2x_bx = _backward_lmmse(
             matrix, g_post_x, g_pvar_x, rec["bx"], "x")
-        # Both LMMSE calls read the damped z mean through one U^H projection.
-        g_dzm = g_dzm_pri + matrix.left_unitary @ (g_dzk_b + g_dzk_bx)
+        # Both LMMSE calls read the damped z mean through one projection.
+        g_dzm = g_dzm_pri + matrix.apply_modes(g_dzk_b + g_dzk_bx)
         g_ext_mz, g_ext_vz = side_z.backward(t, g_dzm, g_dzv_pri + g_dzv_b + g_dzv_bx)
 
         # Extrinsic after the phase reconstructor, then the reconstructor.

@@ -27,10 +27,16 @@ class ManifestError(ValueError):
 
 
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Standard circularly-symmetric complex Gaussian draws (unit variance)."""
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * np.sqrt(0.5)
+    """Standard circularly-symmetric complex Gaussian draws (unit variance).
+
+    All real parts are drawn first, then all imaginary parts, each written
+    straight into one complex array.
+    """
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= np.sqrt(0.5)
+    return out
 
 
 @dataclass(frozen=True)
@@ -81,12 +87,72 @@ def sample_haar_isometry(m: int, n: int, rng: np.random.Generator) -> np.ndarray
     return q * (d / np.abs(d))
 
 
+# The Gram route squares the condition number kappa = s_max / s_min.  eigh
+# resolves each eigenvalue of A^H A to about eps * s_max^2 absolute (Golub &
+# Van Loan, Matrix Computations, 5.3 and 8.6), so s_i = sqrt(lambda_i) and
+# the implied left vectors u_i = A v_i / s_i carry relative errors of about
+# eps * kappa^2: 2.2e-10 at kappa = 1e3 for eps = 2.2e-16, the order of the
+# 1e-10 relative tolerance solver results are held to.  Past that bound the
+# factorization falls back to the SVD.  The transforms generated here sit
+# far below it: kappa is about 3 for a ratio-4 Gaussian draw and about 20
+# for a (400, 100) binary draw, so only degenerate draws take the fallback.
+GRAM_CONDITION_CAP = 1e3
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a^H a of a complex M x N matrix from one real symmetric product.
+
+    With b the M x 2N float view of a (columns Re a_1, Im a_1, Re a_2, ...),
+    b^T b is a symmetric rank-k update, half the flops of a general product,
+    and needs no conjugate copy of a.  Its 2 x 2 blocks hold the real and
+    imaginary parts of the Gram entries.
+    """
+    m, n = a.shape
+    b = np.ascontiguousarray(a).view(float).reshape(m, 2 * n)
+    r = (b.T @ b).reshape(n, 2, n, 2)
+    gram = np.empty((n, n), dtype=complex)
+    np.add(r[:, 0, :, 0], r[:, 1, :, 1], out=gram.real)
+    np.subtract(r[:, 0, :, 1], r[:, 1, :, 0], out=gram.imag)
+    return gram
+
+
+def _gram_conditioned(w: np.ndarray) -> bool:
+    """Descending Gram eigenvalues within GRAM_CONDITION_CAP squared."""
+    return bool(w[-1] * GRAM_CONDITION_CAP ** 2 > w[0])
+
+
 def gaussian_class_singulars(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Singular values of an m x n i.i.d. standard complex Gaussian matrix."""
+    """Singular values of an m x n i.i.d. standard complex Gaussian matrix.
+
+    They are the square roots of the Gram eigenvalues, with the SVD used
+    past GRAM_CONDITION_CAP, as in economy_factors.
+    """
     if not (m >= n >= 1):
         raise ValueError(f"need m >= n >= 1, got ({m}, {n})")
-    s = np.linalg.svd(complex_normal(rng, m, n), compute_uv=False)
-    return np.sort(s)[::-1]
+    a = complex_normal(rng, m, n)
+    w = np.linalg.eigvalsh(_gram(a))[::-1]
+    if not _gram_conditioned(w):
+        return np.linalg.svd(a, compute_uv=False)
+    return np.sqrt(w)
+
+
+def economy_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and right singular vectors of a tall matrix.
+
+    Returns (s, v) with s descending, so that a = u diag(s) v^H for the
+    isometry u = a v / s, which is not formed.  The eigenpairs of the
+    N x N Gram matrix a^H a give s^2 and v: one real symmetric product and
+    an N x N Hermitian eigensolve cost less time and memory than the SVD
+    of the M x N matrix.  When the eigenvalues show rank deficiency or a
+    condition number above GRAM_CONDITION_CAP, np.linalg.svd is used
+    instead.
+    """
+    w, v = np.linalg.eigh(_gram(a))
+    w, v = w[::-1], v[:, ::-1]
+    if not _gram_conditioned(w):
+        _, s, vh = np.linalg.svd(a, full_matrices=False)
+        return s, vh.conj().T
+    return np.sqrt(w), v
 
 
 def geometric_singulars(n: int, gamma: float) -> np.ndarray:
@@ -98,36 +164,43 @@ def geometric_singulars(n: int, gamma: float) -> np.ndarray:
     return gamma ** np.arange(n, dtype=float)
 
 
-def scale_to_snr(singulars: np.ndarray, m: int, snr_linear: float) -> np.ndarray:
-    """Rescale a spectrum so that tr(A A^H) / M equals the target SNR."""
+def _snr_scale(singulars: np.ndarray, m: int, snr_linear: float) -> float:
+    """The factor that brings tr(A A^H) / M to the target SNR."""
     if snr_linear <= 0:
         raise ValueError(f"SNR must be positive, got {snr_linear}")
     energy = float(np.sum(np.square(singulars)))
     if energy == 0.0:
         raise ValueError("cannot scale an all-zero spectrum")
-    return singulars * np.sqrt(m * snr_linear / energy)
+    return np.sqrt(m * snr_linear / energy)
+
+
+def scale_to_snr(singulars: np.ndarray, m: int, snr_linear: float) -> np.ndarray:
+    """Rescale a spectrum so that tr(A A^H) / M equals the target SNR."""
+    return singulars * _snr_scale(singulars, m, snr_linear)
 
 
 @dataclass
 class TransformMatrix:
-    """Linear operator in economy SVD form, A = U diag(s) V^H.
+    """Linear operator A (M x N) with the right factors of its economy SVD.
 
-    left_unitary is the M x N isometry whose columns are the left singular
-    vectors, one per singular value; right_unitary is the N x N unitary.
-    Both are stored C-contiguous, and U^H z, V^H x are taken as transposed
-    products on them, (z^H U)^H, so no adjoint copy is kept.  Singular
-    values are non-negative and sorted in descending order.
+    A = U diag(s) V^H: right_unitary is the N x N unitary V and singulars
+    holds s, non-negative and sorted descending.  The left isometry
+    U = A V / s is not stored; the solver reads it only through the
+    projection S U^H z = V^H (A^H z) (`project`) and the product
+    U S w = A (V w) (`apply_modes`).  A and V are stored C-contiguous, and
+    products with their adjoints are taken as transposed products,
+    (z^H A)^H, so no adjoint copy is kept.
     """
 
-    left_unitary: np.ndarray
+    operator: np.ndarray
     right_unitary: np.ndarray
     singulars: np.ndarray
 
     def __post_init__(self) -> None:
         k = len(self.singulars)
-        if self.left_unitary.ndim != 2 or self.left_unitary.shape[1] != k:
-            raise ValueError(f"left factor needs one column per singular value "
-                             f"({k}), got shape {self.left_unitary.shape}")
+        if self.operator.ndim != 2 or self.operator.shape[1] != k:
+            raise ValueError(f"operator needs one column per singular value "
+                             f"({k}), got shape {self.operator.shape}")
         if self.right_unitary.shape != (k, k):
             raise ValueError(f"right factor must be {k} x {k}, "
                              f"got shape {self.right_unitary.shape}")
@@ -135,12 +208,12 @@ class TransformMatrix:
             raise ValueError("singular values must be non-negative")
         if np.any(np.diff(self.singulars) > 0):
             raise ValueError("singular values must be sorted descending")
-        self.left_unitary = np.ascontiguousarray(self.left_unitary)
+        self.operator = np.ascontiguousarray(self.operator)
         self.right_unitary = np.ascontiguousarray(self.right_unitary)
 
     @property
     def m(self) -> int:
-        return self.left_unitary.shape[0]
+        return self.operator.shape[0]
 
     @property
     def n(self) -> int:
@@ -160,21 +233,21 @@ class TransformMatrix:
         return self.singulars / norm
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """A @ x via the SVD factors."""
-        x_modes = (x.conj() @ self.right_unitary).conj()
-        return self.left_unitary @ (self.singulars * x_modes)
-
-    def left_modes(self, z: np.ndarray) -> np.ndarray:
-        """U^H @ z, the coordinates of z in the left singular basis."""
-        return (z.conj() @ self.left_unitary).conj()
+        """A @ x."""
+        return self.operator @ x
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
-        """A^H @ z via the SVD factors."""
-        return self.right_unitary @ (self.singulars * self.left_modes(z))
+        """A^H @ z."""
+        return (z.conj() @ self.operator).conj()
 
-    def to_dense(self) -> np.ndarray:
-        """The M x N matrix, rebuilt from the factors."""
-        return (self.left_unitary * self.singulars) @ self.right_unitary.conj().T
+    def project(self, z: np.ndarray) -> np.ndarray:
+        """V^H A^H z = S U^H z, the left-mode coordinates of z scaled by s."""
+        return ((z.conj() @ self.operator) @ self.right_unitary).conj()
+
+    def apply_modes(self, w: np.ndarray) -> np.ndarray:
+        """A V w = U S w, the image of the signal whose right-mode
+        coordinates are w."""
+        return self.operator @ (self.right_unitary @ w)
 
 
 def gaussian_matrix(m: int, n: int, snr_linear: float,
@@ -183,11 +256,13 @@ def gaussian_matrix(m: int, n: int, snr_linear: float,
 
     The left factor is the M x N Haar isometry from the QR of the first N
     columns of an M x M Gaussian draw; the right factor is N x N Haar.
+    A = U diag(s) V^H is formed once, with U scaled in place.
     """
     u = sample_haar_isometry(m, n, rng)
     v = sample_haar_isometry(n, n, rng)
     s = scale_to_snr(gaussian_class_singulars(m, n, rng), m, snr_linear)
-    return TransformMatrix(u, v, s)
+    u *= s
+    return TransformMatrix(u @ v.conj().T, v, s)
 
 
 def geometric_matrix(m: int, n: int, snr_linear: float, gamma: float,
@@ -196,40 +271,8 @@ def geometric_matrix(m: int, n: int, snr_linear: float, gamma: float,
     u = sample_haar_isometry(m, n, rng)
     v = sample_haar_isometry(n, n, rng)
     s = scale_to_snr(geometric_singulars(n, gamma), m, snr_linear)
-    return TransformMatrix(u, v, s)
-
-
-# The Gram route squares the condition number kappa = s_max / s_min.  eigh
-# resolves each eigenvalue of A^H A to about eps * s_max^2 absolute (Golub &
-# Van Loan, Matrix Computations, 5.3 and 8.6), so s_i = sqrt(lambda_i) and
-# u_i = A v_i / s_i carry relative errors of about eps * kappa^2: 2.2e-10 at
-# kappa = 1e3 for eps = 2.2e-16, the order of the 1e-10 relative tolerance
-# solver results are held to.  Past that bound the factorization falls back
-# to the SVD.  The transforms generated here sit far below it: kappa is
-# about 3 for a ratio-4 Gaussian draw and about 20 for a (400, 100) binary
-# draw, so only degenerate draws take the fallback.
-GRAM_CONDITION_CAP = 1e3
-
-
-def economy_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Economy SVD of a tall matrix, a = u diag(s) v^H, via its Gram matrix.
-
-    Returns (u, s, v) with s descending: the eigenpairs of the N x N matrix
-    a^H a give s^2 and v, and u = a v / s.  Two matrix products and an
-    N x N Hermitian eigensolve cost less time and memory than the SVD of
-    the M x N matrix.  When the eigenvalues show rank deficiency or a
-    condition number above GRAM_CONDITION_CAP, np.linalg.svd is used
-    instead.
-    """
-    w, v = np.linalg.eigh(a.conj().T @ a)
-    w, v = w[::-1], v[:, ::-1]
-    if not w[-1] * GRAM_CONDITION_CAP ** 2 > w[0]:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-        return u, s, vh.conj().T
-    s = np.sqrt(w)
-    u = a @ v
-    u /= s
-    return u, s, v
+    u *= s
+    return TransformMatrix(u @ v.conj().T, v, s)
 
 
 def binary_matrix(m: int, n: int, snr_linear: float,
@@ -237,15 +280,16 @@ def binary_matrix(m: int, n: int, snr_linear: float,
     """Transform with i.i.d. entries in {0, c}, scaled to the target SNR.
 
     Entries are one with probability 1/2 and the single global scale c is
-    chosen so tr(A A^H) / M = snr_linear for the realized draw.  Only the
-    economy factors of the drawn matrix are kept (economy_factors).
+    chosen so tr(A A^H) / M = snr_linear for the realized draw.  The draw
+    is kept as the operator, with its right factors (economy_factors).
     """
     mask = rng.random((m, n)) < 0.5
     while not mask.any():
         mask = rng.random((m, n)) < 0.5
     c = np.sqrt(m * snr_linear / mask.sum())
-    u, s, v = economy_factors(np.where(mask, c, 0.0).astype(complex))
-    return TransformMatrix(u, v, s)
+    a = np.where(mask, c, 0.0).astype(complex)
+    s, v = economy_factors(a)
+    return TransformMatrix(a, v, s)
 
 
 def dense_gaussian_matrix(m: int, n: int, snr_linear: float,
@@ -253,13 +297,19 @@ def dense_gaussian_matrix(m: int, n: int, snr_linear: float,
     """Gaussian-class transform built from a dense i.i.d. draw.
 
     Distributionally equivalent to gaussian_matrix; used for large
-    image-reconstruction instances.  The M x N draw is factored through its
-    N x N Gram matrix (economy_factors); its condition number is near
+    image-reconstruction instances.  The M x N draw is kept as the
+    operator, scaled in place, with the right factors of its N x N Gram
+    matrix (economy_factors).  Its condition number is near
     (1 + sqrt(N/M)) / (1 - sqrt(N/M)), 3 at M = 4N, so the SVD fallback
-    runs only for draws close to square.
+    runs only for draws close to square.  Besides the draw, the working
+    set peaks at one real component of it (while drawing) or at the Gram
+    product and the N x N factors: no second complex M x N array.
     """
-    u, s, v = economy_factors(complex_normal(rng, m, n))
-    return TransformMatrix(u, v, scale_to_snr(s, m, snr_linear))
+    a = complex_normal(rng, m, n)
+    s, v = economy_factors(a)
+    scale = _snr_scale(s, m, snr_linear)
+    a *= scale
+    return TransformMatrix(a, v, s * scale)
 
 
 def forward_measure(matrix: TransformMatrix, x: np.ndarray,

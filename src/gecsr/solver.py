@@ -141,39 +141,38 @@ def gb_posterior(msg: GaussianMessage, prior: SignalPrior,
 
 def lmmse_posterior(msg_z: GaussianMessage, msg_x: GaussianMessage,
                     matrix: TransformMatrix, output: str,
-                    tape: Optional[dict] = None,
-                    z_modes: Optional[np.ndarray] = None) -> tuple[np.ndarray, float]:
+                    tape: Optional[dict] = None, *,
+                    z_proj: np.ndarray) -> tuple[np.ndarray, float]:
     """Joint-Gaussian (LMMSE) posterior of x or z = A x in the SVD basis.
 
     The model couples x ~ CN(mu_x, v_x I) with the pseudo-observation
     mu_z = A x + e, e ~ CN(0, v_z I); per singular mode the posterior variance
     is (1/v_x + s^2/v_z)^{-1}.  `output` selects which variable's (mean,
-    averaged variance) is returned: "x" or "z".  `z_modes` may carry
-    `matrix.left_modes(msg_z.mean)` when the caller already has it: a layer's
-    two calls share one damped z message.  A tape receives the modes, the
-    per-mode variances d, the mode combination that d scales into the
-    per-mode means, the input variances and the variance before the clamp.
+    averaged variance) is returned: "x" or "z".  `z_proj` is
+    `matrix.project(msg_z.mean)`, S U^H mu_z: a layer's two calls share one
+    damped z message, so the caller projects it once.  The z mean leaves
+    mode space as A (V w) (`TransformMatrix.apply_modes`), so U is never
+    formed.  A tape receives the x modes, the z projection, the per-mode
+    variances d, the mode combination that d scales into the per-mode
+    means, the input variances and the variance before the clamp.
     """
     if msg_x.mean.shape != (matrix.n,) or msg_z.mean.shape != (matrix.m,):
         raise ValueError("message shapes do not match the transform size")
     if output not in ("x", "z"):
         raise ValueError(f"output must be 'x' or 'z', got {output!r}")
-    u, v = matrix.left_unitary, matrix.right_unitary
-    sig = matrix.singulars
+    v, sig = matrix.right_unitary, matrix.singulars
     vx = float(msg_x.variance)
     vz = float(msg_z.variance)
     x_modes = (msg_x.mean.conj() @ v).conj()
-    if z_modes is None:
-        z_modes = matrix.left_modes(msg_z.mean)
     d = 1.0 / (1.0 / vx + (sig * sig) / vz)
-    combo = x_modes / vx + sig * (z_modes / vz)
+    combo = x_modes / vx + z_proj / vz
     w = d * combo
     if output == "x":
         mean, var = v @ w, float(np.mean(d))
     else:
-        mean, var = u @ (sig * w), float(np.sum(sig * sig * d)) / matrix.m
+        mean, var = matrix.apply_modes(w), float(np.sum(sig * sig * d)) / matrix.m
     if tape is not None:
-        tape.update(x_modes=x_modes, z_modes=z_modes, d=d, combo=combo, vx=vx, vz=vz,
+        tape.update(x_modes=x_modes, z_proj=z_proj, d=d, combo=combo, vx=vx, vz=vz,
                     var_raw=var)
     return mean, clamp_variance(var)
 
@@ -401,9 +400,9 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
         post_z, var_z = magnitude_posterior(msg_1z, sample.y)
         ext_z = extrinsic(post_z, var_z, msg_1z)
         msg_2z = side_z.step(t, ext_z)
-        z_modes = matrix.left_modes(msg_2z.mean)
+        z_proj = matrix.project(msg_2z.mean)
 
-        post_x, var_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", z_modes=z_modes)
+        post_x, var_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", z_proj=z_proj)
         msg_1x = extrinsic(post_x, var_x, msg_2x)
 
         den_x, den_var = gb_posterior(msg_1x, prior)
@@ -421,7 +420,7 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
         trace.v2z.append(ext_z.variance)
         trace.v2x.append(ext_x.variance)
 
-        post_z2, var_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", z_modes=z_modes)
+        post_z2, var_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", z_proj=z_proj)
         msg_1z = extrinsic(post_z2, var_z2, msg_2z)
 
         if not (np.all(np.isfinite(msg_1z.mean)) and np.all(np.isfinite(msg_2x.mean))):

@@ -102,11 +102,14 @@ def test_criterion_1_estimator_oracles():
         mu_x = model.complex_normal(rng, 5)
         vz = float(rng.uniform(0.05, 5.0))
         vx = float(rng.uniform(0.05, 5.0))
-        x_ref, vx_ref, z_ref, vz_ref = lmmse_dense(mu_z, vz, mu_x, vx, mat.to_dense())
+        x_ref, vx_ref, z_ref, vz_ref = lmmse_dense(mu_z, vz, mu_x, vx, mat.operator)
+        z_proj = mat.project(mu_z)
         got_x, got_vx = lmmse_posterior(GaussianMessage(mu_z, vz),
-                                        GaussianMessage(mu_x, vx), mat, "x")
+                                        GaussianMessage(mu_x, vx), mat, "x",
+                                        z_proj=z_proj)
         got_z, got_vz = lmmse_posterior(GaussianMessage(mu_z, vz),
-                                        GaussianMessage(mu_x, vx), mat, "z")
+                                        GaussianMessage(mu_x, vx), mat, "z",
+                                        z_proj=z_proj)
         worst_b = max(worst_b,
                       float(np.max(np.abs(got_x - x_ref))), abs(got_vx - vx_ref),
                       float(np.max(np.abs(got_z - z_ref))), abs(got_vz - vz_ref))

@@ -269,14 +269,14 @@ class TestEstimatorAdjoints:
 
         def forward(mz, vz, mx, vx, tape):
             return lmmse_posterior(GaussianMessage(mz, vz), GaussianMessage(mx, vx),
-                                   matrix, output, tape)
+                                   matrix, output, tape, z_proj=matrix.project(mz))
 
         def backward(g_mean, g_var, tape):
-            # The z mean's adjoint comes back in mode space: dL/dmu_z* = U g.
+            # The z mean's adjoint comes back in mode space: dL/dmu_z* = A V g.
             g_modes, g_vz, g_mx, g_vx = adjoint._backward_lmmse(
                 matrix, g_mean, g_var, tape, output)
             assert g_modes.shape == (matrix.n,)
-            return matrix.left_unitary @ g_modes, g_vz, g_mx, g_vx
+            return matrix.apply_modes(g_modes), g_vz, g_mx, g_vx
 
         tape = self._check(forward, backward, inputs, seed=6)
         assert V_MIN < tape["var_raw"] < V_MAX

@@ -354,6 +354,23 @@ class TestReconImage:
         assert "--ratio" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--snr-db", "nan"), ("--snr-db", "inf"),
+                                             ("--snr-db", "-inf"), ("--snr-db", "4000"),
+                                             ("--layers", "-1")])
+    def test_bad_snr_or_layers_rejected_before_reading(self, tmp_path, capsys,
+                                                       monkeypatch, flag, value):
+        def untouched(*args):
+            raise AssertionError("image read or transform drawn")
+
+        monkeypatch.setattr(model, "read_pgm", untouched)
+        monkeypatch.setattr(model, "dense_gaussian_matrix", untouched)
+        image = self._write_image(tmp_path)
+        out = tmp_path / "out"
+        assert main(["recon-image", "--image", image, "--out", str(out),
+                     f"{flag}={value}"]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_draw_cap_at_pixel_cap(self, tmp_path, capsys, monkeypatch):
         # A 64 x 64 image at ratio 4 is the largest draw allowed.  The
         # transform is stubbed, so the 1 GiB draw is never taken.

@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,16 +16,31 @@ from gecsr.model import (
     SignalPrior,
     TransformMatrix,
     binary_matrix,
+    dense_gaussian_matrix,
     economy_factors,
     forward_measure,
     gaussian_class_singulars,
     gaussian_matrix,
+    geometric_matrix,
     geometric_singulars,
     sample_at,
     sample_haar_isometry,
     sample_signal,
     scale_to_snr,
 )
+
+
+class TestComplexNormal:
+    def test_bit_identical_to_separate_draws(self):
+        # The in-place fill equals the two-draw expression bit for bit.
+        for shape in ((1,), (7,), (40, 10)):
+            rng = np.random.default_rng(2)
+            re = rng.standard_normal(shape)
+            im = rng.standard_normal(shape)
+            old = (re + 1j * im) * np.sqrt(0.5)
+            new = model.complex_normal(np.random.default_rng(2), *shape)
+            assert new.dtype == complex and new.flags.c_contiguous
+            assert new.tobytes() == old.tobytes()
 
 
 class TestSignalPrior:
@@ -211,26 +227,54 @@ class TestTransformMatrix:
         assert abs(mat.snr / 100.0 - 1.0) < 1e-9
 
     def test_factors_unitary(self):
+        # Every class: the implied left factor U = A V / s is an isometry,
+        # V is unitary, and the projection and the mode product are
+        # S U^H z and U S w on the dense operator.
         rng = np.random.default_rng(9)
-        mat = gaussian_matrix(12, 6, 10.0, rng)
-        assert mat.left_unitary.shape == (12, 6)
-        np.testing.assert_allclose(mat.left_unitary.conj().T @ mat.left_unitary,
-                                   np.eye(6), atol=1e-9)
-        np.testing.assert_allclose(mat.right_unitary.conj().T @ mat.right_unitary,
-                                   np.eye(6), atol=1e-9)
+        mats = {"gaussian": gaussian_matrix(40, 10, 10.0, rng),
+                "geometric": geometric_matrix(40, 10, 10.0, 0.9, rng),
+                "binary": binary_matrix(40, 10, 10.0, rng),
+                "dense_gaussian": dense_gaussian_matrix(40, 10, 10.0, rng)}
+        for cls, mat in mats.items():
+            a, v, s = mat.operator, mat.right_unitary, mat.singulars
+            assert a.shape == (40, 10) and v.shape == (10, 10), cls
+            u = a @ v / s
+            np.testing.assert_allclose(u.conj().T @ u, np.eye(10), rtol=0, atol=1e-12,
+                                       err_msg=cls)
+            np.testing.assert_allclose(v.conj().T @ v, np.eye(10), rtol=0, atol=1e-12,
+                                       err_msg=cls)
+            z = model.complex_normal(rng, 40)
+            w = model.complex_normal(rng, 10)
+            scale = s[0] * np.linalg.norm(z)
+            np.testing.assert_allclose(mat.project(z) / scale,
+                                       s * (u.conj().T @ z) / scale,
+                                       rtol=0, atol=1e-12, err_msg=cls)
+            np.testing.assert_allclose(mat.project(z) / scale,
+                                       v.conj().T @ (a.conj().T @ z) / scale,
+                                       rtol=0, atol=1e-12, err_msg=cls)
+            scale = s[0] * np.linalg.norm(w)
+            np.testing.assert_allclose(mat.apply_modes(w) / scale, u @ (s * w) / scale,
+                                       rtol=0, atol=1e-12, err_msg=cls)
 
     def test_adjoint_matches_dense(self):
+        # The operator is U diag(s) V^H of the Haar factors drawn first from
+        # the same stream.
+        mat = gaussian_matrix(15, 7, 5.0, np.random.default_rng(11))
         rng = np.random.default_rng(11)
-        mat = gaussian_matrix(15, 7, 5.0, rng)
+        u = sample_haar_isometry(15, 7, rng)
+        v = sample_haar_isometry(7, 7, rng)
         z = model.complex_normal(rng, 15)
-        np.testing.assert_allclose(mat.adjoint(z), mat.to_dense().conj().T @ z,
-                                   atol=1e-10)
+        np.testing.assert_allclose(mat.adjoint(z),
+                                   v @ (mat.singulars * (u.conj().T @ z)), atol=1e-10)
 
     def test_apply_matches_dense(self):
+        mat = geometric_matrix(15, 7, 5.0, 0.8, np.random.default_rng(10))
         rng = np.random.default_rng(10)
-        mat = gaussian_matrix(15, 7, 5.0, rng)
+        u = sample_haar_isometry(15, 7, rng)
+        v = sample_haar_isometry(7, 7, rng)
         x = model.complex_normal(rng, 7)
-        np.testing.assert_allclose(mat.apply(x), mat.to_dense() @ x, atol=1e-10)
+        np.testing.assert_allclose(mat.apply(x),
+                                   u @ (mat.singulars * (v.conj().T @ x)), atol=1e-10)
 
     def test_rejects_unsorted_spectrum(self):
         with pytest.raises(ValueError):
@@ -238,8 +282,8 @@ class TestTransformMatrix:
                             np.array([1.0, 2.0]))
 
     def test_rejects_factors_that_do_not_match_the_spectrum(self):
-        # A full M x M left unitary is not accepted: only the N columns
-        # that meet a singular value are stored.
+        # The operator needs exactly one column per singular value, and the
+        # right factor one row and column per singular value.
         s = np.array([2.0, 1.0])
         with pytest.raises(ValueError):
             TransformMatrix(np.eye(3, dtype=complex), np.eye(2, dtype=complex), s)
@@ -250,16 +294,16 @@ class TestTransformMatrix:
 
     def test_factors_stored_contiguous(self):
         rng = np.random.default_rng(12)
-        u = sample_haar_isometry(6, 6, rng)[:, :3]
+        a = sample_haar_isometry(6, 6, rng)[:, :3]
         v = sample_haar_isometry(3, 3, rng).T
-        mat = TransformMatrix(u, v, np.array([3.0, 2.0, 1.0]))
-        assert mat.left_unitary.flags.c_contiguous
+        mat = TransformMatrix(a, v, np.array([3.0, 2.0, 1.0]))
+        assert mat.operator.flags.c_contiguous
         assert mat.right_unitary.flags.c_contiguous
 
 
 class TestEconomyFactors:
     @staticmethod
-    def _check_factors(a, u, s, v):
+    def _check_factors(a, s, v, u):
         k = a.shape[1]
         assert u.shape == a.shape and s.shape == (k,) and v.shape == (k, k)
         assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
@@ -271,8 +315,9 @@ class TestEconomyFactors:
 
     def test_well_conditioned_matches_svd(self):
         a = model.complex_normal(np.random.default_rng(30), 60, 15)
-        u, s, v = economy_factors(a)
-        self._check_factors(a, u, s, v)
+        s, v = economy_factors(a)
+        u = a @ v / s
+        self._check_factors(a, s, v, u)
         u_ref, s_ref, vh_ref = np.linalg.svd(a, full_matrices=False)
         np.testing.assert_allclose(s, s_ref, rtol=1e-12, atol=0)
         # Singular vectors are unique up to one unit phase per pair.
@@ -281,13 +326,25 @@ class TestEconomyFactors:
         np.testing.assert_allclose(v, vh_ref.conj().T * phase, rtol=0, atol=1e-12)
         np.testing.assert_allclose(u, u_ref * phase, rtol=0, atol=1e-12)
 
+    def test_gram_matches_complex_product(self):
+        # The real symmetric product gives a^H a exactly Hermitian and
+        # within rounding of the complex product.
+        a = model.complex_normal(np.random.default_rng(33), 80, 20)
+        gram = model._gram(a)
+        ref = a.conj().T @ a
+        np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+        np.testing.assert_array_equal(gram, gram.conj().T)
+
     def test_rank_deficient(self):
         # Repeated columns: the Gram matrix is singular, so the SVD is used.
         a = model.complex_normal(np.random.default_rng(31), 40, 6)
         a[:, 4] = a[:, 0]
         a[:, 5] = a[:, 1]
-        u, s, v = economy_factors(a)
-        self._check_factors(a, u, s, v)
+        s, v = economy_factors(a)
+        # The left factor is not returned; the SVD's own gives the check.
+        self._check_factors(a, s, v, np.linalg.svd(a, full_matrices=False)[0])
+        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False),
+                                   rtol=0, atol=1e-12)
         assert s[-1] < 1e-12 * s[0] and s[-3] > 1e-3 * s[0]
 
     def test_ill_conditioned(self):
@@ -297,9 +354,32 @@ class TestEconomyFactors:
         s_true = np.logspace(0.0, -6.0, 8)
         a = ((sample_haar_isometry(50, 8, rng) * s_true)
              @ sample_haar_isometry(8, 8, rng).conj().T)
-        u, s, v = economy_factors(a)
-        self._check_factors(a, u, s, v)
+        s, v = economy_factors(a)
+        self._check_factors(a, s, v, np.linalg.svd(a, full_matrices=False)[0])
         np.testing.assert_allclose(s, s_true, rtol=1e-9, atol=0)
+
+
+class TestDenseGaussianMatrix:
+    def test_operator_scaled_to_snr(self):
+        rng = np.random.default_rng(23)
+        mat = dense_gaussian_matrix(60, 15, 20.0, rng)
+        assert abs(mat.snr / 20.0 - 1.0) < 1e-12
+        energy = np.linalg.norm(mat.operator) ** 2
+        np.testing.assert_allclose(energy / 60, 20.0, rtol=1e-12)
+
+    def test_peak_memory_bounded_by_the_draw(self):
+        # Besides the M x N draw the working set is one real component at a
+        # time or the Gram work, half the draw at M = 4N; a second complex
+        # M x N array (a conjugate copy, a left factor) breaks the bound.
+        m, n = 2048, 512
+        tracemalloc.start()
+        try:
+            mat = dense_gaussian_matrix(m, n, 10.0, np.random.default_rng(24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.operator.shape == (m, n)
+        assert peak <= 2.0 * 16 * m * n
 
 
 class TestBinaryMatrix:
@@ -309,7 +389,7 @@ class TestBinaryMatrix:
         rng = np.random.default_rng(0)
         # Entries are 0 or c >= 1, so |entry| > 0.5 tells them apart.
         for _ in range(1000):
-            dense = binary_matrix(2, 2, 2.0, rng).to_dense()
+            dense = binary_matrix(2, 2, 2.0, rng).operator
             if np.all(np.abs(dense) > 0.5):
                 break
         else:
@@ -317,14 +397,16 @@ class TestBinaryMatrix:
         np.testing.assert_allclose(dense, np.ones((2, 2)), atol=1e-12)
 
     def test_svd_reconstruction(self):
-        # The factors rebuild the drawn {0, c} matrix; the mask is the first
-        # draw of the same stream.
+        # The operator is the drawn {0, c} matrix, and the factors rebuild
+        # it; the mask is the first draw of the same stream.
         mat = binary_matrix(9, 5, 3.0, np.random.default_rng(21))
         mask = np.random.default_rng(21).random((9, 5)) < 0.5
         assert mask.any()
         c = np.sqrt(9 * 3.0 / mask.sum())
-        np.testing.assert_allclose(mat.to_dense(), np.where(mask, c, 0.0), atol=1e-8)
-        assert mat.left_unitary.shape == (9, 5)
+        np.testing.assert_array_equal(mat.operator, np.where(mask, c, 0.0))
+        u = mat.operator @ mat.right_unitary / mat.singulars
+        np.testing.assert_allclose((u * mat.singulars) @ mat.right_unitary.conj().T,
+                                   np.where(mask, c, 0.0), atol=1e-8)
 
     def test_snr_contract_large(self):
         rng = np.random.default_rng(22)
@@ -339,8 +421,8 @@ from gecsr.model import DatasetManifest, sample_at
 manifest = DatasetManifest(seed=11, count=12, m=400, n=100, matrix_class=("binary",),
                            snr_db_range=(15.0, 30.0))
 mats = [sample_at(manifest, i).matrix for i in range(manifest.count)]
-np.savez(sys.argv[1], u=[a.left_unitary for a in mats], v=[a.right_unitary for a in mats],
-         s=[a.singulars for a in mats])
+np.savez(sys.argv[1], a=[t.operator for t in mats], v=[t.right_unitary for t in mats],
+         s=[t.singulars for t in mats])
 """
 
 
@@ -349,7 +431,7 @@ class TestBlasThreadCount:
         # A {0, c} draw has a real Gram matrix, whose product and N x N
         # eigensolve came out identical under one and two OpenBLAS 0.3.31
         # threads; the factors of LAPACK's M x N SVD move by up to about
-        # 1e-12.
+        # 1e-12.  The operator is the draw itself.
         src = os.path.dirname(os.path.dirname(model.__file__))
         dumps = []
         for threads in (1, 2):
@@ -361,7 +443,7 @@ class TestBlasThreadCount:
                            env=env, check=True, timeout=300)
             with np.load(path) as dump:
                 dumps.append({key: dump[key] for key in dump.files})
-        for key in ("u", "v", "s"):
+        for key in ("a", "v", "s"):
             np.testing.assert_allclose(dumps[0][key], dumps[1][key], rtol=0, atol=1e-14)
 
 
@@ -379,7 +461,7 @@ class TestForwardMeasure:
     def test_noise_second_moment(self):
         # Rows with (Ax)_m = 0 see pure noise: E[y^2] = 1 within 3 sigma.
         m = 10_000
-        mat = TransformMatrix(np.ones((m, 1), dtype=complex) / np.sqrt(m),
+        mat = TransformMatrix(np.zeros((m, 1), dtype=complex),
                               np.eye(1, dtype=complex), np.array([0.0]))
         y = forward_measure(mat, np.zeros(1, complex), np.random.default_rng(31))
         assert abs(np.mean(y**2) - 1.0) < 3.0 * np.sqrt(1.0 / m)

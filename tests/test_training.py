@@ -212,8 +212,8 @@ class TestTrainLoop:
 class TestSampleCache:
     def test_entry_holds_one_economy_factorization(self):
         # Every complex array reachable from the cached transform, counted
-        # once per buffer: the M x N isometry and the N x N unitary, no
-        # adjoint copies.
+        # once per buffer: the M x N operator and the N x N unitary, no
+        # left singular vectors and no adjoint copies.
         manifest = tiny_manifest(count=1, m=24, n=6)
         sample, _, _ = training._SampleCache(manifest).get(0)
         buffers = {}
@@ -229,8 +229,7 @@ class TestSampleCache:
         sample, _, _ = training._SampleCache(manifest).get(1)
         fresh = model.sample_at(manifest, 1)
         np.testing.assert_array_equal(sample.y, fresh.y)
-        np.testing.assert_array_equal(sample.matrix.left_unitary,
-                                      fresh.matrix.left_unitary)
+        np.testing.assert_array_equal(sample.matrix.operator, fresh.matrix.operator)
 
 
 class TestEvaluate:
