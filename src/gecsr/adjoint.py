@@ -1,14 +1,14 @@
 """Exact gradients of the unrolled-solver loss by reverse-mode accumulation.
 
-The forward pass runs the solver's own estimators -- `extrinsic`,
-`lmmse_posterior` and `gb_posterior`, each handed a tape -- and its
-damping step (`DampedSide`), layer by layer; the backward pass walks the
-tapes in reverse, propagating adjoints of the complex message means
-(Wirtinger convention: g = dL/dm*, so dL = 2 Re(g^H dm)) and of the real
-scalar variances, through the three estimators, the extrinsic and damping
-steps, and into the controller parameters.  Only the phase reconstructor
-and the layer loop are kept here (see `_forward_magnitude`).  Spectral
-initializations are constants of the sample, so the recursion stops there.
+The forward pass drives the solver's own layer recursion
+(`solver.LayerRecursion`), handing each estimator a tape and recording the
+damping steps; the backward pass walks the tapes in reverse, propagating
+adjoints of the complex message means (Wirtinger convention: g = dL/dm*, so
+dL = 2 Re(g^H dm)) and of the real scalar variances, through the three
+estimators, the extrinsic and damping steps, and into the controller
+parameters.  Only the phase reconstructor keeps a forward copy here (see
+`_forward_magnitude`).  Spectral initializations are constants of the
+sample, so the recursion stops there.
 
 The damping factors come from the solver's own controller
 (`hypernets.policy_for_params`), queried through the solver's damping
@@ -37,12 +37,9 @@ from .solver import (
     V_MIN,
     DampedSide,
     GaussianMessage,
+    LayerRecursion,
     bessel_ratio,
     clamp_variance,
-    extrinsic,
-    gb_posterior,
-    lmmse_posterior,
-    spectral_init,
 )
 
 
@@ -82,11 +79,9 @@ def _clamp_grad(value: float) -> float:
 def _forward_magnitude(mu, v, y, rec):
     """The phase reconstructor of `solver.magnitude_posterior`, taped.
 
-    It stays a copy because the benchmark's traced adjoint workload times
-    this module's own `bessel_ratio` binding, and the layer loop in
-    `loss_and_gradient` stays because that workload must make no
-    `run_solver` calls; both fold into the solver with the next change to
-    the benchmark.
+    It stays a copy only because the benchmark's traced adjoint workload
+    times this module's own `bessel_ratio` binding; it folds into the solver
+    with the next change to the benchmark.
     """
     c = v / (v + 1.0)
     amu = np.abs(mu)
@@ -273,56 +268,28 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     solver.
     """
     matrix = sample.matrix
-    msg_z0, msg_x0 = spectral_init(sample.y, matrix) if init is None else init
-    sigma_tilde = matrix.sigma_tilde
-    sqrt_snr = float(np.sqrt(matrix.snr))
     policy = policy_for_params(params)
     policy.reset(tape=True)
+    recursion = LayerRecursion(sample, prior, policy, init, side=_TapedSide)
+    side_z, side_x = recursion.side_z, recursion.side_x
 
-    msg_1z = GaussianMessage(msg_z0.mean, clamp_variance(msg_z0.variance))
-    msg_2x = GaussianMessage(msg_x0.mean, clamp_variance(msg_x0.variance))
-    side_z = _TapedSide("z", policy, sigma_tilde, sqrt_snr, msg_1z)
-    side_x = _TapedSide("x", policy, sigma_tilde, sqrt_snr, msg_2x)
-
-    y = sample.y
-    x_true = sample.x
+    y, x_true = sample.y, sample.x
     x_sq = np.sum(np.abs(x_true) ** 2)
+    zero = {name: np.zeros_like(arr) for name, arr in _named_arrays(params)}
     records = []
     loss = 0.0
-    diverged = False
     for t in range(1, layers + 1):
         # One tape per estimator call, named after the message it makes.
         rec = {key: {} for key in ("mag", "ez", "bx", "ex1", "gb", "ex2", "bz", "ez2")}
-        post_z, pvar_z = _forward_magnitude(msg_1z.mean, msg_1z.variance, y, rec["mag"])
-        ext_z = extrinsic(post_z, pvar_z, msg_1z, rec["ez"])
-        msg_2z = side_z.step(t, ext_z)
-        z_proj = matrix.project(msg_2z.mean)
-
-        # `matrix` stays positional: perfbench's tracer reads it as args[2].
-        post_x, pvar_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", rec["bx"],
-                                         z_proj=z_proj)
-        msg_1x = extrinsic(post_x, pvar_x, msg_2x, rec["ex1"])
-        den_x, den_v = gb_posterior(msg_1x, prior, rec["gb"])
-        if not np.all(np.isfinite(den_x)):
-            diverged = True
-            break
-        term, rec["g_est"] = _aligned_sq_error(x_true, x_sq, den_x)
+        msg_1z = recursion.msg_1z
+        post_z = _forward_magnitude(msg_1z.mean, msg_1z.variance, y, rec["mag"])
+        layer = recursion.advance(t, *post_z, rec)
+        if layer is None or not recursion.finite():
+            return loss_clip, zero, True
+        term, rec["g_est"] = _aligned_sq_error(x_true, x_sq, layer[0])
         loss += term
-
-        ext_x = extrinsic(den_x, den_v, msg_1x, rec["ex2"])
-        msg_2x = side_x.step(t, ext_x)
-
-        post_z2, pvar_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", rec["bz"],
-                                           z_proj=z_proj)
-        msg_1z = extrinsic(post_z2, pvar_z2, msg_2z, rec["ez2"])
         records.append(rec)
-        if not (np.all(np.isfinite(msg_1z.mean)) and np.all(np.isfinite(msg_2x.mean))):
-            diverged = True
-            break
 
-    zero = {name: np.zeros_like(arr) for name, arr in _named_arrays(params)}
-    if diverged or len(records) < layers:
-        return loss_clip, zero, True
     if not np.isfinite(loss) or loss >= loss_clip:
         return loss_clip, zero, False
 

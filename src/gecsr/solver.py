@@ -365,16 +365,68 @@ class DampedSide:
         return GaussianMessage(self.hist[0], clamp_variance(self.hist[1]))
 
 
+class LayerRecursion:
+    """What one solver layer hands to the next: `msg_1z`, `msg_2x` and the
+    two damping steps, which start at the spectral initialization (computed
+    here when `init` is None).  Each caller runs its own phase reconstructor
+    on `msg_1z` and hands the posterior to `advance`.  `side` is the damping
+    step's class; the adjoint passes one that records each layer.
+    """
+
+    def __init__(self, sample: Sample, prior: SignalPrior, policy: DampingPolicy,
+                 init: Optional[tuple[GaussianMessage, GaussianMessage]] = None,
+                 side: type = DampedSide):
+        self.matrix, self.prior = sample.matrix, prior
+        msg_z0, msg_x0 = spectral_init(sample.y, self.matrix) if init is None else init
+        self.msg_1z = GaussianMessage(msg_z0.mean, clamp_variance(msg_z0.variance))
+        self.msg_2x = GaussianMessage(msg_x0.mean, clamp_variance(msg_x0.variance))
+        sigma_tilde, sqrt_snr = self.matrix.sigma_tilde, float(np.sqrt(self.matrix.snr))
+        self.side_z = side("z", policy, sigma_tilde, sqrt_snr, self.msg_1z)
+        self.side_x = side("x", policy, sigma_tilde, sqrt_snr, self.msg_2x)
+
+    def advance(self, t: int, post_z: np.ndarray, var_z: float, tapes: Optional[dict] = None
+                ) -> Optional[tuple[np.ndarray, float, float]]:
+        """Layer t from the phase reconstructor's posterior (post_z, var_z) on.
+
+        Runs extrinsic -> damping (z side) -> LMMSE towards x -> extrinsic ->
+        denoiser -> extrinsic -> damping (x side) -> LMMSE towards z ->
+        extrinsic; both LMMSE calls share one projection of the damped z
+        mean.  `tapes`, when given, holds each step's tape under ez, bx,
+        ex1, gb, ex2, bz and ez2.  Returns the denoiser mean with the z- and
+        x-side extrinsic variances, or None when that mean is not finite.
+        """
+        tape = (tapes or {}).get
+        matrix = self.matrix
+        ext_z = extrinsic(post_z, var_z, self.msg_1z, tape("ez"))
+        msg_2z = self.side_z.step(t, ext_z)
+        z_proj = matrix.project(msg_2z.mean)
+        # `matrix` stays positional: perfbench's tracer reads it as args[2].
+        post_x, var_x = lmmse_posterior(msg_2z, self.msg_2x, matrix, "x", tape("bx"),
+                                        z_proj=z_proj)
+        msg_1x = extrinsic(post_x, var_x, self.msg_2x, tape("ex1"))
+        den_x, den_var = gb_posterior(msg_1x, self.prior, tape("gb"))
+        if not np.all(np.isfinite(den_x)):
+            return None
+        ext_x = extrinsic(den_x, den_var, msg_1x, tape("ex2"))
+        self.msg_2x = self.side_x.step(t, ext_x)
+        post_z2, var_z2 = lmmse_posterior(msg_2z, self.msg_2x, matrix, "z", tape("bz"),
+                                          z_proj=z_proj)
+        self.msg_1z = extrinsic(post_z2, var_z2, msg_2z, tape("ez2"))
+        return den_x, ext_z.variance, ext_x.variance
+
+    def finite(self) -> bool:
+        """Whether the messages handed to the next layer are finite."""
+        return bool(np.all(np.isfinite(self.msg_1z.mean))
+                    and np.all(np.isfinite(self.msg_2x.mean)))
+
+
 def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
                layers: int,
                init: Optional[tuple[GaussianMessage, GaussianMessage]] = None
                ) -> SolverTrace:
     """Run the layered solver and record the per-layer trace.
 
-    Each layer executes: phase reconstructor -> extrinsic -> damping (z side)
-    -> LMMSE towards x -> extrinsic -> denoiser -> extrinsic -> damping
-    (x side) -> LMMSE towards z -> extrinsic.  Damping histories start at the
-    spectral-initialization messages; damping-factor histories start at 1.
+    Each layer runs the phase reconstructor, then `LayerRecursion.advance`.
     A non-finite message truncates the run and flags divergence.
 
     `init` may carry a precomputed spectral initialization so the (pure)
@@ -382,48 +434,22 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
-    matrix = sample.matrix
-    msg_z0, msg_x0 = spectral_init(sample.y, matrix) if init is None else init
-    sigma_tilde = matrix.sigma_tilde
-    sqrt_snr = float(np.sqrt(matrix.snr))
+    recursion = LayerRecursion(sample, prior, policy, init)
     policy.reset()
 
     trace = SolverTrace()
-    trace.init_nmse_db = nmse_db(sample.x, align_phase(sample.x, msg_x0.mean))
-
-    msg_1z = GaussianMessage(msg_z0.mean, clamp_variance(msg_z0.variance))
-    msg_2x = GaussianMessage(msg_x0.mean, clamp_variance(msg_x0.variance))
-    side_z = DampedSide("z", policy, sigma_tilde, sqrt_snr, msg_1z)
-    side_x = DampedSide("x", policy, sigma_tilde, sqrt_snr, msg_2x)
-
+    trace.init_nmse_db = nmse_db(sample.x, align_phase(sample.x, recursion.msg_2x.mean))
     for t in range(1, layers + 1):
-        post_z, var_z = magnitude_posterior(msg_1z, sample.y)
-        ext_z = extrinsic(post_z, var_z, msg_1z)
-        msg_2z = side_z.step(t, ext_z)
-        z_proj = matrix.project(msg_2z.mean)
-
-        post_x, var_x = lmmse_posterior(msg_2z, msg_2x, matrix, "x", z_proj=z_proj)
-        msg_1x = extrinsic(post_x, var_x, msg_2x)
-
-        den_x, den_var = gb_posterior(msg_1x, prior)
-        if not np.all(np.isfinite(den_x)):
-            trace.diverged = True
-            break
-        trace.x_means.append(den_x)
-        trace.nmse_db.append(nmse_db(sample.x, align_phase(sample.x, den_x)))
-
-        ext_x = extrinsic(den_x, den_var, msg_1x)
-        msg_2x = side_x.step(t, ext_x)
-
-        trace.beta_z.append(side_z.betas[0])
-        trace.beta_x.append(side_x.betas[0])
-        trace.v2z.append(ext_z.variance)
-        trace.v2x.append(ext_x.variance)
-
-        post_z2, var_z2 = lmmse_posterior(msg_2z, msg_2x, matrix, "z", z_proj=z_proj)
-        msg_1z = extrinsic(post_z2, var_z2, msg_2z)
-
-        if not (np.all(np.isfinite(msg_1z.mean)) and np.all(np.isfinite(msg_2x.mean))):
+        layer = recursion.advance(t, *magnitude_posterior(recursion.msg_1z, sample.y))
+        if layer is not None:
+            den_x, v2z, v2x = layer
+            trace.x_means.append(den_x)
+            trace.nmse_db.append(nmse_db(sample.x, align_phase(sample.x, den_x)))
+            trace.beta_z.append(recursion.side_z.betas[0])
+            trace.beta_x.append(recursion.side_x.betas[0])
+            trace.v2z.append(v2z)
+            trace.v2x.append(v2x)
+        if layer is None or not recursion.finite():
             trace.diverged = True
             break
     return trace

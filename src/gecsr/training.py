@@ -79,6 +79,8 @@ class TrainerConfig:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.layers < 1:
+            raise ValueError(f"layers must be >= 1, got {self.layers}")
         if self.grad_estimator not in ("spsa", "central_diff", "adjoint"):
             raise ValueError(f"unknown gradient estimator {self.grad_estimator!r}")
         if self.optimizer not in ("adam", "sgd"):

@@ -31,6 +31,7 @@ from gecsr.solver import (
     extrinsic,
     gb_posterior,
     lmmse_posterior,
+    magnitude_posterior,
     run_solver,
     spectral_init,
 )
@@ -130,6 +131,67 @@ class TestAdjointForward:
             trace = run_solver(sample, prior, policy, LAYERS, init=init)
             ref = sample_loss(sample.x, trace, LAYERS)
             assert loss_adj == pytest.approx(ref, rel=1e-10)
+
+
+class TestForwardMagnitude:
+    """The adjoint's taped phase reconstructor against the solver's."""
+
+    @pytest.mark.parametrize("v, y_scale, rail", [
+        (0.5, 1.0, None),      # kappa on both sides of the 30 cutoff
+        (1e-13, 1.0, V_MIN),   # variance clamped at the floor
+        (1e8, 1e6, V_MAX),     # variance clamped at the ceiling
+    ])
+    def test_matches_magnitude_posterior(self, v, y_scale, rail):
+        rng = np.random.default_rng(41)
+        mu = model.complex_normal(rng, 64)
+        mu[::7] = 0.0
+        y = y_scale * np.abs(model.complex_normal(rng, 64)) * np.linspace(0.01, 40.0, 64)
+        rec = {}
+        mean, var = adjoint._forward_magnitude(mu, v, y, rec)
+        ref_mean, ref_var = magnitude_posterior(GaussianMessage(mu, v), y)
+        assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
+        assert var == pytest.approx(ref_var, rel=1e-12)
+        assert np.all(mean[::7] == 0.0)
+        if rail is None:
+            assert np.min(rec["kappa"][rec["kappa"] > 0]) < 30.0 < np.max(rec["kappa"])
+        else:
+            assert var == rail
+
+
+class TestDivergence:
+    """Both drivers of the layer recursion give up on a runaway sample."""
+
+    @staticmethod
+    def _scaled_init(init, scale):
+        msg_z0, msg_x0 = init
+        return (GaussianMessage(scale * msg_z0.mean, msg_z0.variance),
+                GaussianMessage(scale * msg_x0.mean, msg_x0.variance))
+
+    @pytest.mark.parametrize("name", ["net_direct", "hypergru_attn"])
+    def test_overflowing_init_diverges(self, name, tiny_batch):
+        params = _variant_params(name)
+        sample, prior, init = tiny_batch[0]
+        init = self._scaled_init(init, 1e200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = run_solver(sample, prior, policy_for_params(params), LAYERS,
+                               init=init)
+            loss, grads, diverged = loss_and_gradient(sample, prior, params, LAYERS,
+                                                      init=init, loss_clip=1e6)
+        assert trace.diverged and trace.layers == 0
+        assert trace.beta_z == trace.beta_x == trace.v2z == trace.v2x == []
+        assert (loss, diverged) == (1e6, True)
+        assert all(not np.any(g) for g in grads.values())
+        assert set(grads) == {key for key, _ in hypernets._named_arrays(params)}
+
+    def test_clipped_loss_is_not_divergence(self, tiny_batch):
+        params = _variant_params("net_direct")
+        sample, prior, init = tiny_batch[0]
+        init = self._scaled_init(init, 1e150)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads, diverged = loss_and_gradient(sample, prior, params, LAYERS,
+                                                      init=init, loss_clip=1e6)
+        assert (loss, diverged) == (1e6, False)
+        assert all(not np.any(g) for g in grads.values())
 
 
 class TestAdjointGradients:

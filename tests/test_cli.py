@@ -105,6 +105,16 @@ class TestTrain:
         assert "bogus" in capsys.readouterr().err
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("estimator", ["spsa", "adjoint"])
+    @pytest.mark.parametrize("layers", ["0", "-3"])
+    def test_non_positive_layers_rejected(self, tmp_path, capsys, estimator, layers):
+        cfg = _train_config(tmp_path, grad_estimator=estimator)
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out),
+                     "--layers", layers]) == 2
+        assert "layers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_baseline_only_table(self, tmp_path, manifest_path):

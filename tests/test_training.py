@@ -313,6 +313,13 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(grad_estimator="finite")
 
+    @pytest.mark.parametrize("estimator", ["spsa", "central_diff", "adjoint"])
+    def test_rejects_non_positive_layers(self, estimator):
+        for layers in (0, -3):
+            with pytest.raises(ValueError, match="layers"):
+                TrainerConfig(layers=layers, grad_estimator=estimator)
+        assert TrainerConfig(layers=1, grad_estimator=estimator).layers == 1
+
 
 class TestFeatureResample:
     def test_resampled_width_reaches_base(self):
