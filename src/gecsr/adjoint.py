@@ -267,6 +267,8 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     returns a non-finite damping factor raises `PolicyError`, as in the
     solver.
     """
+    if layers < 1:
+        raise ValueError(f"need at least one layer, got {layers}")
     matrix = sample.matrix
     policy = policy_for_params(params)
     policy.reset(tape=True)

@@ -146,8 +146,19 @@ def economy_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of the M x N matrix.  When the eigenvalues show rank deficiency or a
     condition number above GRAM_CONDITION_CAP, np.linalg.svd is used
     instead.
+
+    The eigensolve is LAPACK's zheevr, whose MRRR tridiagonal stage
+    (Dhillon, Parlett & Voemel, ACM TOMS 32(4), 2006) finds the
+    eigenvectors in O(N^2) and overwrites the Gram matrix in place of
+    zheevd's divide-and-conquer workspace.  Its eigenvectors are
+    orthogonal to O(N eps), against O(eps) for zheevd: about 1e-12 at
+    N = 1024, inside the eps * kappa^2 budget of GRAM_CONDITION_CAP.
+    scipy is imported here so that commands which never factor a dense
+    draw do not pay for loading it.
     """
-    w, v = np.linalg.eigh(_gram(a))
+    from scipy.linalg import eigh
+
+    w, v = eigh(_gram(a), driver="evr", overwrite_a=True, check_finite=False)
     w, v = w[::-1], v[:, ::-1]
     if not _gram_conditioned(w):
         _, s, vh = np.linalg.svd(a, full_matrices=False)

@@ -132,6 +132,16 @@ class TestAdjointForward:
             ref = sample_loss(sample.x, trace, LAYERS)
             assert loss_adj == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("layers", [0, -3])
+    def test_non_positive_layers_rejected(self, layers, tiny_batch):
+        # As in run_solver: no layer means no loss to differentiate.
+        sample, prior, init = tiny_batch[0]
+        params = _variant_params("net_direct")
+        with pytest.raises(ValueError, match="at least one layer"):
+            loss_and_gradient(sample, prior, params, layers, init=init)
+        with pytest.raises(ValueError, match="at least one layer"):
+            run_solver(sample, prior, policy_for_params(params), layers, init=init)
+
 
 class TestForwardMagnitude:
     """The adjoint's taped phase reconstructor against the solver's."""

@@ -1,6 +1,9 @@
 """End-to-end command tests: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -471,3 +474,22 @@ class TestReconImageWithCheckpoint:
         report = json.loads((out / "recon_report.json").read_text())
         assert report["variant"] == "hypergru"
         assert np.isfinite(report["nmse_db"])
+
+
+_LOADED_SCIPY = """
+import sys
+import gecsr, gecsr.cli
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is loaded by the dense factorization only, so commands that
+        # never factor a dense draw start without it.
+        src = os.path.dirname(os.path.dirname(model.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], env=env,
+                             check=True, capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"

@@ -326,6 +326,21 @@ class TestEconomyFactors:
         np.testing.assert_allclose(v, vh_ref.conj().T * phase, rtol=0, atol=1e-12)
         np.testing.assert_allclose(u, u_ref * phase, rtol=0, atol=1e-12)
 
+    def test_large_draw_eigensolver_accuracy(self):
+        # At N = 256 the MRRR eigenvectors' loss of orthogonality, which
+        # grows like N eps, is visible (about 1e-13) where at N = 15 it is
+        # not; 100 N eps bounds that scale.
+        m, n = 1024, 256
+        a = model.complex_normal(np.random.default_rng(34), m, n)
+        s, v = economy_factors(a)
+        assert s.shape == (n,) and v.shape == (n, n)
+        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False),
+                                   rtol=1e-12, atol=0)
+        gram = a.conj().T @ a
+        np.testing.assert_allclose((v * s ** 2) @ v.conj().T, gram, rtol=0,
+                                   atol=1e-13 * np.abs(gram).max())
+        assert np.abs(v.conj().T @ v - np.eye(n)).max() <= 100 * n * np.finfo(float).eps
+
     def test_gram_matches_complex_product(self):
         # The real symmetric product gives a^H a exactly Hermitian and
         # within rounding of the complex product.
