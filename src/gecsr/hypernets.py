@@ -5,7 +5,8 @@ Four controller families implement the solver's DampingPolicy interface:
 * DirectSchedulePolicy -- per-layer logits learned directly (no network).
 * StaticHyperNetPolicy -- a two-layer net mapping the matrix shape and the
   SNR working point to the whole damping schedule at once (optionally behind
-  a multi-head self-attention re-representation of its input).
+  a multi-head self-attention sublayer over its input, with a residual path
+  in the form the trainer builds).
 * HyperGruPolicy -- a gated recurrent cell generating one damping factor per
   query from the scenario features, the recent damping history, and the
   current extrinsic variance, so it extends to any number of layers
@@ -101,15 +102,26 @@ def attention_backward(g_out: np.ndarray, head: AttentionHead, tape: dict
 
 @dataclass
 class MultiAttention:
-    """Several attention heads combined by a learned mixing vector."""
+    """Several attention heads combined by a learned mixing vector.
+
+    Every head's output entry is a convex mix of the input entries, so the
+    mix alone cannot pass the input on unchanged.  With `residual` the
+    sublayer returns s + sum_h mix_h head_h(s), the residual connection
+    around each attention sublayer in Vaswani et al., arXiv:1706.03762,
+    section 3.1; without it (the form of checkpoints whose header has no
+    "residual" field) it returns the mix alone.
+    """
 
     heads: tuple[AttentionHead, ...]
     mix: np.ndarray
+    residual: bool = False
 
 
 def multi_attention(s: np.ndarray, multi: MultiAttention,
                     tapes: Optional[list[dict]] = None) -> np.ndarray:
-    out = np.zeros_like(s)
+    # The identity path holds no weights, so hypernet_backward is the same
+    # for both forms.
+    out = s.copy() if multi.residual else np.zeros_like(s)
     for i, (weight, head) in enumerate(zip(multi.mix, multi.heads)):
         out += weight * attention_head(s, head, None if tapes is None else tapes[i])
     return out
@@ -433,7 +445,8 @@ def _uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def init_hypernet_params(n: int, layers: int, hidden: int = 32, heads: int = 4,
-                         attention: bool = False, seed: int = 0) -> HyperNetParams:
+                         attention: bool = False, seed: int = 0,
+                         residual: bool = False) -> HyperNetParams:
     rng = np.random.default_rng(seed)
     w1 = _uniform(rng, hidden, n + 1)
     w2 = _uniform(rng, layers, hidden)
@@ -444,6 +457,7 @@ def init_hypernet_params(n: int, layers: int, hidden: int = 32, heads: int = 4,
                                       _uniform(rng, n + 1, n + 1))
                         for _ in range(heads)),
             mix=_uniform(rng, heads),
+            residual=residual,
         )
     return HyperNetParams(w1=w1, w2=w2, attention=attn)
 
@@ -529,8 +543,12 @@ CHECKPOINT_FORMAT = "gecsr-checkpoint-v1"
 
 def init_variant_params(variant: str, n: int, layers: int, hidden: int = 32,
                         heads: int = 4, tied: bool = False, seed: int = 0,
-                        direct_init_base: float = 0.9):
-    """Fresh parameter bundle for a named controller variant."""
+                        direct_init_base: float = 0.9, residual: bool = False):
+    """Fresh parameter bundle for a named controller variant.
+
+    `residual` selects the residual attention form of hypernet_attn (see
+    MultiAttention); the other variants ignore it.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected {tuple(VARIANTS)}")
     family, attention = VARIANTS[variant]
@@ -538,7 +556,8 @@ def init_variant_params(variant: str, n: int, layers: int, hidden: int = 32,
         return init_direct_params(layers, start_base=direct_init_base, tied=tied)
     if family is HyperNetParams:
         return init_hypernet_params(n, layers, hidden, heads=heads,
-                                    attention=attention, seed=seed)
+                                    attention=attention, seed=seed,
+                                    residual=residual)
     return init_hypergru_params(n, hidden, attention=attention, seed=seed)
 
 
@@ -582,6 +601,10 @@ def checkpoint_payload(variant: str, params, n: int, layers: int,
         "arrays": arrays,
         "metadata": metadata or {},
     }
+    # Written only for the residual form, so that v1 payloads of the pure
+    # attention mix stay as they were.
+    if isinstance(params, HyperNetParams) and attention and params.attention.residual:
+        payload["residual"] = True
     if optimizer is not None:
         payload["optimizer"] = optimizer
     return payload
@@ -615,7 +638,8 @@ def load_checkpoint(path: str) -> dict:
 def params_from_checkpoint(payload: dict):
     """Materialize the parameter bundle stored in a checkpoint.
 
-    The header (variant, n, layers, hidden, heads, tied) fixes the layout;
+    The header (variant, n, layers, hidden, heads, tied, and for
+    hypernet_attn the optional residual flag) fixes the layout;
     the file must hold exactly its arrays, each with the implied shape and
     finite values only (JSON readers accept NaN and Infinity tokens).
     """
@@ -623,6 +647,12 @@ def params_from_checkpoint(payload: dict):
         payload["variant"], int(payload["n"]), int(payload["layers"]),
         hidden=int(payload.get("hidden", 0)), heads=int(payload.get("heads", 0)),
         tied=bool(payload.get("tied", False)))
+    if "residual" in payload:
+        if payload["variant"] != "hypernet_attn" or payload["residual"] is not True:
+            raise CheckpointError(f"checkpoint field 'residual' must be true and "
+                                  f"belongs to hypernet_attn only, got "
+                                  f"{payload['residual']!r} for {payload['variant']!r}")
+        template.attention.residual = True
     layout = _named_arrays(template)
     pieces = []
     for name, arr in layout:

@@ -2,8 +2,9 @@
 
 Training at (400, 100) takes minutes per controller, so checkpoints are
 cached on disk under tests/.acceptance_cache keyed by the exact manifest and
-trainer configuration; any change to either retrains from scratch.  Delete
-the directory to force a full retrain.
+trainer configuration; any change to either retrains from scratch, and so
+does a cached checkpoint whose header no longer matches what training
+writes.  Delete the directory to force a full retrain.
 """
 
 import hashlib
@@ -73,8 +74,17 @@ def train_cached(variant: str, manifest: DatasetManifest,
         f"{variant}|{manifest.hash()}|{json.dumps(config.to_dict(), sort_keys=True)}"
         .encode()).hexdigest()[:16]
     path = os.path.join(CACHE_DIR, f"{variant}-{key}.json")
+    # The key does not see the code, so a checkpoint whose header differs
+    # from the one training writes now (say, an older form of the variant)
+    # is retrained rather than served.
+    header = hypernets.checkpoint_payload(
+        variant, training.initial_params(variant, manifest.n, config),
+        manifest.n, config.layers)
     if os.path.exists(path):
-        return hypernets.load_checkpoint(path)
+        cached = hypernets.load_checkpoint(path)
+        if all(cached.get(field) == value for field, value in header.items()
+               if field not in ("arrays", "metadata")):
+            return cached
     start = time.monotonic()
     result = training.train(variant, manifest, config)
     result.checkpoint["metadata"]["train_seconds"] = time.monotonic() - start

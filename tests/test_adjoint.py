@@ -204,37 +204,52 @@ class TestDivergence:
         assert all(not np.any(g) for g in grads.values())
 
 
+def _check_directional_derivatives(params, tiny_batch):
+    """Adjoint gradient against central differences along 4 directions."""
+    vec = params_to_vector(params)
+
+    def batch_loss(v):
+        candidate = params_from_vector(params, v)
+        total = 0.0
+        for sample, prior, init in tiny_batch:
+            loss, _, _ = loss_and_gradient(sample, prior, candidate,
+                                           LAYERS, init=init)
+            total += loss
+        return total / len(tiny_batch)
+
+    grad = np.zeros_like(vec)
+    for sample, prior, init in tiny_batch:
+        _, grads, _ = loss_and_gradient(sample, prior, params, LAYERS,
+                                        init=init)
+        grad += gradient_vector(params, grads)
+    grad /= len(tiny_batch)
+
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        direction = rng.standard_normal(vec.size)
+        direction /= np.linalg.norm(direction)
+        eps = 1e-4
+        fd = (batch_loss(vec + eps * direction)
+              - batch_loss(vec - eps * direction)) / (2 * eps)
+        ad = float(np.dot(grad, direction))
+        assert ad == pytest.approx(fd, rel=1e-4, abs=1e-8)
+    return grad
+
+
 class TestAdjointGradients:
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_directional_derivatives(self, name, tiny_batch):
-        params = _variant_params(name)
-        vec = params_to_vector(params)
+        _check_directional_derivatives(_variant_params(name), tiny_batch)
 
-        def batch_loss(v):
-            candidate = params_from_vector(params, v)
-            total = 0.0
-            for sample, prior, init in tiny_batch:
-                loss, _, _ = loss_and_gradient(sample, prior, candidate,
-                                               LAYERS, init=init)
-                total += loss
-            return total / len(tiny_batch)
-
-        grad = np.zeros_like(vec)
-        for sample, prior, init in tiny_batch:
-            _, grads, _ = loss_and_gradient(sample, prior, params, LAYERS,
-                                            init=init)
-            grad += gradient_vector(params, grads)
-        grad /= len(tiny_batch)
-
-        rng = np.random.default_rng(11)
-        for _ in range(4):
-            direction = rng.standard_normal(vec.size)
-            direction /= np.linalg.norm(direction)
-            eps = 1e-4
-            fd = (batch_loss(vec + eps * direction)
-                  - batch_loss(vec - eps * direction)) / (2 * eps)
-            ad = float(np.dot(grad, direction))
-            assert ad == pytest.approx(fd, rel=1e-4, abs=1e-8)
+    def test_directional_derivatives_residual_attention(self, tiny_batch):
+        # The residual path holds no weights, so the pure-mix backward
+        # serves it.
+        params = hypernets.init_hypernet_params(8, LAYERS, hidden=5, heads=3,
+                                                attention=True, seed=4,
+                                                residual=True)
+        grad = params_from_vector(params,
+                                  _check_directional_derivatives(params, tiny_batch))
+        assert np.any(grad.w1 != 0) and np.all(grad.attention.mix != 0)
 
     def test_componentwise_direct(self, tiny_batch):
         params = _variant_params("net_direct")

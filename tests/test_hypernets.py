@@ -125,6 +125,20 @@ class TestAttention:
         np.testing.assert_allclose(multi_attention(s, multi),
                                    2.5 * attention_head(s, heads[2]), atol=1e-12)
 
+    def test_multi_residual_adds_input(self):
+        rng = np.random.default_rng(6)
+        heads = tuple(AttentionHead(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
+                      for _ in range(3))
+        s, mix = rng.normal(size=4), rng.normal(size=3)
+        plain = multi_attention(s, MultiAttention(heads=heads, mix=mix))
+        residual = multi_attention(s, MultiAttention(heads=heads, mix=mix,
+                                                     residual=True))
+        np.testing.assert_allclose(residual, s + plain, rtol=1e-15, atol=1e-15)
+        # With a zero mix the residual sublayer passes its input on.
+        np.testing.assert_array_equal(
+            multi_attention(s, MultiAttention(heads=heads, mix=np.zeros(3),
+                                              residual=True)), s)
+
 
 class TestHyperNet:
     def test_zero_weights_give_half(self):
@@ -331,6 +345,40 @@ class TestCheckpoints:
                     checkpoint_payload(label, params, n=8, layers=4)
         with pytest.raises(hypernets.CheckpointError, match="mystery"):
             checkpoint_payload("mystery", init_direct_params(3), n=4, layers=3)
+
+    def test_residual_form_in_header(self, tmp_path):
+        # The residual form is written to the header and read back; the
+        # v1 form of the pure attention mix writes no such field.
+        v1 = init_variant_params("hypernet_attn", n=8, layers=4, hidden=5,
+                                 heads=2, seed=19)
+        assert "residual" not in checkpoint_payload("hypernet_attn", v1, n=8, layers=4)
+        assert params_from_checkpoint(
+            checkpoint_payload("hypernet_attn", v1, n=8, layers=4)
+        ).attention.residual is False
+        params = init_variant_params("hypernet_attn", n=8, layers=4, hidden=5,
+                                     heads=2, seed=19, residual=True)
+        payload = checkpoint_payload("hypernet_attn", params, n=8, layers=4)
+        assert payload["residual"] is True
+        path = tmp_path / "ck.json"
+        save_checkpoint(str(path), payload)
+        restored = params_from_checkpoint(load_checkpoint(str(path)))
+        assert restored.attention.residual is True
+        s = np.concatenate([feats().sigma_tilde, [feats().sqrt_snr]])
+        np.testing.assert_array_equal(hypernet_forward(s, restored),
+                                      hypernet_forward(s, params))
+        assert not np.allclose(hypernet_forward(s, restored),
+                               hypernet_forward(s, v1))
+
+    def test_residual_field_only_for_residual_attention(self):
+        for variant in hypernets.VARIANTS:
+            params = init_variant_params(variant, n=8, layers=4, hidden=5,
+                                         heads=2, seed=22, residual=True)
+            payload = checkpoint_payload(variant, params, n=8, layers=4)
+            assert ("residual" in payload) == (variant == "hypernet_attn")
+            for bad in (False, 1, "yes") if variant == "hypernet_attn" else (True,):
+                payload["residual"] = bad
+                with pytest.raises(hypernets.CheckpointError, match="residual"):
+                    params_from_checkpoint(payload)
 
     def test_deterministic_bytes(self, tmp_path):
         params = init_variant_params("hypernet", n=8, layers=4, hidden=5, seed=20)
