@@ -5,8 +5,8 @@ Four controller families implement the solver's DampingPolicy interface:
 * DirectSchedulePolicy -- per-layer logits learned directly (no network).
 * StaticHyperNetPolicy -- a two-layer net mapping the matrix shape and the
   SNR working point to the whole damping schedule at once (optionally behind
-  a multi-head self-attention sublayer over its input, with a residual path
-  in the form the trainer builds).
+  a multi-head self-attention sublayer over its input, with a residual
+  path in the form init_hypernet_params builds).
 * HyperGruPolicy -- a gated recurrent cell generating one damping factor per
   query from the scenario features, the recent damping history, and the
   current extrinsic variance, so it extends to any number of layers
@@ -105,11 +105,12 @@ class MultiAttention:
     """Several attention heads combined by a learned mixing vector.
 
     Every head's output entry is a convex mix of the input entries, so the
-    mix alone cannot pass the input on unchanged.  With `residual` the
-    sublayer returns s + sum_h mix_h head_h(s), the residual connection
-    around each attention sublayer in Vaswani et al., arXiv:1706.03762,
-    section 3.1; without it (the form of checkpoints whose header has no
-    "residual" field) it returns the mix alone.
+    mix alone cannot pass the input on unchanged.  With `residual` (the
+    form init_hypernet_params builds) the sublayer returns
+    s + sum_h mix_h head_h(s), the residual connection around each
+    attention sublayer in Vaswani et al., arXiv:1706.03762, section 3.1;
+    without it (the form of checkpoints whose header has no "residual"
+    field) it returns the mix alone.
     """
 
     heads: tuple[AttentionHead, ...]
@@ -445,8 +446,7 @@ def _uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
 
 
 def init_hypernet_params(n: int, layers: int, hidden: int = 32, heads: int = 4,
-                         attention: bool = False, seed: int = 0,
-                         residual: bool = False) -> HyperNetParams:
+                         attention: bool = False, seed: int = 0) -> HyperNetParams:
     rng = np.random.default_rng(seed)
     w1 = _uniform(rng, hidden, n + 1)
     w2 = _uniform(rng, layers, hidden)
@@ -457,7 +457,7 @@ def init_hypernet_params(n: int, layers: int, hidden: int = 32, heads: int = 4,
                                       _uniform(rng, n + 1, n + 1))
                         for _ in range(heads)),
             mix=_uniform(rng, heads),
-            residual=residual,
+            residual=True,
         )
     return HyperNetParams(w1=w1, w2=w2, attention=attn)
 
@@ -543,12 +543,8 @@ CHECKPOINT_FORMAT = "gecsr-checkpoint-v1"
 
 def init_variant_params(variant: str, n: int, layers: int, hidden: int = 32,
                         heads: int = 4, tied: bool = False, seed: int = 0,
-                        direct_init_base: float = 0.9, residual: bool = False):
-    """Fresh parameter bundle for a named controller variant.
-
-    `residual` selects the residual attention form of hypernet_attn (see
-    MultiAttention); the other variants ignore it.
-    """
+                        direct_init_base: float = 0.9):
+    """Fresh parameter bundle for a named controller variant."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected {tuple(VARIANTS)}")
     family, attention = VARIANTS[variant]
@@ -556,8 +552,7 @@ def init_variant_params(variant: str, n: int, layers: int, hidden: int = 32,
         return init_direct_params(layers, start_base=direct_init_base, tied=tied)
     if family is HyperNetParams:
         return init_hypernet_params(n, layers, hidden, heads=heads,
-                                    attention=attention, seed=seed,
-                                    residual=residual)
+                                    attention=attention, seed=seed)
     return init_hypergru_params(n, hidden, attention=attention, seed=seed)
 
 
@@ -647,12 +642,14 @@ def params_from_checkpoint(payload: dict):
         payload["variant"], int(payload["n"]), int(payload["layers"]),
         hidden=int(payload.get("hidden", 0)), heads=int(payload.get("heads", 0)),
         tied=bool(payload.get("tied", False)))
-    if "residual" in payload:
-        if payload["variant"] != "hypernet_attn" or payload["residual"] is not True:
-            raise CheckpointError(f"checkpoint field 'residual' must be true and "
-                                  f"belongs to hypernet_attn only, got "
-                                  f"{payload['residual']!r} for {payload['variant']!r}")
-        template.attention.residual = True
+    if "residual" in payload and (payload["variant"] != "hypernet_attn"
+                                  or payload["residual"] is not True):
+        raise CheckpointError(f"checkpoint field 'residual' must be true and "
+                              f"belongs to hypernet_attn only, got "
+                              f"{payload['residual']!r} for {payload['variant']!r}")
+    if payload["variant"] == "hypernet_attn":
+        # A header without the field is a v1 file of the pure attention mix.
+        template.attention.residual = "residual" in payload
     layout = _named_arrays(template)
     pieces = []
     for name, arr in layout:

@@ -136,6 +136,36 @@ def gaussian_class_singulars(m: int, n: int, rng: np.random.Generator) -> np.nda
     return np.sqrt(w)
 
 
+def _eigh_one_thread(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of a Hermitian matrix by zheevr, on one thread.
+
+    Under two OpenBLAS threads zheevr returns other eigenvector phases
+    than under one, and the 10-layer image solve amplifies that rounding
+    past 1e-10 relative; on one thread the factors, and with them the
+    solve, do not depend on the process's thread count.  scipy's wheels
+    carry their own OpenBLAS, whose process-wide count is set for this
+    call and then restored; where scipy links another BLAS, the solve
+    runs on that BLAS's own count.  scipy is imported here so that
+    commands which never factor a dense draw do not pay for loading it.
+    The Gram matrix is overwritten.
+    """
+    import ctypes
+
+    from scipy.linalg import cython_lapack, eigh
+
+    blas = ctypes.CDLL(cython_lapack.__file__)
+    get_threads = getattr(blas, "scipy_openblas_get_num_threads", None)
+    set_threads = getattr(blas, "scipy_openblas_set_num_threads", None)
+    if get_threads is None or set_threads is None:
+        return eigh(gram, driver="evr", overwrite_a=True, check_finite=False)
+    threads = get_threads()
+    set_threads(1)
+    try:
+        return eigh(gram, driver="evr", overwrite_a=True, check_finite=False)
+    finally:
+        set_threads(threads)
+
+
 def economy_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and right singular vectors of a tall matrix.
 
@@ -152,13 +182,10 @@ def economy_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvectors in O(N^2) and overwrites the Gram matrix in place of
     zheevd's divide-and-conquer workspace.  Its eigenvectors are
     orthogonal to O(N eps), against O(eps) for zheevd: about 1e-12 at
-    N = 1024, inside the eps * kappa^2 budget of GRAM_CONDITION_CAP.
-    scipy is imported here so that commands which never factor a dense
-    draw do not pay for loading it.
+    N = 1024, inside the eps * kappa^2 budget of GRAM_CONDITION_CAP.  It
+    runs on one BLAS thread (_eigh_one_thread).
     """
-    from scipy.linalg import eigh
-
-    w, v = eigh(_gram(a), driver="evr", overwrite_a=True, check_finite=False)
+    w, v = _eigh_one_thread(_gram(a))
     w, v = w[::-1], v[:, ::-1]
     if not _gram_conditioned(w):
         _, s, vh = np.linalg.svd(a, full_matrices=False)

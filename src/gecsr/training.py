@@ -220,20 +220,6 @@ def _history_moving_average(history: list, window: int = 10) -> tuple[float, flo
     return float(np.mean(head)), float(np.mean(tail))
 
 
-def initial_params(variant: str, n: int, config: TrainerConfig):
-    """The bundle `train` starts from.
-
-    hypernet_attn is trained in its residual attention form (see
-    hypernets.MultiAttention); without the residual path the attention mix
-    cuts the SNR input off from the net.
-    """
-    return init_variant_params(variant, n, config.layers, hidden=config.hidden,
-                               heads=config.heads, tied=config.tied,
-                               seed=config.seed,
-                               direct_init_base=config.direct_init_base,
-                               residual=True)
-
-
 def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> TrainResult:
     """Train one controller variant on a manifest.
 
@@ -244,7 +230,10 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
     (step, batch_loss, moving_avg) where batch_loss is the estimator's own
     evaluation average at that step.
     """
-    params = initial_params(variant, manifest.n, config)
+    params = init_variant_params(variant, manifest.n, config.layers,
+                                 hidden=config.hidden, heads=config.heads,
+                                 tied=config.tied, seed=config.seed,
+                                 direct_init_base=config.direct_init_base)
     theta = params_to_vector(params)
     cache = _SampleCache(manifest)
     direction_rng = np.random.default_rng([config.seed, 0x5B5A])

@@ -77,9 +77,12 @@ def train_cached(variant: str, manifest: DatasetManifest,
     # The key does not see the code, so a checkpoint whose header differs
     # from the one training writes now (say, an older form of the variant)
     # is retrained rather than served.
-    header = hypernets.checkpoint_payload(
-        variant, training.initial_params(variant, manifest.n, config),
-        manifest.n, config.layers)
+    initial = hypernets.init_variant_params(
+        variant, manifest.n, config.layers, hidden=config.hidden,
+        heads=config.heads, tied=config.tied, seed=config.seed,
+        direct_init_base=config.direct_init_base)
+    header = hypernets.checkpoint_payload(variant, initial, manifest.n,
+                                          config.layers)
     if os.path.exists(path):
         cached = hypernets.load_checkpoint(path)
         if all(cached.get(field) == value for field, value in header.items()

@@ -351,12 +351,13 @@ class TestCheckpoints:
         # v1 form of the pure attention mix writes no such field.
         v1 = init_variant_params("hypernet_attn", n=8, layers=4, hidden=5,
                                  heads=2, seed=19)
+        v1.attention.residual = False
         assert "residual" not in checkpoint_payload("hypernet_attn", v1, n=8, layers=4)
         assert params_from_checkpoint(
             checkpoint_payload("hypernet_attn", v1, n=8, layers=4)
         ).attention.residual is False
         params = init_variant_params("hypernet_attn", n=8, layers=4, hidden=5,
-                                     heads=2, seed=19, residual=True)
+                                     heads=2, seed=19)
         payload = checkpoint_payload("hypernet_attn", params, n=8, layers=4)
         assert payload["residual"] is True
         path = tmp_path / "ck.json"
@@ -372,7 +373,7 @@ class TestCheckpoints:
     def test_residual_field_only_for_residual_attention(self):
         for variant in hypernets.VARIANTS:
             params = init_variant_params(variant, n=8, layers=4, hidden=5,
-                                         heads=2, seed=22, residual=True)
+                                         heads=2, seed=22)
             payload = checkpoint_payload(variant, params, n=8, layers=4)
             assert ("residual" in payload) == (variant == "hypernet_attn")
             for bad in (False, 1, "yes") if variant == "hypernet_attn" else (True,):

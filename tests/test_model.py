@@ -441,25 +441,49 @@ np.savez(sys.argv[1], a=[t.operator for t in mats], v=[t.right_unitary for t in 
 """
 
 
+_DUMP_DENSE_FACTORS = """
+import sys
+import numpy as np
+from gecsr.model import dense_gaussian_matrix
+mat = dense_gaussian_matrix(512, 256, 100.0, np.random.default_rng(12))
+np.savez(sys.argv[1], a=mat.operator, v=mat.right_unitary, s=mat.singulars)
+"""
+
+
+def _dumps_under_thread_counts(script: str, tmp_path) -> list[dict]:
+    """The arrays a script saves, run under one and then two OpenBLAS threads."""
+    src = os.path.dirname(os.path.dirname(model.__file__))
+    dumps = []
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        path = tmp_path / f"threads{threads}.npz"
+        subprocess.run([sys.executable, "-c", script, str(path)],
+                       env=env, check=True, timeout=300)
+        with np.load(path) as dump:
+            dumps.append({key: dump[key] for key in dump.files})
+    return dumps
+
+
 class TestBlasThreadCount:
     def test_binary_factors_match_across_thread_counts(self, tmp_path):
         # A {0, c} draw has a real Gram matrix, whose product and N x N
         # eigensolve came out identical under one and two OpenBLAS 0.3.31
         # threads; the factors of LAPACK's M x N SVD move by up to about
         # 1e-12.  The operator is the draw itself.
-        src = os.path.dirname(os.path.dirname(model.__file__))
-        dumps = []
-        for threads in (1, 2):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
-                       PYTHONPATH=os.pathsep.join(
-                           filter(None, (src, os.environ.get("PYTHONPATH")))))
-            path = tmp_path / f"threads{threads}.npz"
-            subprocess.run([sys.executable, "-c", _DUMP_BINARY_FACTORS, str(path)],
-                           env=env, check=True, timeout=300)
-            with np.load(path) as dump:
-                dumps.append({key: dump[key] for key in dump.files})
+        dumps = _dumps_under_thread_counts(_DUMP_BINARY_FACTORS, tmp_path)
         for key in ("a", "v", "s"):
             np.testing.assert_allclose(dumps[0][key], dumps[1][key], rtol=0, atol=1e-14)
+
+    def test_dense_factors_match_across_thread_counts(self, tmp_path):
+        # zheevr left to two threads returns other eigenvector phases for
+        # this complex Gram matrix (V moved by 1.7); on its one thread the
+        # factors are identical.
+        dumps = _dumps_under_thread_counts(_DUMP_DENSE_FACTORS, tmp_path)
+        for key in ("a", "v", "s"):
+            np.testing.assert_allclose(dumps[0][key], dumps[1][key], rtol=1e-14,
+                                       atol=1e-14)
 
 
 class TestForwardMeasure:
