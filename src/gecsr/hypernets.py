@@ -569,8 +569,7 @@ def policy_for_params(params) -> DampingPolicy:
 
 
 def checkpoint_payload(variant: str, params, n: int, layers: int,
-                       metadata: Optional[dict] = None,
-                       optimizer: Optional[dict] = None) -> dict:
+                       metadata: Optional[dict] = None) -> dict:
     """Assemble the JSON-serializable checkpoint structure.
 
     The variant label must name the bundle's weight family and attention
@@ -600,8 +599,6 @@ def checkpoint_payload(variant: str, params, n: int, layers: int,
     # attention mix stay as they were.
     if isinstance(params, HyperNetParams) and attention and params.attention.residual:
         payload["residual"] = True
-    if optimizer is not None:
-        payload["optimizer"] = optimizer
     return payload
 
 

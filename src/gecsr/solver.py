@@ -11,6 +11,10 @@ hypernetwork controllers plug in.
 
 All messages carry a complex mean vector and a single scalar variance (the
 component average).  Variances are clamped to [V_MIN, V_MAX] throughout.
+
+Each step's adjoint sits beside its forward (`gb_backward` and so on), and
+`LayerRecursion.backward` inverts a taped layer.  A complex mean's adjoint
+is g = dL/dm* (Wirtinger), so dL = 2 Re(g^H dm); a variance's is dL/dv.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ class PolicyError(RuntimeError):
 
 def clamp_variance(v: float) -> float:
     return min(max(float(v), V_MIN), V_MAX)
+
+
+def clamp_variance_grad(v: float) -> float:
+    """d clamp_variance / dv: 1 inside the clamp, 0 on the rails."""
+    return 1.0 if V_MIN < v < V_MAX else 0.0
 
 
 @dataclass
@@ -139,6 +148,43 @@ def gb_posterior(msg: GaussianMessage, prior: SignalPrior,
     return mean, clamp_variance(var)
 
 
+def gb_backward(g_mean: np.ndarray, g_var: float, prior: SignalPrior, tape: dict
+                ) -> tuple[np.ndarray, float]:
+    """Adjoint of `gb_posterior`: (dL/dr*, dL/dv)."""
+    r, v, gain, q = tape["r"], tape["v"], tape["gain"], tape["r2"]
+    g_var = g_var * clamp_variance_grad(tape["var_raw"])
+    s2 = prior.slab_variance
+    dgain = -gain / (s2 + v)
+    resp = tape["resp"]
+    if resp is None:
+        g_r = gain * g_mean
+        g_gain = 2.0 * float(np.vdot(g_mean, r).real) + g_var * v
+        g_v = g_gain * dgain + g_var * gain
+        return g_r, g_v
+    n = r.shape[0]
+    # mean_i = resp_i * gain * r_i, so with p_i = Re(conj(g_i) r_i) the mean
+    # path gives dL/dresp_i = 2 gain p_i and dL/dgain = 2 sum(resp_i p_i).
+    p = np.real(np.conj(g_mean) * r)
+    g_r = (resp * gain) * g_mean
+    g_second_coeff = g_var / n
+    # var = mean_i of resp (gain^2 q + gain v) - resp^2 gain^2 q.
+    gq = gain * q
+    keep = 1.0 - resp
+    g_resp = gain * (2.0 * p + g_second_coeff * (gq * (keep - resp) + v))
+    g_gain = float(np.dot(resp, 2.0 * p + g_second_coeff * (2.0 * gq * keep + v)))
+    g_q = g_second_coeff * (gain * gain) * (resp * keep)
+    g_v_direct = g_second_coeff * gain * float(np.sum(resp))
+    # resp = sigmoid(logit), logit = const(v) + q a with a = 1/v - 1/(s2+v),
+    # so dlogit/dv = a (1 - q b) with b = 1/v + 1/(s2+v).
+    g_logit = g_resp * (resp * keep)
+    a = 1.0 / v - 1.0 / (s2 + v)
+    b = 1.0 / v + 1.0 / (s2 + v)
+    g_q = g_q + g_logit * a
+    g_v = (a * float(np.dot(g_logit, 1.0 - b * q)) + g_gain * dgain + g_v_direct)
+    g_r = g_r + g_q * r
+    return g_r, g_v
+
+
 def lmmse_posterior(msg_z: GaussianMessage, msg_x: GaussianMessage,
                     matrix: TransformMatrix, output: str,
                     tape: Optional[dict] = None, *,
@@ -177,6 +223,40 @@ def lmmse_posterior(msg_z: GaussianMessage, msg_x: GaussianMessage,
     return mean, clamp_variance(var)
 
 
+def lmmse_backward(matrix: TransformMatrix, g_mean: np.ndarray, g_var: float,
+                   tape: dict, output: str
+                   ) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """Adjoint of `lmmse_posterior`: (dL/d z_proj*, dL/dv_z, dL/dmu_x*, dL/dv_x).
+
+    The z mean's adjoint stays in mode space: with z_proj = S U^H mu_z,
+    dL/dmu_z* = U S dL/d z_proj* = A V dL/d z_proj*.  A layer's two calls
+    read mu_z through one shared projection, so the caller sums their
+    mode-space adjoints and applies A V once (`apply_modes`).
+    """
+    v, sig = matrix.right_unitary, matrix.singulars
+    x_modes, z_proj, d, combo = tape["x_modes"], tape["z_proj"], tape["d"], tape["combo"]
+    vx, vz = tape["vx"], tape["vz"]
+    g_var = g_var * clamp_variance_grad(tape["var_raw"])
+    if output == "x":
+        g_w = (g_mean.conj() @ v).conj()
+        g_d_var = g_var / d.shape[0]
+    else:
+        g_w = matrix.project(g_mean)
+        g_d_var = g_var * (sig * sig) / matrix.m
+    # w = d * combo with d = (1/vx + sig^2/vz)^-1, combo = x_modes/vx + z_proj/vz.
+    g_d = 2.0 * np.real(np.conj(g_w) * combo) + g_d_var
+    g_combo = d * g_w
+    g_x_modes = g_combo / vx
+    g_z_proj = g_combo / vz
+    g_mx = v @ g_x_modes
+    d2 = d * d
+    g_vx = (float(np.dot(g_d, d2)) / (vx * vx)
+            - 2.0 * float(np.vdot(g_x_modes, x_modes).real) / vx)
+    g_vz = (float(np.dot(g_d, d2 * (sig * sig))) / (vz * vz)
+            - 2.0 * float(np.vdot(g_z_proj, z_proj).real) / vz)
+    return g_z_proj, g_vz, g_mx, g_vx
+
+
 def extrinsic(post_mean: np.ndarray, post_var: float, prior: GaussianMessage,
               tape: Optional[dict] = None) -> GaussianMessage:
     """Divide the posterior by the incoming prior (Gaussian quotient).
@@ -202,6 +282,27 @@ def extrinsic(post_mean: np.ndarray, post_var: float, prior: GaussianMessage,
         tape.update(v2_raw=v2, combo=combo, post_mean=post_mean, post_var=post_var,
                     pri_mean=prior.mean, pri_var=prior.variance)
     return GaussianMessage(v2 * combo, clamp_variance(v2))
+
+
+def extrinsic_backward(g_mean: np.ndarray, g_var: float, tape: dict
+                       ) -> tuple[np.ndarray, float, np.ndarray, float]:
+    """Adjoint of `extrinsic`: (dL/d post mean*, dL/d post var,
+    dL/d prior mean*, dL/d prior var)."""
+    if tape["fallback"]:
+        return g_mean, 0.0, np.zeros_like(g_mean), 0.0
+    v2, combo = tape["v2_raw"], tape["combo"]
+    post_var, pri_var = tape["post_var"], tape["pri_var"]
+    # mean = v2 * combo with the raw v2; only the variance passes the clamp.
+    g_combo = v2 * g_mean
+    g_v2 = 2.0 * float(np.vdot(g_mean, combo).real) + g_var * clamp_variance_grad(v2)
+    # v2 = (1/post_var - 1/pri_var)^(-1).
+    g_post_var = g_v2 * (v2 * v2) / (post_var * post_var)
+    g_pri_var = -g_v2 * (v2 * v2) / (pri_var * pri_var)
+    g_post_mean = g_combo / post_var
+    g_pri_mean = -g_combo / pri_var
+    g_post_var -= 2.0 * float(np.vdot(g_combo, tape["post_mean"]).real) / post_var**2
+    g_pri_var += 2.0 * float(np.vdot(g_combo, tape["pri_mean"]).real) / pri_var**2
+    return g_post_mean, g_post_var, g_pri_mean, g_pri_var
 
 
 def damp(current: tuple[np.ndarray, float], previous: tuple[np.ndarray, float],
@@ -347,55 +448,86 @@ class DampedSide:
     extrinsic variance.  The damped message is beta * previous + (1 - beta)
     * extrinsic, where "previous" is the last damped message with its raw
     variance (the initial message at the start); the clamped copy goes on.
+
+    A taped side records each step for `backward`, which carries adjoints
+    back to the history and, through the policy's inputs, earlier factors.
     """
 
     def __init__(self, side: str, policy: DampingPolicy, sigma_tilde: np.ndarray,
-                 sqrt_snr: float, start: GaussianMessage):
+                 sqrt_snr: float, start: GaussianMessage, taped: bool = False):
         self.side, self.policy = side, policy
         self.sigma_tilde, self.sqrt_snr = sigma_tilde, sqrt_snr
         self.hist = (start.mean, start.variance)
         self.betas = (1.0, 1.0)
+        self.records = [] if taped else None
+        # dL/d(history), and dL/dbeta(t) via the next queries' beta_prev(2) inputs.
+        self.g_hist = (0.0, 0.0)
+        self.g_feed = (0.0, 0.0)
 
     def step(self, t: int, ext: GaussianMessage) -> GaussianMessage:
         beta = _query(self.policy, self.side, t, PolicyFeatures(
             self.sigma_tilde, self.sqrt_snr, self.betas[0], self.betas[1],
             ext.variance))
+        previous = self.hist
         self.betas = (beta, self.betas[0])
-        self.hist = damp((ext.mean, ext.variance), self.hist, beta)
+        self.hist = damp((ext.mean, ext.variance), previous, beta)
+        if self.records is not None:
+            self.records.append((beta, previous, ext, self.hist[1]))
         return GaussianMessage(self.hist[0], clamp_variance(self.hist[1]))
+
+    def backward(self, t: int, g_mean: np.ndarray, g_var: float
+                 ) -> tuple[np.ndarray, float]:
+        """Adjoint of layer t's step: (dL/d ext mean*, dL/d ext variance)."""
+        beta, (hist_m, hist_v), ext, var = self.records.pop()
+        g_mean = g_mean + self.g_hist[0]
+        g_var = g_var * clamp_variance_grad(var) + self.g_hist[1]
+        g_beta = (2.0 * float(np.vdot(g_mean, hist_m - ext.mean).real)
+                  + g_var * (hist_v - ext.variance))
+        self.g_hist = (beta * g_mean, beta * g_var)
+        fb1, fb2 = self.g_feed
+        feat_grads = self.policy.backward_beta(self.side, t, g_beta + fb1)
+        self.g_feed = (fb2 + feat_grads.get("beta_prev", 0.0),
+                       feat_grads.get("beta_prev2", 0.0))
+        return ((1.0 - beta) * g_mean,
+                (1.0 - beta) * g_var + feat_grads.get("v_ext", 0.0))
 
 
 class LayerRecursion:
     """What one solver layer hands to the next: `msg_1z`, `msg_2x` and the
     two damping steps, which start at the spectral initialization (computed
     here when `init` is None).  Each caller runs its own phase reconstructor
-    on `msg_1z` and hands the posterior to `advance`.  `side` is the damping
-    step's class; the adjoint passes one that records each layer.
+    on `msg_1z` and hands the posterior to `advance`.  A taped recursion
+    records every step of every layer, for `backward`; its policy must be
+    reset with a tape.
     """
 
     def __init__(self, sample: Sample, prior: SignalPrior, policy: DampingPolicy,
                  init: Optional[tuple[GaussianMessage, GaussianMessage]] = None,
-                 side: type = DampedSide):
+                 taped: bool = False):
         self.matrix, self.prior = sample.matrix, prior
         msg_z0, msg_x0 = spectral_init(sample.y, self.matrix) if init is None else init
         self.msg_1z = GaussianMessage(msg_z0.mean, clamp_variance(msg_z0.variance))
         self.msg_2x = GaussianMessage(msg_x0.mean, clamp_variance(msg_x0.variance))
         sigma_tilde, sqrt_snr = self.matrix.sigma_tilde, float(np.sqrt(self.matrix.snr))
-        self.side_z = side("z", policy, sigma_tilde, sqrt_snr, self.msg_1z)
-        self.side_x = side("x", policy, sigma_tilde, sqrt_snr, self.msg_2x)
+        self.side_z = DampedSide("z", policy, sigma_tilde, sqrt_snr, self.msg_1z, taped)
+        self.side_x = DampedSide("x", policy, sigma_tilde, sqrt_snr, self.msg_2x, taped)
+        self.tapes = [] if taped else None
 
-    def advance(self, t: int, post_z: np.ndarray, var_z: float, tapes: Optional[dict] = None
+    def advance(self, t: int, post_z: np.ndarray, var_z: float
                 ) -> Optional[tuple[np.ndarray, float, float]]:
         """Layer t from the phase reconstructor's posterior (post_z, var_z) on.
 
         Runs extrinsic -> damping (z side) -> LMMSE towards x -> extrinsic ->
         denoiser -> extrinsic -> damping (x side) -> LMMSE towards z ->
         extrinsic; both LMMSE calls share one projection of the damped z
-        mean.  `tapes`, when given, holds each step's tape under ez, bx,
-        ex1, gb, ex2, bz and ez2.  Returns the denoiser mean with the z- and
-        x-side extrinsic variances, or None when that mean is not finite.
+        mean.  Returns the denoiser mean with the z- and x-side extrinsic
+        variances, or None when that mean is not finite.
         """
-        tape = (tapes or {}).get
+        tapes = {}
+        if self.tapes is not None:
+            tapes = {key: {} for key in ("ez", "bx", "ex1", "gb", "ex2", "bz", "ez2")}
+            self.tapes.append(tapes)
+        tape = tapes.get
         matrix = self.matrix
         ext_z = extrinsic(post_z, var_z, self.msg_1z, tape("ez"))
         msg_2z = self.side_z.step(t, ext_z)
@@ -413,6 +545,34 @@ class LayerRecursion:
                                           z_proj=z_proj)
         self.msg_1z = extrinsic(post_z2, var_z2, msg_2z, tape("ez2"))
         return den_x, ext_z.variance, ext_x.variance
+
+    def backward(self, t: int, g_den: np.ndarray, g_1z: tuple[np.ndarray, float],
+                 g_2x: tuple[np.ndarray, float]):
+        """Adjoint of `advance(t)`, the last taped layer not yet inverted.
+
+        From the adjoints of its denoiser mean and of the `msg_1z` and `msg_2x`
+        it handed on, returns those of `post_z`, `var_z` and the `msg_1z` and
+        `msg_2x` it read (less the caller's phase reconstructor's share).
+        """
+        tape = self.tapes.pop()
+        matrix = self.matrix
+        g_post_z2, g_pvar_z2, g_dzm_pri, g_dzv_pri = extrinsic_backward(*g_1z, tape["ez2"])
+        g_dzk_b, g_dzv_b, g_dxm_b, g_dxv_b = lmmse_backward(
+            matrix, g_post_z2, g_pvar_z2, tape["bz"], "z")
+        g_ext_mx, g_ext_vx = self.side_x.backward(t, g_2x[0] + g_dxm_b, g_2x[1] + g_dxv_b)
+        g_den_x, g_den_v, g_m1x_a, g_v1x_a = extrinsic_backward(
+            g_ext_mx, g_ext_vx, tape["ex2"])
+        g_r, g_v1x_b = gb_backward(g_den_x + g_den, g_den_v, self.prior, tape["gb"])
+        g_post_x, g_pvar_x, g_m2x_pri, g_v2x_pri = extrinsic_backward(
+            g_m1x_a + g_r, g_v1x_a + g_v1x_b, tape["ex1"])
+        g_dzk_bx, g_dzv_bx, g_m2x_bx, g_v2x_bx = lmmse_backward(
+            matrix, g_post_x, g_pvar_x, tape["bx"], "x")
+        # Both LMMSE calls read the damped z mean through one projection.
+        g_dzm = g_dzm_pri + matrix.apply_modes(g_dzk_b + g_dzk_bx)
+        g_ext_mz, g_ext_vz = self.side_z.backward(t, g_dzm, g_dzv_pri + g_dzv_b + g_dzv_bx)
+        g_post_z, g_var_z, g_m1z, g_v1z = extrinsic_backward(g_ext_mz, g_ext_vz, tape["ez"])
+        return (g_post_z, g_var_z, (g_m1z, g_v1z),
+                (g_m2x_pri + g_m2x_bx, g_v2x_pri + g_v2x_bx))
 
     def finite(self) -> bool:
         """Whether the messages handed to the next layer are finite."""

@@ -14,6 +14,7 @@ value so one bad sample cannot destroy a gradient estimate.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -186,22 +187,40 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
     return theta, AdamState(m=m, v=v, step=step)
 
 
+# Past this many bytes the sample cache drops its least recently used entry,
+# to regenerate it bit for bit when next read.  At about 0.8 MB per (400, 100)
+# sample, the 144-sample acceptance manifests (115 MB) and every benchmark
+# manifest stay whole, and a 4800-sample manifest no longer needs 3.9 GB.
+SAMPLE_CACHE_BYTES = 512 * 2**20
+
+
 class _SampleCache:
-    """Samples and spectral initializations, generated once per index."""
+    """Samples and spectral initializations, generated once per index and
+    kept up to SAMPLE_CACHE_BYTES, least recently used out first."""
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
-        self._store: dict[int, tuple[Sample, SignalPrior,
-                                     tuple[GaussianMessage, GaussianMessage]]] = {}
+        self._store: OrderedDict[int, tuple] = OrderedDict()  # (sample, prior, init)
+        self._bytes = 0
+
+    @staticmethod
+    def _nbytes(sample: Sample, init: tuple[GaussianMessage, GaussianMessage]) -> int:
+        arrays = (sample.x, sample.y, sample.matrix.operator, sample.matrix.right_unitary,
+                  sample.matrix.singulars, init[0].mean, init[1].mean)
+        return sum(a.nbytes for a in arrays)
 
     def get(self, index: int):
         hit = self._store.get(index)
-        if hit is None:
-            sample = model.sample_at(self.manifest, index)
-            prior = SignalPrior(sample.rho)
-            init = solver.spectral_init(sample.y, sample.matrix)
-            hit = (sample, prior, init)
-            self._store[index] = hit
+        if hit is not None:
+            self._store.move_to_end(index)
+            return hit
+        sample = model.sample_at(self.manifest, index)
+        init = solver.spectral_init(sample.y, sample.matrix)
+        hit = self._store[index] = (sample, SignalPrior(sample.rho), init)
+        self._bytes += self._nbytes(sample, init)
+        while self._bytes > SAMPLE_CACHE_BYTES and len(self._store) > 1:
+            old, _, old_init = self._store.popitem(last=False)[1]
+            self._bytes -= self._nbytes(old, old_init)
         return hit
 
 
@@ -330,10 +349,8 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
         "final_loss": history[-1][1] if history else None,
         "no_progress": no_progress,
     }
-    optimizer_state = {"m": adam.m.tolist(), "v": adam.v.tolist(), "step": adam.step}
     payload = checkpoint_payload(variant, trained, n=manifest.n,
-                                 layers=config.layers, metadata=metadata,
-                                 optimizer=optimizer_state)
+                                 layers=config.layers, metadata=metadata)
     return TrainResult(checkpoint=payload, history=history,
                        no_progress=no_progress, params=trained)
 

@@ -29,7 +29,10 @@ from gecsr.solver import (
     PolicyError,
     bessel_ratio,
     extrinsic,
+    extrinsic_backward,
+    gb_backward,
     gb_posterior,
+    lmmse_backward,
     lmmse_posterior,
     magnitude_posterior,
     run_solver,
@@ -328,7 +331,7 @@ class TestEstimatorAdjoints:
         rng = np.random.default_rng(seed)
         inputs = [np.sqrt(post_var) * model.complex_normal(rng, 6), post_var,
                   np.sqrt(pri_var) * model.complex_normal(rng, 6), pri_var]
-        return self._check(self._extrinsic, adjoint._backward_extrinsic, inputs, seed)
+        return self._check(self._extrinsic, extrinsic_backward, inputs, seed)
 
     def test_extrinsic_normal(self):
         tape = self._check_extrinsic(0.3, 1.0, seed=1)
@@ -341,8 +344,8 @@ class TestEstimatorAdjoints:
         assert not tape["fallback"] and tape["v2_raw"] < V_MIN
         rng = np.random.default_rng(3)
         g_mean = model.complex_normal(rng, 6)
-        with_var = adjoint._backward_extrinsic(g_mean, 5.0, tape)
-        without = adjoint._backward_extrinsic(g_mean, 0.0, tape)
+        with_var = extrinsic_backward(g_mean, 5.0, tape)
+        without = extrinsic_backward(g_mean, 0.0, tape)
         for got, want in zip(with_var, without):
             np.testing.assert_array_equal(got, want)
 
@@ -363,7 +366,7 @@ class TestEstimatorAdjoints:
 
         def backward(g_mean, g_var, tape):
             # The z mean's adjoint comes back in mode space: dL/dmu_z* = A V g.
-            g_modes, g_vz, g_mx, g_vx = adjoint._backward_lmmse(
+            g_modes, g_vz, g_mx, g_vx = lmmse_backward(
                 matrix, g_mean, g_var, tape, output)
             assert g_modes.shape == (matrix.n,)
             return matrix.apply_modes(g_modes), g_vz, g_mx, g_vx
@@ -381,7 +384,7 @@ class TestEstimatorAdjoints:
             return gb_posterior(GaussianMessage(r, v), prior, tape)
 
         def backward(g_mean, g_var, tape):
-            return adjoint._backward_gb(g_mean, g_var, prior, tape)
+            return gb_backward(g_mean, g_var, prior, tape)
 
         tape = self._check(forward, backward, inputs, seed=8)
         assert (tape["resp"] is None) == (rho == 1.0)

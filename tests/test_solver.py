@@ -13,12 +13,14 @@ from scipy import integrate
 from scipy.special import i0e, i1e
 
 from gecsr import model
+from gecsr.hypernets import init_hypergru_params, policy_for_params
 from gecsr.model import SignalPrior, TransformMatrix, gaussian_matrix
 from gecsr.solver import (
     V_MAX,
     V_MIN,
     DampingPolicy,
     GaussianMessage,
+    LayerRecursion,
     PolicyError,
     PolicyFeatures,
     SchedulePolicy,
@@ -633,3 +635,115 @@ class TestRunSolver:
         sample = _small_sample(8, m=80, n=20)
         trace = run_solver(sample, SignalPrior(sample.rho), geometric_schedule(0.9), 25)
         assert trace.nmse_db[-1] < -10.0
+
+
+class TestLayerRecursionBackward:
+    """`LayerRecursion.backward` against central differences of one
+    `advance` call, one input and one output at a time.
+
+    The inputs are the phase reconstructor's posterior (post_z, var_z), the
+    msg_1z and msg_2x the layer reads and the two damping histories.  The
+    outputs are the denoiser mean, the msg_1z and msg_2x the layer hands on
+    and the two histories.  The means are probed together by
+    sum 2 Re(c_k^H mean_k), each variance alone by a_k * variance, so every
+    adjoint entry is checked against the output it comes from: a variance
+    near V_MAX costs its own differences their precision, not the others'.
+    """
+
+    A = (0.7, -0.4, 0.3, 0.9)   # probe weights of the four variances
+
+    @staticmethod
+    def _advance(sample, inputs, taped=False):
+        post_z, var_z, m1z, v1z, m2x, v2x, hz, hvz, hx, hvx = inputs
+        policy = policy_for_params(init_hypergru_params(sample.matrix.n, hidden=5,
+                                                        seed=5))
+        policy.reset(tape=True)
+        init = (GaussianMessage(m1z, v1z), GaussianMessage(m2x, v2x))
+        recursion = LayerRecursion(sample, SignalPrior(sample.rho), policy, init, taped)
+        recursion.side_z.hist, recursion.side_x.hist = (hz, hvz), (hx, hvx)
+        den_x, _, _ = recursion.advance(1, post_z, var_z)
+        sides = (recursion.side_z.hist, recursion.side_x.hist)
+        means = (den_x, recursion.msg_1z.mean, recursion.msg_2x.mean,
+                 sides[0][0], sides[1][0])
+        variances = (recursion.msg_1z.variance, recursion.msg_2x.variance,
+                     sides[0][1], sides[1][1])
+        return recursion, means, variances
+
+    def _adjoint(self, sample, inputs, c, a):
+        recursion, _, _ = self._advance(sample, inputs, taped=True)
+        fallback = recursion.tapes[0]["ez"]["fallback"]
+        recursion.side_z.g_hist = (c[3], a[2])
+        recursion.side_x.g_hist = (c[4], a[3])
+        g_post, g_var, g_1z, g_2x = recursion.backward(1, c[0], (c[1], a[0]),
+                                                       (c[2], a[1]))
+        grads = (g_post, g_var, *g_1z, *g_2x, *recursion.side_z.g_hist,
+                 *recursion.side_x.g_hist)
+        return grads, fallback
+
+    def _check(self, cls, var_z_scale=1.0, hist_x_var=0.6, want_fallback=False):
+        manifest = model.DatasetManifest(seed=17, count=1, m=16, n=8,
+                                         matrix_class=(cls,),
+                                         snr_db_range=(20.0, 20.0),
+                                         rho_range=(0.5, 0.5))
+        sample = model.sample_at(manifest, 0)
+        msg_z, msg_x = spectral_init(sample.y, sample.matrix)
+        post_z, var_z = magnitude_posterior(msg_z, sample.y)
+        rng = np.random.default_rng(23)
+        inputs = [post_z, var_z * var_z_scale, msg_z.mean, msg_z.variance,
+                  msg_x.mean, msg_x.variance,
+                  0.8 * msg_z.mean + 0.1 * model.complex_normal(rng, 16),
+                  1.5 * msg_z.variance,
+                  0.9 * msg_x.mean + 0.1 * model.complex_normal(rng, 8), hist_x_var]
+        c = [model.complex_normal(rng, size) for size in (8, 16, 8, 16, 8)]
+        zero_c = [np.zeros_like(ck) for ck in c]
+
+        def probe(args):
+            _, means, variances = self._advance(sample, args)
+            mean_part = sum(2.0 * float(np.real(np.vdot(ck, mk)))
+                            for ck, mk in zip(c, means))
+            return np.array([mean_part, *variances])
+
+        # Output 0 is every mean; output k >= 1 is variance k alone.
+        adjoints = []
+        for k in range(5):
+            a = [self.A[j] if j == k - 1 else 0.0 for j in range(4)]
+            grads, fallback = self._adjoint(sample, inputs, c if k == 0 else zero_c, a)
+            assert fallback == want_fallback
+            adjoints.append(grads)
+        base = np.abs(probe(inputs))
+        weights = np.array([1.0, *self.A])
+        for j, value in enumerate(inputs):
+            if isinstance(value, np.ndarray):
+                direction = model.complex_normal(rng, value.shape[0])
+                h = 1e-6 * float(np.max(np.abs(value)))
+            else:
+                direction, h = 1.0, 1e-6 * value
+            plus, minus = list(inputs), list(inputs)
+            plus[j] = value + h * direction
+            minus[j] = value - h * direction
+            fd = weights * (probe(plus) - probe(minus)) / (2.0 * h)
+            for k in range(5):
+                grad = adjoints[k][j]
+                got = (2.0 * float(np.real(np.vdot(grad, direction)))
+                       if isinstance(value, np.ndarray) else float(grad))
+                # Rounding of an output of size |f| costs its difference
+                # about eps |f| / h.
+                noise = 1e-15 * weights[k] * base[k] / h
+                assert got == pytest.approx(fd[k], rel=1e-6,
+                                            abs=1e-9 * (1.0 + abs(fd[k])) + noise), (j, k)
+        return base[1:]   # the handed-on variances, as probed
+
+    @pytest.mark.parametrize("cls", ["gaussian", "geometric", "binary"])
+    def test_matches_central_differences(self, cls):
+        self._check(cls)
+
+    def test_extrinsic_fallback(self):
+        # A reconstructor posterior wider than its prior gains no information:
+        # the z-side extrinsic falls back to a V_MAX message.
+        self._check("gaussian", var_z_scale=1e3, want_fallback=True)
+
+    def test_damped_variance_on_the_rail(self):
+        # A history variance of 1e12 damps the x message past V_MAX, so the
+        # clamped copy handed on passes no gradient back to it.
+        variances = self._check("gaussian", hist_x_var=1e12)
+        assert variances[1] == V_MAX

@@ -197,7 +197,8 @@ class TestTrainLoop:
         step, loss, moving = result.history[0]
         assert step == 0 and loss > 0 and moving == loss
         assert result.checkpoint["metadata"]["train_manifest_hash"] == manifest.hash()
-        assert "optimizer" in result.checkpoint
+        # Nothing reads Adam moments back, so checkpoints do not carry them.
+        assert "optimizer" not in result.checkpoint
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
@@ -230,6 +231,33 @@ class TestSampleCache:
         fresh = model.sample_at(manifest, 1)
         np.testing.assert_array_equal(sample.y, fresh.y)
         np.testing.assert_array_equal(sample.matrix.operator, fresh.matrix.operator)
+
+    def test_capped_cache_trains_the_same_checkpoint(self, monkeypatch):
+        manifest = tiny_manifest(seed=54, count=4)
+        config = TrainerConfig(epochs=2, batch_size=2, layers=3, grad_pairs=2,
+                               seed=14, hidden=4)
+        uncapped = train("hypergru", manifest, config)
+        drawn = []
+        sample_at = model.sample_at
+        monkeypatch.setattr(model, "sample_at",
+                            lambda m, i: drawn.append(i) or sample_at(m, i))
+        # One byte: only the entry just drawn stays, so every switch of index
+        # regenerates a sample.
+        monkeypatch.setattr(training, "SAMPLE_CACHE_BYTES", 1)
+        capped = train("hypergru", manifest, config)
+        assert len(drawn) > 2 * manifest.count
+        assert capped.checkpoint == uncapped.checkpoint
+        assert capped.history == uncapped.history
+
+    def test_cache_drops_least_recently_used(self, monkeypatch):
+        manifest = tiny_manifest(count=3)
+        cache = training._SampleCache(manifest)
+        first = cache.get(0)
+        monkeypatch.setattr(training, "SAMPLE_CACHE_BYTES", 2 * cache._bytes)
+        cache.get(1)
+        assert cache.get(0) is first          # a hit makes 0 the most recent
+        cache.get(2)                          # ... so 1 is dropped
+        assert list(cache._store) == [0, 2]
 
 
 class TestEvaluate:
