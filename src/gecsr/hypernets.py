@@ -6,7 +6,7 @@ Four controller families implement the solver's DampingPolicy interface:
 * StaticHyperNetPolicy -- a two-layer net mapping the matrix shape and the
   SNR working point to the whole damping schedule at once (optionally behind
   a multi-head self-attention sublayer over its input, with a residual
-  path in the form init_hypernet_params builds).
+  path around it).
 * HyperGruPolicy -- a gated recurrent cell generating one damping factor per
   query from the scenario features, the recent damping history, and the
   current extrinsic variance, so it extends to any number of layers
@@ -105,24 +105,19 @@ class MultiAttention:
     """Several attention heads combined by a learned mixing vector.
 
     Every head's output entry is a convex mix of the input entries, so the
-    mix alone cannot pass the input on unchanged.  With `residual` (the
-    form init_hypernet_params builds) the sublayer returns
-    s + sum_h mix_h head_h(s), the residual connection around each
-    attention sublayer in Vaswani et al., arXiv:1706.03762, section 3.1;
-    without it (the form of checkpoints whose header has no "residual"
-    field) it returns the mix alone.
+    mix alone cannot pass the input on unchanged.  The sublayer therefore
+    returns s + sum_h mix_h head_h(s), the residual connection around each
+    attention sublayer in Vaswani et al., arXiv:1706.03762, section 3.1.
     """
 
     heads: tuple[AttentionHead, ...]
     mix: np.ndarray
-    residual: bool = False
 
 
 def multi_attention(s: np.ndarray, multi: MultiAttention,
                     tapes: Optional[list[dict]] = None) -> np.ndarray:
-    # The identity path holds no weights, so hypernet_backward is the same
-    # for both forms.
-    out = s.copy() if multi.residual else np.zeros_like(s)
+    # The identity path holds no weights, so hypernet_backward has no term for it.
+    out = s.copy()
     for i, (weight, head) in enumerate(zip(multi.mix, multi.heads)):
         out += weight * attention_head(s, head, None if tapes is None else tapes[i])
     return out
@@ -457,7 +452,6 @@ def init_hypernet_params(n: int, layers: int, hidden: int = 32, heads: int = 4,
                                       _uniform(rng, n + 1, n + 1))
                         for _ in range(heads)),
             mix=_uniform(rng, heads),
-            residual=True,
         )
     return HyperNetParams(w1=w1, w2=w2, attention=attn)
 
@@ -595,9 +589,9 @@ def checkpoint_payload(variant: str, params, n: int, layers: int,
         "arrays": arrays,
         "metadata": metadata or {},
     }
-    # Written only for the residual form, so that v1 payloads of the pure
-    # attention mix stay as they were.
-    if isinstance(params, HyperNetParams) and attention and params.attention.residual:
+    # Marks the residual attention form; older hypernet_attn files without
+    # it hold the retired pure mix.
+    if variant == "hypernet_attn":
         payload["residual"] = True
     return payload
 
@@ -631,22 +625,23 @@ def params_from_checkpoint(payload: dict):
     """Materialize the parameter bundle stored in a checkpoint.
 
     The header (variant, n, layers, hidden, heads, tied, and for
-    hypernet_attn the optional residual flag) fixes the layout;
+    hypernet_attn the residual flag) fixes the layout;
     the file must hold exactly its arrays, each with the implied shape and
     finite values only (JSON readers accept NaN and Infinity tokens).
     """
-    template = init_variant_params(
-        payload["variant"], int(payload["n"]), int(payload["layers"]),
-        hidden=int(payload.get("hidden", 0)), heads=int(payload.get("heads", 0)),
-        tied=bool(payload.get("tied", False)))
-    if "residual" in payload and (payload["variant"] != "hypernet_attn"
+    variant = payload["variant"]
+    if variant == "hypernet_attn" and "residual" not in payload:
+        raise CheckpointError("hypernet_attn checkpoint has no 'residual' field: it "
+                              "holds the retired pure-mix attention form")
+    if "residual" in payload and (variant != "hypernet_attn"
                                   or payload["residual"] is not True):
         raise CheckpointError(f"checkpoint field 'residual' must be true and "
                               f"belongs to hypernet_attn only, got "
-                              f"{payload['residual']!r} for {payload['variant']!r}")
-    if payload["variant"] == "hypernet_attn":
-        # A header without the field is a v1 file of the pure attention mix.
-        template.attention.residual = "residual" in payload
+                              f"{payload['residual']!r} for {variant!r}")
+    template = init_variant_params(
+        variant, int(payload["n"]), int(payload["layers"]),
+        hidden=int(payload.get("hidden", 0)), heads=int(payload.get("heads", 0)),
+        tied=bool(payload.get("tied", False)))
     layout = _named_arrays(template)
     pieces = []
     for name, arr in layout:

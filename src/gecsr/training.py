@@ -1,11 +1,10 @@
 """Training and evaluation of damping controllers.
 
-Three gradient estimators drive the same Adam/SGD loop over the unrolled
-solver loss: simultaneous perturbation (SPSA) with common random numbers --
-the same batch, measurements, and spectral initializations are reused for
-both perturbation signs -- componentwise central differences as a
-slow-but-exact-to-O(step^2) cross-check, and exact reverse-mode gradients
-from the adjoint module.
+Two gradient estimators drive the same Adam loop over the unrolled solver
+loss: simultaneous perturbation (SPSA) with common random numbers -- the
+same batch, measurements, and spectral initializations are reused for both
+perturbation signs -- and exact reverse-mode gradients from the adjoint
+module.
 
 The per-sample loss is the phase-aligned squared error summed over layers;
 a batch is scored by its mean.  Divergent runs are charged the loss clip
@@ -14,9 +13,8 @@ value so one bad sample cannot destroy a gradient estimate.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -61,7 +59,7 @@ class TrainerConfig:
     grad_estimator: str = "spsa"
     grad_pairs: int = 8
     grad_perturbation: float = 0.05
-    optimizer: str = "adam"
+    optimizer: str = "adam"  # the only one; kept so saved configs still read
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -82,9 +80,9 @@ class TrainerConfig:
             raise ValueError("batch size must be >= 1")
         if self.layers < 1:
             raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.grad_estimator not in ("spsa", "central_diff", "adjoint"):
+        if self.grad_estimator not in ("spsa", "adjoint"):
             raise ValueError(f"unknown gradient estimator {self.grad_estimator!r}")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer != "adam":
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     def to_dict(self) -> dict:
@@ -144,25 +142,6 @@ def spsa_gradient(loss_fn: Callable[[np.ndarray], float], theta: np.ndarray,
     return SpsaEstimate(gradient=grad / pairs, loss_mean=loss_sum / (2 * pairs))
 
 
-def central_diff_gradient(loss_fn: Callable[[np.ndarray], float],
-                          theta: np.ndarray, step: float) -> np.ndarray:
-    """Componentwise central differences (2 * dim evaluations)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grad = np.zeros_like(theta)
-    for i in range(theta.size):
-        probe = theta.copy()
-        probe[i] = theta[i] + step
-        plus = loss_fn(probe)
-        probe[i] = theta[i] - step
-        minus = loss_fn(probe)
-        if not (np.isfinite(plus) and np.isfinite(minus)):
-            raise EstimatorError("non-finite loss during central differences",
-                                 theta=theta)
-        grad[i] = (plus - minus) / (2.0 * step)
-    return grad
-
-
 @dataclass
 class AdamState:
     m: np.ndarray
@@ -187,20 +166,23 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
     return theta, AdamState(m=m, v=v, step=step)
 
 
-# Past this many bytes the sample cache drops its least recently used entry,
-# to regenerate it bit for bit when next read.  At about 0.8 MB per (400, 100)
-# sample, the 144-sample acceptance manifests (115 MB) and every benchmark
-# manifest stay whole, and a 4800-sample manifest no longer needs 3.9 GB.
+# The sample cache keeps the first entries that fit in this many bytes and
+# regenerates the rest, bit for bit, each time they are read.  It never
+# evicts: training scans the manifest in the same order every epoch, and an
+# eviction would drop each sample just before its next read.  At about
+# 0.8 MB per (400, 100) sample, the 144-sample acceptance manifests (115 MB)
+# and every benchmark manifest stay whole, and a 4800-sample manifest no
+# longer needs 3.9 GB.
 SAMPLE_CACHE_BYTES = 512 * 2**20
 
 
 class _SampleCache:
     """Samples and spectral initializations, generated once per index and
-    kept up to SAMPLE_CACHE_BYTES, least recently used out first."""
+    kept while they fit in SAMPLE_CACHE_BYTES."""
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
-        self._store: OrderedDict[int, tuple] = OrderedDict()  # (sample, prior, init)
+        self._store: dict[int, tuple] = {}  # index -> (sample, prior, init)
         self._bytes = 0
 
     @staticmethod
@@ -212,16 +194,15 @@ class _SampleCache:
     def get(self, index: int):
         hit = self._store.get(index)
         if hit is not None:
-            self._store.move_to_end(index)
             return hit
         sample = model.sample_at(self.manifest, index)
         init = solver.spectral_init(sample.y, sample.matrix)
-        hit = self._store[index] = (sample, SignalPrior(sample.rho), init)
-        self._bytes += self._nbytes(sample, init)
-        while self._bytes > SAMPLE_CACHE_BYTES and len(self._store) > 1:
-            old, _, old_init = self._store.popitem(last=False)[1]
-            self._bytes -= self._nbytes(old, old_init)
-        return hit
+        entry = (sample, SignalPrior(sample.rho), init)
+        size = self._nbytes(sample, init)
+        if self._bytes + size <= SAMPLE_CACHE_BYTES:
+            self._store[index] = entry
+            self._bytes += size
+        return entry
 
 
 @dataclass
@@ -242,10 +223,10 @@ def _history_moving_average(history: list, window: int = 10) -> tuple[float, flo
 def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> TrainResult:
     """Train one controller variant on a manifest.
 
-    Iterates epochs x batches over the manifest; every batch regenerates its
-    samples from the per-index RNG streams (cached, so later epochs reuse
-    them), runs the solver under the candidate parameters, and updates via
-    the configured estimator and optimizer.  History rows are
+    Iterates epochs x batches over the manifest; every step fetches its
+    batch once from the per-index RNG streams (cached, so later epochs reuse
+    it), runs the solver under the candidate parameters, and takes an Adam
+    step along the configured estimator's gradient.  History rows are
     (step, batch_loss, moving_avg) where batch_loss is the estimator's own
     evaluation average at that step.
     """
@@ -260,13 +241,12 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
     if config.epochs > 0 and batches == 0:
         raise ValueError("manifest smaller than one batch")
 
-    def batch_loss(vec: np.ndarray, indices: Sequence[int]) -> float:
+    def batch_loss(vec: np.ndarray, batch: list) -> float:
         candidate = params_from_vector(params, vec)
         policy = policy_for_params(candidate)
         total = 0.0
         diverged = 0
-        for i in indices:
-            sample, prior, init = cache.get(i)
+        for sample, prior, init in batch:
             trace = run_solver(sample, prior, policy, config.layers, init=init)
             if trace.diverged or trace.layers < config.layers:
                 diverged += 1
@@ -274,29 +254,28 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
             else:
                 total += min(sample_loss(sample.x, trace, config.layers),
                              config.loss_clip)
-        if diverged > config.abort_fraction * len(indices):
+        if diverged > config.abort_fraction * len(batch):
             raise TrainingAborted(
-                f"solver diverged on {diverged}/{len(indices)} samples of a batch")
-        return total / len(indices)
+                f"solver diverged on {diverged}/{len(batch)} samples of a batch")
+        return total / len(batch)
 
-    def batch_adjoint(vec: np.ndarray, indices: Sequence[int]):
+    def batch_adjoint(vec: np.ndarray, batch: list):
         from . import adjoint as adj
         candidate = params_from_vector(params, vec)
         total = 0.0
         grad = np.zeros_like(vec)
         diverged = 0
-        for i in indices:
-            sample, prior, init = cache.get(i)
+        for sample, prior, init in batch:
             loss_i, grads_i, div_i = adj.loss_and_gradient(
                 sample, prior, candidate, config.layers, init=init,
                 loss_clip=config.loss_clip)
             total += loss_i
             grad += adj.gradient_vector(candidate, grads_i)
             diverged += int(div_i)
-        if diverged > config.abort_fraction * len(indices):
+        if diverged > config.abort_fraction * len(batch):
             raise TrainingAborted(
-                f"solver diverged on {diverged}/{len(indices)} samples of a batch")
-        return total / len(indices), grad / len(indices)
+                f"solver diverged on {diverged}/{len(batch)} samples of a batch")
+        return total / len(batch), grad / len(batch)
 
     history: list[tuple[int, float, float]] = []
     adam = AdamState.fresh(theta.size)
@@ -306,17 +285,15 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
     best_ma = float("inf")
     for _epoch in range(config.epochs):
         for b in range(batches):
-            indices = range(b * config.batch_size, (b + 1) * config.batch_size)
-            fn = lambda vec: batch_loss(vec, indices)
+            batch = [cache.get(i) for i in
+                     range(b * config.batch_size, (b + 1) * config.batch_size)]
             if config.grad_estimator == "spsa":
-                est = spsa_gradient(fn, theta, config.grad_pairs,
-                                    config.grad_perturbation, direction_rng)
+                est = spsa_gradient(lambda vec: batch_loss(vec, batch), theta,
+                                    config.grad_pairs, config.grad_perturbation,
+                                    direction_rng)
                 grad, observed = est.gradient, est.loss_mean
-            elif config.grad_estimator == "adjoint":
-                observed, grad = batch_adjoint(theta, indices)
             else:
-                observed = fn(theta)
-                grad = central_diff_gradient(fn, theta, config.grad_perturbation)
+                observed, grad = batch_adjoint(theta, batch)
             if config.grad_clip_norm > 0.0:
                 norm = float(np.linalg.norm(grad))
                 if norm > config.grad_clip_norm:
@@ -328,10 +305,7 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
             if len(recent) >= min(5, config.epochs * batches) and moving < best_ma:
                 best_ma = moving
                 best_theta = theta.copy()
-            if config.optimizer == "adam":
-                theta, adam = adam_step(theta, grad, adam, config)
-            else:
-                theta = theta - config.learning_rate * grad
+            theta, adam = adam_step(theta, grad, adam, config)
             history.append((step, observed, moving))
             step += 1
 

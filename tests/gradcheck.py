@@ -6,12 +6,33 @@ tiny static controller (60 parameters) on a fixed (16, 8), 3-layer scenario.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from gecsr import hypernets, model, solver
 from gecsr.model import DatasetManifest, SignalPrior
-from gecsr.training import central_diff_gradient, sample_loss, spsa_gradient
+from gecsr.training import EstimatorError, sample_loss, spsa_gradient
+
+
+def central_diff_gradient(loss_fn: Callable[[np.ndarray], float],
+                          theta: np.ndarray, step: float) -> np.ndarray:
+    """Componentwise central differences (2 * dim evaluations), exact to
+    O(step^2): the reference the SPSA estimates are checked against."""
+    if step <= 0:
+        raise ValueError("step must be positive")
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        probe = theta.copy()
+        probe[i] = theta[i] + step
+        plus = loss_fn(probe)
+        probe[i] = theta[i] - step
+        minus = loss_fn(probe)
+        if not (np.isfinite(plus) and np.isfinite(minus)):
+            raise EstimatorError("non-finite loss during central differences",
+                                 theta=theta)
+        grad[i] = (plus - minus) / (2.0 * step)
+    return grad
 
 
 @dataclass

@@ -195,6 +195,16 @@ class TestEval:
         assert "attn_w_b" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_headerless_pure_mix_attention_rejected(self, tmp_path, manifest_path,
+                                                    capsys):
+        params = hypernets.init_variant_params("hypernet_attn", n=8, layers=2,
+                                               hidden=4, heads=2, seed=9)
+        payload = hypernets.checkpoint_payload("hypernet_attn", params, n=8, layers=2)
+        del payload["residual"]
+        assert self._eval_with(tmp_path, manifest_path, payload) == 2
+        assert "pure-mix" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_manifest_exit_code(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(dict(TINY_MANIFEST, count=0)))

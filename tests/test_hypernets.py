@@ -105,15 +105,17 @@ class TestAttention:
         head = AttentionHead(rng.normal(size=(5, 5)), rng.normal(size=(5, 5)))
         s = rng.normal(size=5)
         multi = MultiAttention(heads=(head,), mix=np.array([1.0]))
-        np.testing.assert_allclose(multi_attention(s, multi), attention_head(s, head))
+        np.testing.assert_allclose(multi_attention(s, multi),
+                                   s + attention_head(s, head))
 
     def test_multi_zero_mix(self):
+        # With a zero mix the residual sublayer passes its input on.
         rng = np.random.default_rng(4)
         heads = tuple(AttentionHead(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
                       for _ in range(3))
+        s = rng.normal(size=4)
         multi = MultiAttention(heads=heads, mix=np.zeros(3))
-        np.testing.assert_allclose(multi_attention(rng.normal(size=4), multi),
-                                   np.zeros(4))
+        np.testing.assert_array_equal(multi_attention(s, multi), s)
 
     def test_multi_linearity(self):
         rng = np.random.default_rng(5)
@@ -123,21 +125,17 @@ class TestAttention:
         mix = np.array([0.0, 0.0, 2.5, 0.0])
         multi = MultiAttention(heads=heads, mix=mix)
         np.testing.assert_allclose(multi_attention(s, multi),
-                                   2.5 * attention_head(s, heads[2]), atol=1e-12)
+                                   s + 2.5 * attention_head(s, heads[2]), atol=1e-12)
 
     def test_multi_residual_adds_input(self):
         rng = np.random.default_rng(6)
         heads = tuple(AttentionHead(rng.normal(size=(4, 4)), rng.normal(size=(4, 4)))
                       for _ in range(3))
         s, mix = rng.normal(size=4), rng.normal(size=3)
-        plain = multi_attention(s, MultiAttention(heads=heads, mix=mix))
-        residual = multi_attention(s, MultiAttention(heads=heads, mix=mix,
-                                                     residual=True))
-        np.testing.assert_allclose(residual, s + plain, rtol=1e-15, atol=1e-15)
-        # With a zero mix the residual sublayer passes its input on.
-        np.testing.assert_array_equal(
-            multi_attention(s, MultiAttention(heads=heads, mix=np.zeros(3),
-                                              residual=True)), s)
+        mixed = sum(w * attention_head(s, head) for w, head in zip(mix, heads))
+        np.testing.assert_allclose(
+            multi_attention(s, MultiAttention(heads=heads, mix=mix)), s + mixed,
+            rtol=1e-15, atol=1e-15)
 
 
 class TestHyperNet:
@@ -347,15 +345,8 @@ class TestCheckpoints:
             checkpoint_payload("mystery", init_direct_params(3), n=4, layers=3)
 
     def test_residual_form_in_header(self, tmp_path):
-        # The residual form is written to the header and read back; the
-        # v1 form of the pure attention mix writes no such field.
-        v1 = init_variant_params("hypernet_attn", n=8, layers=4, hidden=5,
-                                 heads=2, seed=19)
-        v1.attention.residual = False
-        assert "residual" not in checkpoint_payload("hypernet_attn", v1, n=8, layers=4)
-        assert params_from_checkpoint(
-            checkpoint_payload("hypernet_attn", v1, n=8, layers=4)
-        ).attention.residual is False
+        # The residual form is written to the header and read back as the
+        # same controller.
         params = init_variant_params("hypernet_attn", n=8, layers=4, hidden=5,
                                      heads=2, seed=19)
         payload = checkpoint_payload("hypernet_attn", params, n=8, layers=4)
@@ -363,12 +354,19 @@ class TestCheckpoints:
         path = tmp_path / "ck.json"
         save_checkpoint(str(path), payload)
         restored = params_from_checkpoint(load_checkpoint(str(path)))
-        assert restored.attention.residual is True
         s = np.concatenate([feats().sigma_tilde, [feats().sqrt_snr]])
         np.testing.assert_array_equal(hypernet_forward(s, restored),
                                       hypernet_forward(s, params))
-        assert not np.allclose(hypernet_forward(s, restored),
-                               hypernet_forward(s, v1))
+
+    def test_headerless_pure_mix_rejected(self):
+        # A hypernet_attn header without the field is a v1 file of the
+        # retired pure attention mix; it must not load as the residual form.
+        params = init_variant_params("hypernet_attn", n=8, layers=4, hidden=5,
+                                     heads=2, seed=19)
+        payload = checkpoint_payload("hypernet_attn", params, n=8, layers=4)
+        del payload["residual"]
+        with pytest.raises(hypernets.CheckpointError, match="pure-mix"):
+            params_from_checkpoint(payload)
 
     def test_residual_field_only_for_residual_attention(self):
         for variant in hypernets.VARIANTS:

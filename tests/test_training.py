@@ -14,14 +14,13 @@ from gecsr.training import (
     TrainerConfig,
     TruncatedTraceError,
     adam_step,
-    central_diff_gradient,
     evaluate,
     policy_for_evaluation,
     sample_loss,
     spsa_gradient,
     train,
 )
-from gradcheck import grad_check
+from gradcheck import central_diff_gradient, grad_check
 
 RECURRENT = [v for v, (family, _) in hypernets.VARIANTS.items()
              if family is hypernets.HyperGruParams]
@@ -241,23 +240,32 @@ class TestSampleCache:
         sample_at = model.sample_at
         monkeypatch.setattr(model, "sample_at",
                             lambda m, i: drawn.append(i) or sample_at(m, i))
-        # One byte: only the entry just drawn stays, so every switch of index
-        # regenerates a sample.
+        # One byte: nothing is kept, so each step draws its batch once and
+        # its SPSA evaluations reuse it.
         monkeypatch.setattr(training, "SAMPLE_CACHE_BYTES", 1)
         capped = train("hypergru", manifest, config)
-        assert len(drawn) > 2 * manifest.count
+        assert len(drawn) == config.epochs * manifest.count
         assert capped.checkpoint == uncapped.checkpoint
         assert capped.history == uncapped.history
 
-    def test_cache_drops_least_recently_used(self, monkeypatch):
-        manifest = tiny_manifest(count=3)
+    def test_full_cache_keeps_its_first_samples(self, monkeypatch):
+        # A cap of 4 samples on a 6-sample manifest: the first epoch draws
+        # all 6 and keeps 0-3; each later epoch redraws only 4 and 5.
+        manifest = tiny_manifest(seed=57, count=6)
+        config = TrainerConfig(epochs=3, batch_size=2, layers=3, grad_pairs=2,
+                               seed=15, hidden=4)
+        uncapped = train("hypergru", manifest, config)
         cache = training._SampleCache(manifest)
-        first = cache.get(0)
-        monkeypatch.setattr(training, "SAMPLE_CACHE_BYTES", 2 * cache._bytes)
-        cache.get(1)
-        assert cache.get(0) is first          # a hit makes 0 the most recent
-        cache.get(2)                          # ... so 1 is dropped
-        assert list(cache._store) == [0, 2]
+        cache.get(0)
+        monkeypatch.setattr(training, "SAMPLE_CACHE_BYTES", 4 * cache._bytes)
+        drawn = []
+        sample_at = model.sample_at
+        monkeypatch.setattr(model, "sample_at",
+                            lambda m, i: drawn.append(i) or sample_at(m, i))
+        capped = train("hypergru", manifest, config)
+        assert drawn == [0, 1, 2, 3, 4, 5, 4, 5, 4, 5]
+        assert capped.checkpoint == uncapped.checkpoint
+        assert capped.history == uncapped.history
 
 
 class TestEvaluate:
@@ -338,10 +346,13 @@ class TestTrainerConfig:
             TrainerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainerConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainerConfig(grad_estimator="finite")
+        for estimator in ("finite", "central_diff"):
+            with pytest.raises(ValueError, match="estimator"):
+                TrainerConfig(grad_estimator=estimator)
+        with pytest.raises(ValueError, match="optimizer"):
+            TrainerConfig(optimizer="sgd")
 
-    @pytest.mark.parametrize("estimator", ["spsa", "central_diff", "adjoint"])
+    @pytest.mark.parametrize("estimator", ["spsa", "adjoint"])
     def test_rejects_non_positive_layers(self, estimator):
         for layers in (0, -3):
             with pytest.raises(ValueError, match="layers"):
