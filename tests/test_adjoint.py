@@ -242,13 +242,15 @@ def _check_directional_derivatives(params, tiny_batch):
 class TestAdjointGradients:
     @pytest.mark.parametrize("name", ALL_VARIANTS)
     def test_directional_derivatives(self, name, tiny_batch):
-        params = _variant_params(name)
+        _check_directional_derivatives(_variant_params(name), tiny_batch)
+
+    def test_directional_derivatives_residual_attention(self, tiny_batch):
+        # The residual path holds no weights; gradient still reaches the
+        # net behind it and every head's mix weight.
+        params = _variant_params("hypernet_attn")
         grad = params_from_vector(params,
                                   _check_directional_derivatives(params, tiny_batch))
-        if name == "hypernet_attn":
-            # The residual path holds no weights; gradient still reaches the
-            # net behind it and every head's mix weight.
-            assert np.any(grad.w1 != 0) and np.all(grad.attention.mix != 0)
+        assert np.any(grad.w1 != 0) and np.all(grad.attention.mix != 0)
 
     def test_componentwise_direct(self, tiny_batch):
         params = _variant_params("net_direct")
