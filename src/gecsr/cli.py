@@ -200,8 +200,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ManifestError(f"sweep config missing field {exc}") from exc
     if not grid:
         raise ManifestError("sweep grid must be non-empty")
-    layers = args.layers if args.layers is not None else int(raw.get("layers", 10))
-    samples = int(raw.get("samples", 48))
+    layers = (args.layers if args.layers is not None
+              else model.integer_field("layers", raw.get("layers", 10)))
+    samples = model.integer_field("samples", raw.get("samples", 48))
     if samples == 0:
         raise EmptyResultError("sweep has no samples to evaluate")
     ratio = float(raw.get("ratio", 4.0))

@@ -26,6 +26,14 @@ class ManifestError(ValueError):
     """Raised when a dataset manifest is inconsistent or malformed."""
 
 
+def integer_field(name: str, value) -> int:
+    """A config field's value as an int; booleans and fractions are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer))
+            or value % 1):
+        raise ManifestError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussian draws (unit variance).
 
@@ -67,24 +75,37 @@ def sample_signal(prior: SignalPrior, n: int, rng: np.random.Generator) -> np.nd
     return np.where(support, values, 0.0 + 0.0j)
 
 
+def _haar_columns(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The first n columns of an m x m complex Gaussian draw.  The whole draw
+    is taken, so the generator ends in the same state for any n."""
+    if not (m >= n >= 1):
+        raise ValueError(f"need m >= n >= 1, got ({m}, {n})")
+    z = np.empty((m, n), dtype=complex)
+    z.real = rng.standard_normal((m, m))[:, :n]
+    z.imag = rng.standard_normal((m, m))[:, :n]
+    z *= np.sqrt(0.5)
+    return z
+
+
+def _folded_qr(z: np.ndarray) -> np.ndarray:
+    """Q of the Householder QR of z, with R's diagonal phases folded in."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def sample_haar_isometry(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the first n columns of an m x m Haar unitary (an m x n isometry).
 
     Q from the QR decomposition of an i.i.d. complex Gaussian matrix, with
     the phases of R's diagonal folded back in, is exactly Haar-distributed;
     its first n columns depend only on the first n columns of the draw
-    (Mezzadri, arXiv:math-ph/0609050), so only those are factorized.  The
-    whole m x m draw is still taken, so the generator ends in the same
-    state for any n, and the result matches the first n columns of the
-    full factorization to rounding.  n = m gives a Haar unitary.
+    (Mezzadri, arXiv:math-ph/0609050), so only those are factorized, by
+    Householder QR; the result matches the full factorization's first n
+    columns to rounding.  n = m gives a Haar unitary.  This Q is the thin
+    QR factor whose R has a positive diagonal.
     """
-    if not (m >= n >= 1):
-        raise ValueError(f"need m >= n >= 1, got ({m}, {n})")
-    re = rng.standard_normal((m, m))
-    im = rng.standard_normal((m, m))
-    q, r = np.linalg.qr((re[:, :n] + 1j * im[:, :n]) * np.sqrt(0.5))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _folded_qr(_haar_columns(m, n, rng))
 
 
 # The Gram route squares the condition number kappa = s_max / s_min.  eigh
@@ -92,10 +113,12 @@ def sample_haar_isometry(m: int, n: int, rng: np.random.Generator) -> np.ndarray
 # Van Loan, Matrix Computations, 5.3 and 8.6), so s_i = sqrt(lambda_i) and
 # the implied left vectors u_i = A v_i / s_i carry relative errors of about
 # eps * kappa^2: 2.2e-10 at kappa = 1e3 for eps = 2.2e-16, the order of the
-# 1e-10 relative tolerance solver results are held to.  Past that bound the
-# factorization falls back to the SVD.  The transforms generated here sit
-# far below it: kappa is about 3 for a ratio-4 Gaussian draw and about 20
-# for a (400, 100) binary draw, so only degenerate draws take the fallback.
+# 1e-10 relative tolerance solver results are held to.  Cholesky QR loses
+# orthogonality by the same eps * kappa^2 (Yamamoto, Nakatsukasa, Yanagisawa
+# & Fukaya, ETNA 44, 2015).  Past the cap, factors come from the SVD or
+# Householder QR.  kappa is about 3 for a ratio-4 Gaussian draw and 20 for a
+# (400, 100) binary one; the Haar bound ||L||_F ||L^-1||_F >= kappa reads
+# about 115 at (400, 100) and 580-1530 at (101, 100).
 GRAM_CONDITION_CAP = 1e3
 
 
@@ -288,29 +311,43 @@ class TransformMatrix:
         return self.operator @ (self.right_unitary @ w)
 
 
+def _cholesky_inverse(z: np.ndarray) -> tuple[Optional[np.ndarray], float]:
+    """L^-1 for z^H z = L L^H, with ||L||_F ||L^-1||_F >= cond(z) (inf on failure)."""
+    try:
+        chol = np.linalg.cholesky(_gram(z))
+        inv = np.linalg.inv(chol)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    return inv, float(np.linalg.norm(chol) * np.linalg.norm(inv))
+
+
+def _haar_transform(z: np.ndarray, v: np.ndarray, s: np.ndarray) -> TransformMatrix:
+    """A = U diag(s) V^H for U the folded QR factor (sample_haar_isometry) of z.
+
+    U = z L^-H, so A = z (L^-H diag(s) V^H): an N x N inverse and one M x N
+    product.  Draws past GRAM_CONDITION_CAP keep Householder QR and (U s) V^H.
+    """
+    inv, bound = _cholesky_inverse(z)
+    if not bound <= GRAM_CONDITION_CAP:
+        return TransformMatrix((_folded_qr(z) * s) @ v.conj().T, v, s)
+    return TransformMatrix(z @ ((inv.conj().T * s) @ v.conj().T), v, s)
+
+
 def gaussian_matrix(m: int, n: int, snr_linear: float,
                     rng: np.random.Generator) -> TransformMatrix:
-    """Gaussian-class transform: Haar factors, i.i.d.-Gaussian spectrum.
-
-    The left factor is the M x N Haar isometry from the QR of the first N
-    columns of an M x M Gaussian draw; the right factor is N x N Haar.
-    A = U diag(s) V^H is formed once, with U scaled in place.
-    """
-    u = sample_haar_isometry(m, n, rng)
+    """Gaussian-class transform: Haar factors (drawn first), i.i.d.-Gaussian spectrum."""
+    z = _haar_columns(m, n, rng)
     v = sample_haar_isometry(n, n, rng)
     s = scale_to_snr(gaussian_class_singulars(m, n, rng), m, snr_linear)
-    u *= s
-    return TransformMatrix(u @ v.conj().T, v, s)
+    return _haar_transform(z, v, s)
 
 
 def geometric_matrix(m: int, n: int, snr_linear: float, gamma: float,
                      rng: np.random.Generator) -> TransformMatrix:
     """Geometric-class transform: Haar factors, geometric spectrum."""
-    u = sample_haar_isometry(m, n, rng)
+    z = _haar_columns(m, n, rng)
     v = sample_haar_isometry(n, n, rng)
-    s = scale_to_snr(geometric_singulars(n, gamma), m, snr_linear)
-    u *= s
-    return TransformMatrix(u @ v.conj().T, v, s)
+    return _haar_transform(z, v, scale_to_snr(geometric_singulars(n, gamma), m, snr_linear))
 
 
 def binary_matrix(m: int, n: int, snr_linear: float,
@@ -389,6 +426,8 @@ class DatasetManifest:
     rho_range: tuple[float, float] = (0.3, 0.8)
 
     def __post_init__(self) -> None:
+        for key in ("seed", "count", "m", "n"):
+            object.__setattr__(self, key, integer_field(key, getattr(self, key)))
         if self.count < 0:
             raise ManifestError(f"count must be >= 0, got {self.count}")
         if not (self.m >= self.n >= 1):
@@ -427,7 +466,7 @@ class DatasetManifest:
         if missing:
             raise ManifestError(f"manifest missing fields: {sorted(missing)}")
         try:
-            fields = {key: int(raw[key]) for key in required}
+            fields = {key: raw[key] for key in required}
             if "matrix_class" in raw:
                 classes = raw["matrix_class"]
                 fields["matrix_class"] = ((classes,) if isinstance(classes, str)

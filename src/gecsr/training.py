@@ -74,6 +74,9 @@ class TrainerConfig:
     direct_init_base: float = 0.9  # warm-start schedule for direct logits
 
     def __post_init__(self) -> None:
+        for key, spec in self.__dataclass_fields__.items():
+            if spec.type == "int":
+                object.__setattr__(self, key, model.integer_field(key, getattr(self, key)))
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:

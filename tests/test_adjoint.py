@@ -7,13 +7,20 @@ the damping history and the extrinsic-variance feature.
 
 The solver and the adjoint share each controller's forward implementation,
 so losses, gradients, solver damping factors and checkpoint payloads are
-also pinned to stored values (tests/golden_controllers.json).  Regenerate
-that file with `PYTHONPATH=src python tests/test_adjoint.py` only when a
-change to the numbers is intended.
+also pinned to stored values (tests/golden_controllers.json).  Re-record
+entries of that file only when a change to their numbers is intended:
+
+    PYTHONPATH=src python tests/test_adjoint.py adjoint/hypernet_attn checkpoints/hypergru
+
+rewrites only the named entries (`adjoint/<configuration>` or
+`checkpoints/<variant>`) and leaves every other stored value byte for byte,
+so the diff shows exactly what moved.  With no argument every entry is
+re-recorded, which also moves near-zero gradient components by rounding.
 """
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -455,7 +462,18 @@ class TestGolden:
 
 
 if __name__ == "__main__":
+    golden = _golden_values(_tiny_batch())
+    if sys.argv[1:]:
+        with open(GOLDEN_PATH, encoding="utf-8") as fh:
+            stored = json.load(fh)
+        for key in sys.argv[1:]:
+            section, _, name = key.partition("/")
+            if name not in stored.get(section, {}):
+                sys.exit(f"no golden entry {key!r}; expected adjoint/<configuration> "
+                         f"or checkpoints/<variant>")
+            stored[section][name] = golden[section][name]
+        golden = stored
     with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
-        json.dump(_golden_values(_tiny_batch()), fh, sort_keys=True)
+        json.dump(golden, fh, sort_keys=True)
         fh.write("\n")
-    print(f"golden values -> {GOLDEN_PATH}")
+    print(f"golden values -> {GOLDEN_PATH}: {', '.join(sys.argv[1:]) or 'all'}")

@@ -118,6 +118,24 @@ class TestTrain:
         assert "layers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("batch_size", 2.5), ("epochs", True),
+                                              ("layers", 2.5), ("seed", 1.5)])
+    def test_non_integer_trainer_field_rejected(self, tmp_path, capsys, field, value):
+        # batch_size 2.5 used to end in a TypeError traceback (exit 1).
+        cfg = _train_config(tmp_path, **{field: value})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_manifest_field_rejected(self, tmp_path, capsys):
+        cfg = {"variants": ["net_direct"], "manifest": dict(TINY_MANIFEST, seed=1.9),
+               "trainer": {"epochs": 1, "batch_size": 2, "layers": 2}}
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestEval:
     def test_baseline_only_table(self, tmp_path, manifest_path):
@@ -272,6 +290,14 @@ class TestSweep:
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 6
         assert "no samples" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_fractional_sample_count_rejected(self, tmp_path, capsys):
+        cfg = {"kind": "snr", "grid": [15.0], "samples": 2.5, "layers": 2,
+               "variants": [{"name": cli.BASELINE_CONSTANT}], "manifest": TINY_MANIFEST}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "samples" in capsys.readouterr().err
 
     def test_empty_grid_rejected(self, tmp_path):
         cfg = {"kind": "snr", "grid": [], "variants": [], "manifest": TINY_MANIFEST}

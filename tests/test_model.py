@@ -1,6 +1,7 @@
 """Generation-layer tests: priors, matrices, measurements, manifests."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -170,6 +171,58 @@ class TestHaarIsometry:
         tol = 3.0 * np.sqrt(0.5 / m / (draws * n))
         mean_diag = diag.mean() / draws
         assert abs(mean_diag.real) < tol and abs(mean_diag.imag) < tol
+
+
+class TestHaarTransform:
+    """gaussian_matrix and geometric_matrix against (U s) V^H, with U and V
+    from sample_haar_isometry on a replay of the same stream."""
+
+    SHAPES = ((400, 100), (37, 5), (8, 4), (120, 100), (101, 100), (100, 100))
+
+    @staticmethod
+    def _draw(cls, m, n, rng):
+        if cls == "gaussian":
+            return gaussian_matrix(m, n, 50.0, rng)
+        return geometric_matrix(m, n, 50.0, 0.9, rng)
+
+    @staticmethod
+    def _replay(cls, m, n, rng):
+        u = sample_haar_isometry(m, n, rng)
+        v = sample_haar_isometry(n, n, rng)
+        s = (gaussian_class_singulars(m, n, rng) if cls == "gaussian"
+             else geometric_singulars(n, 0.9))
+        return (u * scale_to_snr(s, m, 50.0)) @ v.conj().T
+
+    @pytest.mark.parametrize("cls", ["gaussian", "geometric"])
+    def test_operator_matches_householder_route(self, cls):
+        bounds = []
+        for (m, n) in self.SHAPES:
+            for seed in (0, 1):
+                rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = self._draw(cls, m, n, rng).operator
+                want = self._replay(cls, m, n, replay)
+                scale = np.max(np.abs(want))
+                np.testing.assert_allclose(got / scale, want / scale, rtol=0, atol=1e-12,
+                                           err_msg=f"{cls} {(m, n)} seed {seed}")
+                np.testing.assert_array_equal(rng.standard_normal(4),
+                                              replay.standard_normal(4))
+                z = model._haar_columns(m, n, np.random.default_rng(seed))
+                bounds.append(model._cholesky_inverse(z)[1])
+        # Both routes are exercised: the Cholesky one at every (400, 100)
+        # draw, Householder QR at least once ((101, 100) at seed 0).
+        assert min(bounds) <= model.GRAM_CONDITION_CAP < max(bounds)
+
+    def test_singular_draw_keeps_householder_route(self):
+        # A repeated column makes the Gram matrix singular: Cholesky fails or
+        # the bound is past the cap, and Householder QR still factors it.
+        z = model.complex_normal(np.random.default_rng(3), 12, 4)
+        z[:, 3] = z[:, 2]
+        assert model._cholesky_inverse(z)[1] > model.GRAM_CONDITION_CAP
+        v = sample_haar_isometry(4, 4, np.random.default_rng(4))
+        s = np.array([4.0, 3.0, 2.0, 1.0])
+        mat = model._haar_transform(z, v, s)
+        np.testing.assert_allclose(mat.operator, (model._folded_qr(z) * s) @ v.conj().T,
+                                   rtol=0, atol=1e-14)
 
 
 class TestSpectra:
@@ -450,6 +503,16 @@ np.savez(sys.argv[1], a=mat.operator, v=mat.right_unitary, s=mat.singulars)
 """
 
 
+_DUMP_HAAR_OPERATORS = """
+import sys
+import numpy as np
+from gecsr.model import gaussian_matrix, geometric_matrix
+rng = np.random.default_rng(14)
+np.savez(sys.argv[1], gaussian=gaussian_matrix(400, 100, 100.0, rng).operator,
+         geometric=geometric_matrix(400, 100, 100.0, 0.97, rng).operator)
+"""
+
+
 def _dumps_under_thread_counts(script: str, tmp_path) -> list[dict]:
     """The arrays a script saves, run under one and then two OpenBLAS threads."""
     src = os.path.dirname(os.path.dirname(model.__file__))
@@ -484,6 +547,16 @@ class TestBlasThreadCount:
         for key in ("a", "v", "s"):
             np.testing.assert_allclose(dumps[0][key], dumps[1][key], rtol=1e-14,
                                        atol=1e-14)
+
+    def test_haar_operators_close_across_thread_counts(self, tmp_path):
+        # Neither QR route is bit-identical under one and two OpenBLAS 0.3.31
+        # threads.  Over 16 draws each at (400, 100) and SNR 100 (entries up
+        # to 3.8), A moved by up to 1.8e-14 on the Householder route and
+        # 2.0e-14 on the Cholesky one.
+        dumps = _dumps_under_thread_counts(_DUMP_HAAR_OPERATORS, tmp_path)
+        for key in ("gaussian", "geometric"):
+            np.testing.assert_allclose(dumps[0][key], dumps[1][key], rtol=0, atol=1e-13,
+                                       err_msg=key)
 
 
 class TestForwardMeasure:
@@ -598,6 +671,27 @@ class TestManifest:
         with pytest.raises(ManifestError):
             DatasetManifest.from_json(
                 '{"seed": 3, "count": 10, "m": 40, "n": 10, "matrix_class": 3}')
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.9), ("count", 3.7), ("m", 400.5),
+                                              ("n", True), ("count", "3")])
+    def test_from_json_rejects_non_integer_counts(self, field, value):
+        # int() used to truncate these silently: seed 1.9 loaded as seed 1.
+        raw = dict(seed=3, count=10, m=40, n=10)
+        raw[field] = value
+        with pytest.raises(ManifestError, match=field):
+            DatasetManifest.from_json(json.dumps(raw))
+
+    def test_constructor_rejects_non_integer_counts(self):
+        with pytest.raises(ManifestError, match="^count must be an integer"):
+            self._small(count=2.5)
+        with pytest.raises(ManifestError, match="^n must be an integer"):
+            self._small(n=True)
+
+    def test_from_json_accepts_integral_floats(self):
+        got = DatasetManifest.from_json('{"seed": 3.0, "count": 10, "m": 4e1, "n": 10}')
+        assert got == DatasetManifest(seed=3, count=10, m=40, n=10)
+        assert isinstance(got.m, int) and got.hash() == DatasetManifest(
+            seed=3, count=10, m=40, n=10).hash()
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(ManifestError):

@@ -337,6 +337,15 @@ class TestTrainerConfig:
         again = TrainerConfig.from_dict(config.to_dict())
         assert again == config
 
+    @pytest.mark.parametrize("field", ["batch_size", "epochs", "layers", "grad_pairs",
+                                       "seed", "hidden", "heads"])
+    def test_integer_fields_refuse_booleans_and_fractions(self, field):
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=field):
+                TrainerConfig(**{field: value})
+        whole = TrainerConfig(**{field: 3.0})
+        assert type(getattr(whole, field)) is int and whole == TrainerConfig(**{field: 3})
+
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
             TrainerConfig.from_dict({"momentum": 0.9})
