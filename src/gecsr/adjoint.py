@@ -5,9 +5,11 @@
 layer with `LayerRecursion.backward`.  Each solver step's adjoint sits
 beside its forward in `solver.py`, and each controller's in `hypernets.py`,
 so a recurrent controller is differentiated through time over the
-interleaved solver/controller graph.  This module keeps the aligned loss
-and a taped copy of the phase reconstructor with its adjoint (see
-`_forward_magnitude`).  Spectral initializations are constants of the
+interleaved solver/controller graph.  The loss is `solver.aligned_error`
+summed over layers.  The one solver step kept here is a taped copy of the
+phase reconstructor with its adjoint (see `_forward_magnitude`); it forms
+the solver's expressions, so the forward pass and the loss equal the
+solver's bit for bit.  Spectral initializations are constants of the
 sample, so the recursion stops there.
 
 Everything here is validated against central differences of the actual
@@ -25,6 +27,7 @@ from .model import Sample, SignalPrior
 from .solver import (
     GaussianMessage,
     LayerRecursion,
+    aligned_error,
     bessel_ratio,
     clamp_variance,
     clamp_variance_grad,
@@ -41,27 +44,12 @@ def bessel_ratio_derivative(kappa, ratio):
     return np.where(small, 0.5 - 3.0 * kappa**2 / 16.0, out)
 
 
-def _aligned_sq_error(x, x_sq, est):
-    """Phase-aligned squared error and its adjoint wrt the estimate.
-
-    `x_sq` is the reference energy sum(|x|^2), a constant of the sample.
-    """
-    inner = np.vdot(est, x)
-    mag = abs(inner)
-    value = float(x_sq + np.sum(np.abs(est) ** 2) - 2.0 * mag)
-    if mag > 0:
-        grad = est - (np.conj(inner) / mag) * x
-    else:
-        grad = est - x
-    return value, grad
-
-
 def _forward_magnitude(mu, v, y, rec):
-    """The phase reconstructor of `solver.magnitude_posterior`, taped.
-
-    It stays a copy only because the benchmark's traced adjoint workload
-    times this module's own `bessel_ratio` binding; it folds into the solver
-    with the next change to the benchmark.
+    """The phase reconstructor of `solver.magnitude_posterior`, taped: the
+    solver's expressions, bit for bit, plus the real `scale` (mean = scale *
+    mu) the adjoint reads.  It stays a copy only because the benchmark's traced
+    adjoint workload times this module's own `bessel_ratio` binding; it folds
+    into the solver with the next change to the benchmark.
     """
     c = v / (v + 1.0)
     amu = np.abs(mu)
@@ -69,7 +57,7 @@ def _forward_magnitude(mu, v, y, rec):
     ratio = bessel_ratio(kappa)
     safe = np.where(amu > 0, amu, 1.0)
     scale = (1.0 - c) + (c * ratio) * (y / safe)
-    mean = scale * mu
+    mean = (mu / safe) * ((1.0 - c) * amu + (c * ratio) * y)
     t_mean = float(np.mean(y * y * (1.0 - ratio * ratio)))
     var_raw = c + c * c * t_mean
     rec.update(mu=mu, v=v, c=c, amu=amu, kappa=kappa, ratio=ratio,
@@ -115,20 +103,17 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     """Aligned multi-layer loss of one sample and d(loss)/d(parameters).
 
     Returns (loss, grads, diverged) with grads keyed like the checkpoint
-    arrays; the vector form follows hypernets.params_to_vector ordering.
-    A clipped or non-finite run returns the clip value with zero gradients,
-    matching the trainer's handling of divergent samples.  A policy that
-    returns a non-finite damping factor raises `PolicyError`, as in the
-    solver.
+    arrays (`gradient_vector` flattens them).  The loss is `sample_loss` of
+    the solver's trace, bit for bit.  A clipped or non-finite run returns the
+    clip value with zero gradients.  A non-finite damping factor raises
+    `PolicyError`, as in the solver.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     policy = policy_for_params(params)
-    policy.reset(tape=True)
     recursion = LayerRecursion(sample, prior, policy, init, taped=True)
 
     y, x_true = sample.y, sample.x
-    x_sq = np.sum(np.abs(x_true) ** 2)
     zero = {name: np.zeros_like(arr) for name, arr in _named_arrays(params)}
     layer_tapes = []   # (phase reconstructor tape, loss adjoint) per layer
     loss = 0.0
@@ -139,7 +124,7 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
             t, *_forward_magnitude(msg_1z.mean, msg_1z.variance, y, mag))
         if layer is None or not recursion.finite():
             return loss_clip, zero, True
-        term, g_est = _aligned_sq_error(x_true, x_sq, layer[0])
+        term, g_est = aligned_error(x_true, layer[0])
         loss += term
         layer_tapes.append((mag, g_est))
 

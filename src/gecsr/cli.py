@@ -235,10 +235,7 @@ def cmd_recon_image(args: argparse.Namespace) -> int:
     # M = ceil(ratio * N) must be a finite count of at least N.
     if not (math.isfinite(args.ratio) and args.ratio >= 1.0):
         raise ManifestError(f"--ratio must be a finite number >= 1, got {args.ratio}")
-    # Within +-3000 dB the linear SNR 10^(dB/10) is a positive, finite float.
-    if not (math.isfinite(args.snr_db) and abs(args.snr_db) <= 3000.0):
-        raise ManifestError(f"--snr-db must be a finite number of dB in "
-                            f"[-3000, 3000], got {args.snr_db}")
+    model.check_snr_db("--snr-db", args.snr_db)
     if args.layers < 0:
         raise ManifestError(f"--layers must be >= 0, got {args.layers}")
     try:

@@ -16,11 +16,12 @@ All weights live in small dataclasses that flatten to/from one real vector
 for the trainer, and serialize to a JSON checkpoint.
 
 Each policy class is the only implementation of its controller, for the
-solver and for the exact adjoint alike.  `reset(tape=True)` starts a
-recorded run: the forward functions below then fill a tape, the adjoint
-hands dL/dbeta back through `backward_beta` in reverse query order, and
-`gradients()` returns dL/dparameters as a bundle shaped like the weights.
-Solver runs record nothing.
+solver and for the exact adjoint alike.  A taped `solver.LayerRecursion`
+resets its policy with `reset(tape=True)`, which starts a recorded run:
+the forward functions below then fill a tape, the adjoint hands dL/dbeta
+back through `backward_beta` in reverse query order, and `gradients()`
+returns dL/dparameters as a bundle shaped like the weights.  Solver runs
+record nothing.
 """
 
 from __future__ import annotations

@@ -34,6 +34,14 @@ def integer_field(name: str, value) -> int:
     return int(value)
 
 
+def check_snr_db(name: str, value: float) -> None:
+    """Refuse an SNR in dB outside +-3000, where 10^(dB/10) stops being a
+    positive, finite float, or that is not a number at all."""
+    if not abs(value) <= 3000.0:  # NaN fails the comparison too
+        raise ManifestError(f"{name} must be a finite number of dB in "
+                            f"[-3000, 3000], got {value}")
+
+
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussian draws (unit variance).
 
@@ -447,6 +455,8 @@ class DatasetManifest:
                                ("rho_range", self.rho_range)):
             if lo > hi:
                 raise ManifestError(f"{name} has lo > hi: [{lo}, {hi}]")
+        for value in self.snr_db_range:
+            check_snr_db("snr_db_range", value)
         if not (0.0 < self.rho_range[0] and self.rho_range[1] <= 1.0):
             raise ManifestError(f"rho_range must lie in (0, 1], got {self.rho_range}")
 
@@ -465,6 +475,9 @@ class DatasetManifest:
         missing = required - raw.keys()
         if missing:
             raise ManifestError(f"manifest missing fields: {sorted(missing)}")
+        unknown = raw.keys() - DatasetManifest.__dataclass_fields__.keys()
+        if unknown:
+            raise ManifestError(f"unknown manifest fields: {sorted(unknown)}")
         try:
             fields = {key: raw[key] for key in required}
             if "matrix_class" in raw:

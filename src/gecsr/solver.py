@@ -362,6 +362,16 @@ def align_phase(x_true: np.ndarray, x_est: np.ndarray) -> np.ndarray:
     return (inner / abs(inner)) * x_est
 
 
+def aligned_error(x_true: np.ndarray, x_est: np.ndarray) -> tuple[float, np.ndarray]:
+    """Squared error |phase * est - x|^2 under the best global phase,
+    phase = <est, x>/|<est, x>| (1 when that is 0), and its adjoint
+    dL/d est* = conj(phase) * (phase * est - x)."""
+    inner = np.vdot(x_est, x_true)
+    phase = inner / abs(inner) if inner != 0 else 1.0
+    diff = phase * x_est - x_true
+    return float(np.sum(diff.real**2 + diff.imag**2)), np.conj(phase) * diff
+
+
 def nmse_db(x_true: np.ndarray, x_est: np.ndarray) -> float:
     """Normalized squared error in dB, floored at -120 dB."""
     denom = float(np.sum(np.abs(x_true) ** 2))
@@ -387,8 +397,8 @@ class PolicyFeatures:
 class DampingPolicy:
     """Online source of damping factors, queried once per side per layer."""
 
-    def reset(self) -> None:
-        """Clear per-run state; called by the solver before each run."""
+    def reset(self, tape: bool = False) -> None:
+        """Clear per-run state; `LayerRecursion` calls it, taped when recorded."""
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
         raise NotImplementedError
@@ -496,9 +506,9 @@ class LayerRecursion:
     """What one solver layer hands to the next: `msg_1z`, `msg_2x` and the
     two damping steps, which start at the spectral initialization (computed
     here when `init` is None).  Each caller runs its own phase reconstructor
-    on `msg_1z` and hands the posterior to `advance`.  A taped recursion
-    records every step of every layer, for `backward`; its policy must be
-    reset with a tape.
+    on `msg_1z` and hands the posterior to `advance`.  The recursion resets
+    its policy; a taped one resets it with a tape and records every step of
+    every layer, for `backward`.
     """
 
     def __init__(self, sample: Sample, prior: SignalPrior, policy: DampingPolicy,
@@ -512,6 +522,7 @@ class LayerRecursion:
         self.side_z = DampedSide("z", policy, sigma_tilde, sqrt_snr, self.msg_1z, taped)
         self.side_x = DampedSide("x", policy, sigma_tilde, sqrt_snr, self.msg_2x, taped)
         self.tapes = [] if taped else None
+        policy.reset(tape=taped)
 
     def advance(self, t: int, post_z: np.ndarray, var_z: float
                 ) -> Optional[tuple[np.ndarray, float, float]]:
@@ -595,7 +606,6 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     recursion = LayerRecursion(sample, prior, policy, init)
-    policy.reset()
 
     trace = SolverTrace()
     trace.init_nmse_db = nmse_db(sample.x, align_phase(sample.x, recursion.msg_2x.mean))
@@ -613,24 +623,3 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
             trace.diverged = True
             break
     return trace
-
-
-def trace_csv_rows(trace: SolverTrace, sample_id: int) -> list[str]:
-    """Long-format CSV rows (sample_id, t, beta_z, beta_x, v2z, v2x, nmse_db)."""
-    rows = []
-    for t in range(trace.layers):
-        rows.append(f"{sample_id},{t + 1},{trace.beta_z[t]!r},{trace.beta_x[t]!r},"
-                    f"{trace.v2z[t]!r},{trace.v2x[t]!r},{trace.nmse_db[t]!r}")
-    return rows
-
-
-TRACE_CSV_HEADER = "sample_id,t,beta_z,beta_x,v2z,v2x,nmse_db"
-
-
-def write_trace_csv(path: str, traces) -> None:
-    """Write one CSV for a sequence of traces, sample ids in order."""
-    lines = [TRACE_CSV_HEADER]
-    for sample_id, trace in enumerate(traces):
-        lines.extend(trace_csv_rows(trace, sample_id))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -6,9 +6,10 @@ same batch, measurements, and spectral initializations are reused for both
 perturbation signs -- and exact reverse-mode gradients from the adjoint
 module.
 
-The per-sample loss is the phase-aligned squared error summed over layers;
-a batch is scored by its mean.  Divergent runs are charged the loss clip
-value so one bad sample cannot destroy a gradient estimate.
+The per-sample loss is `solver.aligned_error` summed over layers, and one
+batch loop scores a batch by its mean for both estimators.  Divergent runs
+are charged the loss clip value so one bad sample cannot destroy a gradient
+estimate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from . import hypernets, model, solver
+from . import adjoint, hypernets, model, solver
 from .hypernets import (
     checkpoint_payload,
     init_variant_params,
@@ -27,7 +28,7 @@ from .hypernets import (
     policy_for_params,
 )
 from .model import DatasetManifest, Sample, SignalPrior
-from .solver import DampingPolicy, GaussianMessage, SolverTrace, align_phase, run_solver
+from .solver import DampingPolicy, GaussianMessage, SolverTrace, aligned_error, run_solver
 
 
 class EstimatorError(RuntimeError):
@@ -101,14 +102,13 @@ class TrainerConfig:
 
 
 def sample_loss(x_true: np.ndarray, trace: SolverTrace, layers: int) -> float:
-    """Phase-aligned squared error summed over the first `layers` estimates."""
+    """`solver.aligned_error` summed over the first `layers` estimates."""
     if trace.layers < layers:
         raise TruncatedTraceError(
             f"trace has {trace.layers} layers, need {layers}")
     total = 0.0
-    for t in range(layers):
-        diff = x_true - align_phase(x_true, trace.x_means[t])
-        total += float(np.sum(diff.real**2 + diff.imag**2))
+    for est in trace.x_means[:layers]:
+        total += aligned_error(x_true, est)[0]
     return total
 
 
@@ -216,13 +216,6 @@ class TrainResult:
     params: object
 
 
-def _history_moving_average(history: list, window: int = 10) -> tuple[float, float]:
-    losses = [row[1] for row in history]
-    head = losses[:window]
-    tail = losses[-window:]
-    return float(np.mean(head)), float(np.mean(tail))
-
-
 def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> TrainResult:
     """Train one controller variant on a manifest.
 
@@ -244,40 +237,29 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
     if config.epochs > 0 and batches == 0:
         raise ValueError("manifest smaller than one batch")
 
-    def batch_loss(vec: np.ndarray, batch: list) -> float:
+    def batch_mean(vec: np.ndarray, batch: list, gradient: bool):
+        """Mean clipped loss over a batch, and the mean adjoint gradient when
+        `gradient` is set.  Without it (SPSA) the loss scores solver traces
+        under one policy, and the gradient returned is zero."""
         candidate = params_from_vector(params, vec)
-        policy = policy_for_params(candidate)
-        total = 0.0
-        diverged = 0
+        policy = None if gradient else policy_for_params(candidate)
+        total, grad, n_diverged = 0.0, np.zeros_like(vec), 0
         for sample, prior, init in batch:
-            trace = run_solver(sample, prior, policy, config.layers, init=init)
-            if trace.diverged or trace.layers < config.layers:
-                diverged += 1
-                total += config.loss_clip
+            if gradient:
+                loss, grads, diverged = adjoint.loss_and_gradient(
+                    sample, prior, candidate, config.layers, init=init,
+                    loss_clip=config.loss_clip)
+                grad += adjoint.gradient_vector(candidate, grads)
             else:
-                total += min(sample_loss(sample.x, trace, config.layers),
-                             config.loss_clip)
-        if diverged > config.abort_fraction * len(batch):
+                trace = run_solver(sample, prior, policy, config.layers, init=init)
+                diverged = trace.diverged
+                loss = (config.loss_clip if diverged
+                        else sample_loss(sample.x, trace, config.layers))
+            total += min(loss, config.loss_clip)
+            n_diverged += diverged
+        if n_diverged > config.abort_fraction * len(batch):
             raise TrainingAborted(
-                f"solver diverged on {diverged}/{len(batch)} samples of a batch")
-        return total / len(batch)
-
-    def batch_adjoint(vec: np.ndarray, batch: list):
-        from . import adjoint as adj
-        candidate = params_from_vector(params, vec)
-        total = 0.0
-        grad = np.zeros_like(vec)
-        diverged = 0
-        for sample, prior, init in batch:
-            loss_i, grads_i, div_i = adj.loss_and_gradient(
-                sample, prior, candidate, config.layers, init=init,
-                loss_clip=config.loss_clip)
-            total += loss_i
-            grad += adj.gradient_vector(candidate, grads_i)
-            diverged += int(div_i)
-        if diverged > config.abort_fraction * len(batch):
-            raise TrainingAborted(
-                f"solver diverged on {diverged}/{len(batch)} samples of a batch")
+                f"solver diverged on {n_diverged}/{len(batch)} samples of a batch")
         return total / len(batch), grad / len(batch)
 
     history: list[tuple[int, float, float]] = []
@@ -291,12 +273,12 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
             batch = [cache.get(i) for i in
                      range(b * config.batch_size, (b + 1) * config.batch_size)]
             if config.grad_estimator == "spsa":
-                est = spsa_gradient(lambda vec: batch_loss(vec, batch), theta,
-                                    config.grad_pairs, config.grad_perturbation,
-                                    direction_rng)
+                est = spsa_gradient(lambda vec: batch_mean(vec, batch, False)[0],
+                                    theta, config.grad_pairs,
+                                    config.grad_perturbation, direction_rng)
                 grad, observed = est.gradient, est.loss_mean
             else:
-                observed, grad = batch_adjoint(theta, batch)
+                observed, grad = batch_mean(theta, batch, True)
             if config.grad_clip_norm > 0.0:
                 norm = float(np.linalg.norm(grad))
                 if norm > config.grad_clip_norm:
@@ -315,10 +297,8 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
     if config.keep_best and history:
         theta = best_theta
     trained = params_from_vector(params, theta)
-    no_progress = False
-    if history:
-        start_ma, end_ma = _history_moving_average(history)
-        no_progress = not (end_ma < start_ma)
+    # No progress unless the last ten steps' mean loss is below the first ten's.
+    no_progress = bool(recent) and not (np.mean(recent[-10:]) < np.mean(recent[:10]))
     metadata = {
         "train_manifest_hash": manifest.hash(),
         "trainer": config.to_dict(),
@@ -339,8 +319,8 @@ class ExtendedPolicy(DampingPolicy):
         self.base = base
         self.base_layers = base_layers
 
-    def reset(self) -> None:
-        self.base.reset()
+    def reset(self, tape: bool = False) -> None:
+        self.base.reset(tape)
 
     def beta(self, side: str, t: int, features) -> float:
         if t <= self.base_layers:
@@ -362,8 +342,8 @@ class FeatureResamplePolicy(DampingPolicy):
         self.base = base
         self.trained_n = trained_n
 
-    def reset(self) -> None:
-        self.base.reset()
+    def reset(self, tape: bool = False) -> None:
+        self.base.reset(tape)
 
     def _resample(self, sigma_tilde: np.ndarray) -> np.ndarray:
         n = sigma_tilde.shape[0]

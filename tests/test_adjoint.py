@@ -52,10 +52,7 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_controllers.json")
 GOLDEN_RTOL = 1e-10
 
 
-def _tiny_batch():
-    manifest = DatasetManifest(seed=313, count=3, m=16, n=8,
-                               matrix_class=("gaussian",),
-                               snr_db_range=(18.0, 22.0), rho_range=(0.4, 0.6))
+def _batch(manifest):
     out = []
     for i in range(manifest.count):
         sample = model.sample_at(manifest, i)
@@ -64,9 +61,23 @@ def _tiny_batch():
     return out
 
 
+def _tiny_batch():
+    return _batch(DatasetManifest(seed=313, count=3, m=16, n=8,
+                                  matrix_class=("gaussian",),
+                                  snr_db_range=(18.0, 22.0), rho_range=(0.4, 0.6)))
+
+
 @pytest.fixture(scope="module")
 def tiny_batch():
     return _tiny_batch()
+
+
+@pytest.fixture(scope="module")
+def class_batch(tiny_batch):
+    """The gaussian tiny batch plus a geometric and a binary sample."""
+    return tiny_batch + _batch(DatasetManifest(
+        seed=317, count=2, m=16, n=8, matrix_class=("geometric", "binary"),
+        gammas=(0.9,), snr_db_range=(18.0, 22.0), rho_range=(0.4, 0.6)))
 
 
 def _variant_params(name):
@@ -131,16 +142,16 @@ class TestBesselDerivative:
 
 class TestAdjointForward:
     @pytest.mark.parametrize("name", ALL_VARIANTS)
-    def test_loss_matches_reference_solver(self, name, tiny_batch):
+    def test_loss_matches_reference_solver(self, name, class_batch):
+        # Bit for bit, on every transform class.
         params = _variant_params(name)
         policy = policy_for_params(params)
-        for sample, prior, init in tiny_batch:
+        for sample, prior, init in class_batch:
             loss_adj, _, diverged = loss_and_gradient(sample, prior, params,
                                                       LAYERS, init=init)
             assert not diverged
             trace = run_solver(sample, prior, policy, LAYERS, init=init)
-            ref = sample_loss(sample.x, trace, LAYERS)
-            assert loss_adj == pytest.approx(ref, rel=1e-10)
+            assert loss_adj == sample_loss(sample.x, trace, LAYERS)
 
     @pytest.mark.parametrize("layers", [0, -3])
     def test_non_positive_layers_rejected(self, layers, tiny_batch):
@@ -169,8 +180,8 @@ class TestForwardMagnitude:
         rec = {}
         mean, var = adjoint._forward_magnitude(mu, v, y, rec)
         ref_mean, ref_var = magnitude_posterior(GaussianMessage(mu, v), y)
-        assert np.max(np.abs(mean - ref_mean)) <= 1e-12 * np.max(np.abs(ref_mean))
-        assert var == pytest.approx(ref_var, rel=1e-12)
+        np.testing.assert_array_equal(mean, ref_mean)
+        assert var == ref_var
         assert np.all(mean[::7] == 0.0)
         if rail is None:
             assert np.min(rec["kappa"][rec["kappa"] > 0]) < 30.0 < np.max(rec["kappa"])

@@ -63,6 +63,25 @@ class TestGen:
         assert "count=0" in capsys.readouterr().out
 
 
+class TestManifestErrors:
+    """A manifest that cannot be drawn from exits 2 before any sample is."""
+
+    @pytest.mark.parametrize("command", ["gen", "eval"])
+    @pytest.mark.parametrize("bad", [{"snr_db_range": [float("nan"), float("nan")]},
+                                     {"snr_db_range": [1e9, 1e9]},
+                                     {"snr_range": [40.0, 40.0]}])
+    def test_exit_code(self, tmp_path, capsys, command, bad):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(TINY_MANIFEST, **bad)))
+        out = tmp_path / "out"
+        argv = [command, "--manifest", str(path)]
+        if command == "eval":
+            argv += ["--layers", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTrain:
     def test_produces_checkpoint_and_history(self, tmp_path):
         cfg = _train_config(tmp_path)

@@ -644,6 +644,17 @@ class TestManifest:
         with pytest.raises(ManifestError):
             self._small(rho_range=(0.8, 0.3))
 
+    @pytest.mark.parametrize("snr_db_range", [(float("nan"), float("nan")), (1e9, 1e9),
+                                              (20.0, float("inf")), (-3000.5, 20.0)])
+    def test_rejects_non_finite_or_overflowing_snr(self, snr_db_range):
+        # 10^(dB/10) must stay a positive, finite float.
+        with pytest.raises(ManifestError, match="snr_db_range"):
+            self._small(snr_db_range=snr_db_range)
+
+    def test_accepts_snr_at_the_limits(self):
+        limits = (-3000.0, 3000.0)
+        assert self._small(snr_db_range=limits).snr_db_range == limits
+
     def test_rejects_unknown_class(self):
         with pytest.raises(ManifestError):
             self._small(matrix_class=("fourier",))
@@ -692,6 +703,12 @@ class TestManifest:
         assert got == DatasetManifest(seed=3, count=10, m=40, n=10)
         assert isinstance(got.m, int) and got.hash() == DatasetManifest(
             seed=3, count=10, m=40, n=10).hash()
+
+    def test_from_json_rejects_unknown_fields(self):
+        # A misspelt field must not leave its default in place unnoticed.
+        with pytest.raises(ManifestError, match="snr_range"):
+            DatasetManifest.from_json(
+                '{"seed": 3, "count": 10, "m": 40, "n": 10, "snr_range": [40, 40]}')
 
     def test_from_json_rejects_garbage(self):
         with pytest.raises(ManifestError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gecsr import hypernets, model, training
+from gecsr import adjoint, hypernets, model, training
 from gecsr.model import DatasetManifest, SignalPrior
 from gecsr.solver import SolverTrace, align_phase, constant_schedule, run_solver
 from gecsr.training import (
@@ -12,6 +12,7 @@ from gecsr.training import (
     ExtendedPolicy,
     IncompatibleError,
     TrainerConfig,
+    TrainingAborted,
     TruncatedTraceError,
     adam_step,
     evaluate,
@@ -207,6 +208,53 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train("net_direct", tiny_manifest(count=1),
                   TrainerConfig(epochs=1, batch_size=8))
+
+    @pytest.mark.parametrize("estimator", ["spsa", "adjoint"])
+    @pytest.mark.parametrize("n_bad", [2, 3])
+    def test_divergent_samples_charged_the_clip_or_abort(self, monkeypatch, estimator,
+                                                        n_bad):
+        # Both estimators share one batch loop: a divergent sample costs the
+        # clip, and more than abort_fraction (0.5) of a batch aborts training.
+        manifest = tiny_manifest(seed=61, count=4)
+        bad = {model.sample_at(manifest, i).x.tobytes() for i in range(n_bad)}
+        solve, differentiate = training.run_solver, adjoint.loss_and_gradient
+
+        def diverging_solve(sample, *args, **kwargs):
+            trace = solve(sample, *args, **kwargs)
+            trace.diverged |= sample.x.tobytes() in bad
+            return trace
+
+        def diverging_gradient(sample, *args, **kwargs):
+            loss, grads, diverged = differentiate(sample, *args, **kwargs)
+            if sample.x.tobytes() in bad:
+                zero = {key: np.zeros_like(g) for key, g in grads.items()}
+                return kwargs["loss_clip"], zero, True
+            return loss, grads, diverged
+
+        monkeypatch.setattr(training, "run_solver", diverging_solve)
+        monkeypatch.setattr(adjoint, "loss_and_gradient", diverging_gradient)
+        config = TrainerConfig(epochs=1, batch_size=4, layers=2, grad_pairs=1,
+                               grad_estimator=estimator, loss_clip=1e3, seed=3)
+        if n_bad > 2:
+            with pytest.raises(TrainingAborted, match="3/4"):
+                train("net_direct", manifest, config)
+            return
+        history = train("net_direct", manifest, config).history
+        assert len(history) == 1 and 0.5e3 <= history[0][1] < 1e3
+
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_no_progress_compares_first_and_last_ten_steps(self, monkeypatch, rising):
+        calls = []
+
+        def scripted_loss(x_true, trace, layers):
+            calls.append(None)
+            return float(len(calls) if rising else 1e3 - len(calls))
+
+        monkeypatch.setattr(training, "sample_loss", scripted_loss)
+        config = TrainerConfig(epochs=12, batch_size=4, layers=2, grad_pairs=1, seed=3)
+        result = train("net_direct", tiny_manifest(seed=62, count=4), config)
+        assert len(result.history) == 12
+        assert result.no_progress == rising
 
 
 class TestSampleCache:
