@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from typing import Optional
 
 import numpy as np
 
@@ -58,9 +59,22 @@ def _atomic_write(path: str, data: str) -> None:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ManifestError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ManifestError(f"config {path} must be a JSON object")
+    return raw
+
+
+def _policy_source(name: Optional[str], checkpoint: Optional[str]):
+    """(table label, evaluation source): a checkpoint's payload, else a baseline."""
+    if checkpoint:
+        payload = hypernets.load_checkpoint(checkpoint)
+        return payload["variant"], payload
+    if name not in BASELINES:
+        raise ManifestError(f"variant {name!r} needs a checkpoint or a baseline name")
+    return name, BASELINES[name]
 
 
 def _scenario_label(manifest: DatasetManifest) -> str:
@@ -116,12 +130,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         trainer = TrainerConfig.from_dict(raw.get("trainer", {}))
     except KeyError as exc:
         raise ManifestError(f"train config missing field {exc}") from exc
+    if not isinstance(variants, list):
+        raise ManifestError(f"train config 'variants' must be a list, got {variants!r}")
     if args.seed is not None:
         trainer = replace(trainer, seed=args.seed)
     if args.layers is not None:
         trainer = replace(trainer, layers=args.layers)
     # Check every name before the first one trains and writes files.
-    unknown = [v for v in variants if v not in hypernets.VARIANTS]
+    unknown = [v for v in variants
+               if not isinstance(v, str) or v not in hypernets.VARIANTS]
     if unknown:
         raise ManifestError(f"unknown variants {unknown}; "
                             f"expected names from {tuple(hypernets.VARIANTS)}")
@@ -152,16 +169,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     manifest = model.load_manifest(args.manifest)
     if manifest.count == 0:
         raise EmptyResultError("manifest has no samples to evaluate")
-    layers = args.layers
     scenario = _scenario_label(manifest)
-    rows = [RESULT_HEADER]
+    sources = [_policy_source(name, None) for name in BASELINES]
     if args.checkpoint:
-        payload = hypernets.load_checkpoint(args.checkpoint)
-        result = training.evaluate(payload, manifest, layers)
-        rows += _result_rows(payload["variant"], scenario, result)
-    for name, policy in BASELINES.items():
-        result = training.evaluate(policy, manifest, layers)
-        rows += _result_rows(name, scenario, result)
+        sources.insert(0, _policy_source(None, args.checkpoint))
+    rows = [RESULT_HEADER]
+    for label, source in sources:
+        rows += _result_rows(label, scenario,
+                             training.evaluate(source, manifest, args.layers))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "eval.csv")
     _atomic_write(out_path, "\n".join(rows) + "\n")
@@ -182,7 +197,7 @@ def _sweep_manifest(base: DatasetManifest, kind: str, value: float,
     elif kind == "rho":
         changes["rho_range"] = (value, value)
     elif kind == "size":
-        changes["n"] = int(value)
+        changes["n"] = model.integer_field("grid", value)
         changes["m"] = math.ceil(ratio * value)
     else:
         raise ManifestError(f"unknown sweep kind {kind!r}")
@@ -198,32 +213,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         variants = raw["variants"]
     except KeyError as exc:
         raise ManifestError(f"sweep config missing field {exc}") from exc
-    if not grid:
-        raise ManifestError("sweep grid must be non-empty")
+    if not (isinstance(grid, list) and grid):
+        raise ManifestError("sweep grid must be a non-empty list")
+    if not (isinstance(variants, list) and all(
+            isinstance(e, dict) and isinstance(e.get("name"), str)
+            and isinstance(e.get("checkpoint", ""), str) for e in variants)):
+        raise ManifestError("sweep 'variants' must be a list of objects, each with "
+                            f"a 'name' and an optional 'checkpoint', got {variants!r}")
+    sources = [_policy_source(e["name"], e.get("checkpoint")) for e in variants]
     layers = (args.layers if args.layers is not None
               else model.integer_field("layers", raw.get("layers", 10)))
     samples = model.integer_field("samples", raw.get("samples", 48))
     if samples == 0:
         raise EmptyResultError("sweep has no samples to evaluate")
-    ratio = float(raw.get("ratio", 4.0))
+    ratio = model.number_field("ratio", raw.get("ratio", 4.0))
     rows = [RESULT_HEADER]
     for k, value in enumerate(grid):
         point_seed = (base.seed * 1_000_003 + k) % (2**63)
-        manifest = _sweep_manifest(base, kind, float(value), point_seed, ratio,
-                                   samples)
+        manifest = _sweep_manifest(base, kind, model.number_field("grid", value),
+                                   point_seed, ratio, samples)
         scenario = f"{kind}={value:g}"
-        for entry in variants:
-            name = entry["name"]
-            if "checkpoint" in entry:
-                payload = hypernets.load_checkpoint(entry["checkpoint"])
-                result = training.evaluate(payload, manifest, layers)
-                rows += _result_rows(payload["variant"], scenario, result)
-            elif name in BASELINES:
-                result = training.evaluate(BASELINES[name], manifest, layers)
-                rows += _result_rows(name, scenario, result)
-            else:
-                raise ManifestError(f"sweep variant {name!r} needs a checkpoint "
-                                    f"or a baseline name")
+        for label, source in sources:
+            rows += _result_rows(label, scenario,
+                                 training.evaluate(source, manifest, layers))
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"sweep_{kind}.csv")
     _atomic_write(out_path, "\n".join(rows) + "\n")
@@ -254,6 +266,9 @@ def cmd_recon_image(args: argparse.Namespace) -> int:
     x = image.reshape(-1).astype(complex)
     if not np.any(np.abs(x) > 0):
         raise InputFormatError("all-black image: zero signal has no defined NMSE")
+    # A controller trained at another N resamples the image's spectrum itself.
+    variant, source = _policy_source(BASELINE_GEOMETRIC, args.checkpoint)
+    policy = training.policy_for_evaluation(source)
     rho_est = min(max(float(np.mean(image > 0.05)), 1.0 / n), 1.0)
     prior = SignalPrior(rho_est)
     snr = 10.0 ** (args.snr_db / 10.0)
@@ -261,17 +276,6 @@ def cmd_recon_image(args: argparse.Namespace) -> int:
     matrix = model.dense_gaussian_matrix(m, n, snr, rng)
     y = model.forward_measure(matrix, x, rng)
     sample = model.Sample(x=x, y=y, matrix=matrix, snr=snr, rho=rho_est)
-    if args.checkpoint:
-        payload = hypernets.load_checkpoint(args.checkpoint)
-        policy = training.policy_for_evaluation(payload, max(args.layers, 1))
-        if int(payload["n"]) != n:
-            # Controllers trained at another signal dimension drive the
-            # image scenario through a resampled spectrum-shape feature.
-            policy = training.FeatureResamplePolicy(policy, int(payload["n"]))
-        variant = payload["variant"]
-    else:
-        variant = BASELINE_GEOMETRIC
-        policy = BASELINES[variant]
     if args.layers == 0:
         _, msg_x0 = solver.spectral_init(y, matrix)
         estimate = msg_x0.mean

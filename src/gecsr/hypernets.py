@@ -1,6 +1,6 @@
 """Damping-factor generators: learned vectors, static nets, recurrent nets.
 
-Four controller families implement the solver's DampingPolicy interface:
+Three controller classes implement the solver's DampingPolicy interface:
 
 * DirectSchedulePolicy -- per-layer logits learned directly (no network).
 * StaticHyperNetPolicy -- a two-layer net mapping the matrix shape and the
@@ -11,6 +11,11 @@ Four controller families implement the solver's DampingPolicy interface:
   query from the scenario features, the recent damping history, and the
   current extrinsic variance, so it extends to any number of layers
   (optionally with a single attention head over the hidden state).
+
+Each controller owns its depth and width rules.  The fixed-depth ones
+(direct and static) damp by 0.5, with no gradient, past their trained depth.
+The static and recurrent ones read the spectrum through `spectrum_input`,
+so a controller trained at one N runs at any other.
 
 All weights live in small dataclasses that flatten to/from one real vector
 for the trainer, and serialize to a JSON checkpoint.
@@ -37,10 +42,6 @@ import numpy as np
 from .solver import DampingPolicy, PolicyFeatures
 
 INIT_SCALE = 0.1
-
-
-class LayerOverflowError(RuntimeError):
-    """A fixed-length controller was queried beyond its trained depth."""
 
 
 class CheckpointError(ValueError):
@@ -321,6 +322,17 @@ def _zeros_like(params):
     return params_from_vector(params, np.zeros_like(params_to_vector(params)))
 
 
+def spectrum_input(sigma_tilde: np.ndarray, n: int) -> np.ndarray:
+    """The spectrum shape at trained width `n`; one of another width (an image's,
+    say) is linearly resampled onto n points and renormalized to unit norm."""
+    if sigma_tilde.shape[0] == n:
+        return sigma_tilde
+    shape = np.interp(np.linspace(0.0, 1.0, n),
+                      np.linspace(0.0, 1.0, sigma_tilde.shape[0]), sigma_tilde)
+    norm = float(np.linalg.norm(shape))
+    return shape / norm if norm > 0 else shape
+
+
 class DirectSchedulePolicy(DampingPolicy):
     """Damping factors sigmoid(logit) looked up per layer and side."""
 
@@ -335,12 +347,13 @@ class DirectSchedulePolicy(DampingPolicy):
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
         if t > self.params.layers:
-            raise LayerOverflowError(
-                f"direct schedule trained for {self.params.layers} layers, got t={t}")
+            return 0.5
         table = self._beta_z if side == "z" else self._beta_x
         return float(table[t - 1])
 
     def backward_beta(self, side: str, t: int, g_beta: float) -> dict:
+        if t > self.params.layers:
+            return {}
         table, grad = ((self._beta_z, self._grads.logits_z) if side == "z"
                        else (self._beta_x, self._grads.logits_x))
         beta = table[t - 1]
@@ -365,15 +378,16 @@ class StaticHyperNetPolicy(DampingPolicy):
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
         if t > self.params.layers:
-            raise LayerOverflowError(
-                f"static controller generates {self.params.layers} layers, got t={t}")
+            return 0.5
         if self._cache is None:
-            s = np.concatenate([features.sigma_tilde, [features.sqrt_snr]])
+            s = np.concatenate([spectrum_input(features.sigma_tilde, self.params.n),
+                                [features.sqrt_snr]])
             self._cache = hypernet_forward(s, self.params, self._tape)
         return float(self._cache[t - 1])
 
     def backward_beta(self, side: str, t: int, g_beta: float) -> dict:
-        self._g_betas[t - 1] += g_beta
+        if t <= self.params.layers:
+            self._g_betas[t - 1] += g_beta
         return {}
 
     def gradients(self) -> HyperNetParams:
@@ -401,12 +415,9 @@ class HyperGruPolicy(DampingPolicy):
         self._g_state = np.zeros(self.params.hidden)
 
     def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
-        if features.sigma_tilde.shape[0] != self.params.n:
-            raise ValueError(f"feature width {features.sigma_tilde.shape[0]} does "
-                             f"not match controller width {self.params.n}")
         log_v = np.log10(features.v_ext) if features.v_ext > 0 else -11.0
         s = np.concatenate([
-            features.sigma_tilde,
+            spectrum_input(features.sigma_tilde, self.params.n),
             [features.sqrt_snr, features.beta_prev, features.beta_prev2,
              min(max(log_v, -11.0), 11.0)],
         ])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -34,12 +35,21 @@ def integer_field(name: str, value) -> int:
     return int(value)
 
 
+def number_field(name: str, value) -> float:
+    """A config field's value as a float; booleans and non-finite values are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):  # NaN fails the comparison too
+        raise ManifestError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def check_snr_db(name: str, value: float) -> None:
-    """Refuse an SNR in dB outside +-3000, where 10^(dB/10) stops being a
-    positive, finite float, or that is not a number at all."""
-    if not abs(value) <= 3000.0:  # NaN fails the comparison too
+    """Refuse an SNR in dB outside +-300, where the solver stays finite on every
+    transform class, or that is not a number at all.  At (400, 100) a +1000 dB
+    solve overflows to 0 dB rows and -500 dB ones report +170 to +250 dB."""
+    if not abs(value) <= 300.0:  # NaN fails the comparison too
         raise ManifestError(f"{name} must be a finite number of dB in "
-                            f"[-3000, 3000], got {value}")
+                            f"[-300, 300], got {value}")
 
 
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -9,12 +9,13 @@ module.
 The per-sample loss is `solver.aligned_error` summed over layers, and one
 batch loop scores a batch by its mean for both estimators.  Divergent runs
 are charged the loss clip value so one bad sample cannot destroy a gradient
-estimate.
+estimate.  Evaluation runs a checkpoint's controller as loaded: controllers
+apply their own depth and width rules (see `hypernets`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -78,6 +79,8 @@ class TrainerConfig:
         for key, spec in self.__dataclass_fields__.items():
             if spec.type == "int":
                 object.__setattr__(self, key, model.integer_field(key, getattr(self, key)))
+            elif spec.type == "float":
+                model.number_field(key, getattr(self, key))
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
@@ -94,6 +97,8 @@ class TrainerConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "TrainerConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"trainer config must be an object, got {raw!r}")
         known = set(TrainerConfig.__dataclass_fields__)
         unknown = raw.keys() - known
         if unknown:
@@ -312,76 +317,19 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
                        no_progress=no_progress, params=trained)
 
 
-class ExtendedPolicy(DampingPolicy):
-    """Wraps a fixed-depth policy; beyond its depth the factor is 0.5."""
-
-    def __init__(self, base: DampingPolicy, base_layers: int):
-        self.base = base
-        self.base_layers = base_layers
-
-    def reset(self, tape: bool = False) -> None:
-        self.base.reset(tape)
-
-    def beta(self, side: str, t: int, features) -> float:
-        if t <= self.base_layers:
-            return self.base.beta(side, t, features)
-        return 0.5
-
-
-class FeatureResamplePolicy(DampingPolicy):
-    """Adapts the spectrum-shape feature to a controller of another width.
-
-    The normalized singular spectrum is linearly resampled to the trained
-    input width and renormalized to unit L2 norm, which lets a controller
-    trained at one signal dimension drive scenarios of another (the image
-    demo reconstructs thousands of pixels with controllers trained at
-    N = 100).  Remaining features pass through unchanged.
-    """
-
-    def __init__(self, base: DampingPolicy, trained_n: int):
-        self.base = base
-        self.trained_n = trained_n
-
-    def reset(self, tape: bool = False) -> None:
-        self.base.reset(tape)
-
-    def _resample(self, sigma_tilde: np.ndarray) -> np.ndarray:
-        n = sigma_tilde.shape[0]
-        grid_out = np.linspace(0.0, 1.0, self.trained_n)
-        grid_in = np.linspace(0.0, 1.0, n)
-        shape = np.interp(grid_out, grid_in, sigma_tilde)
-        norm = float(np.linalg.norm(shape))
-        if norm > 0:
-            shape = shape / norm
-        return shape
-
-    def beta(self, side: str, t: int, features) -> float:
-        if features.sigma_tilde.shape[0] != self.trained_n:
-            features = replace(features,
-                               sigma_tilde=self._resample(features.sigma_tilde))
-        return self.base.beta(side, t, features)
-
-
-def policy_for_evaluation(source: Union[DampingPolicy, dict], layers: int,
+def policy_for_evaluation(source: Union[DampingPolicy, dict],
                           n: Optional[int] = None) -> DampingPolicy:
     """Build the evaluation policy for a checkpoint or pass one through.
 
-    Fixed-depth variants evaluated beyond their trained depth fall back to a
-    constant 0.5; recurrent variants extend natively.  A checkpoint trained
-    at a different signal dimension than the target scenario is rejected.
+    A checkpoint trained at a signal dimension other than `n` is rejected.
+    The controllers apply their own depth and width rules (see `hypernets`).
     """
     if isinstance(source, DampingPolicy):
         return source
-    payload = source
-    if n is not None and int(payload["n"]) != n:
+    if n is not None and int(source["n"]) != n:
         raise IncompatibleError(
-            f"checkpoint trained at N={payload['n']}, scenario has N={n}")
-    policy = policy_for_params(hypernets.params_from_checkpoint(payload))
-    family, _ = hypernets.VARIANTS[payload["variant"]]
-    trained_layers = int(payload["layers"])
-    if family is not hypernets.HyperGruParams and layers > trained_layers:
-        return ExtendedPolicy(policy, trained_layers)
-    return policy
+            f"checkpoint trained at N={source['n']}, scenario has N={n}")
+    return policy_for_params(hypernets.params_from_checkpoint(source))
 
 
 @dataclass
@@ -409,17 +357,14 @@ def evaluate(source: Union[DampingPolicy, dict], manifest: DatasetManifest,
     Divergent runs keep their recorded prefix; the remaining layers are
     charged 0 dB (no better than a zero estimate) and the run is flagged.
     """
-    policy = policy_for_evaluation(source, layers, n=manifest.n)
+    policy = policy_for_evaluation(source, n=manifest.n)
     curves = np.zeros((manifest.count, layers))
     inits = np.zeros(manifest.count)
     flags = np.zeros(manifest.count, dtype=bool)
     for i in range(manifest.count):
         sample = model.sample_at(manifest, i)
         trace = run_solver(sample, SignalPrior(sample.rho), policy, layers)
-        got = trace.layers
-        curves[i, :got] = trace.nmse_db
-        if got < layers:
-            curves[i, got:] = 0.0
+        curves[i, :trace.layers] = trace.nmse_db
         inits[i] = trace.init_nmse_db
         flags[i] = trace.diverged
     return EvalResult(layers=layers, nmse_db=curves, init_nmse_db=inits,

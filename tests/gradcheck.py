@@ -1,8 +1,12 @@
-"""SPSA gradient check shared by the trainer tests and the acceptance gate.
+"""Gradient checks shared by the trainer, adjoint and acceptance tests.
 
-Part one compares SPSA with the analytic gradient of a 2-D quadratic; part
-two compares it with central differences of the true training loss of a
-tiny static controller (60 parameters) on a fixed (16, 8), 3-layer scenario.
+`grad_check` checks SPSA.  Part one compares it with the analytic gradient
+of a 2-D quadratic; part two compares it with central differences of the
+true training loss of a tiny static controller (60 parameters) on a fixed
+(16, 8), 3-layer scenario.
+
+`adjoint_check` compares the exact adjoint gradient of a batch's mean loss
+with central differences of that loss, componentwise.
 """
 
 from dataclasses import dataclass
@@ -10,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from gecsr import hypernets, model, solver
+from gecsr import adjoint, hypernets, model, solver
 from gecsr.model import DatasetManifest, SignalPrior
 from gecsr.training import EstimatorError, sample_loss, spsa_gradient
 
@@ -90,3 +94,23 @@ def grad_check(pairs: int = 64, perturbation: float = 1e-3,
            if ref_norm > 0 else float("inf"))
     return GradCheckReport(quadratic_cosine=quad_cos, end_to_end_cosine=cos,
                            end_to_end_rel_norm_error=rel)
+
+
+def adjoint_check(params, batch, layers: int, step: float = 1e-6
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(adjoint gradient, central differences) of the mean
+    `adjoint.loss_and_gradient` loss over `batch`, a list of (sample, prior,
+    spectral init) triples, at `layers` layers."""
+    theta = hypernets.params_to_vector(params)
+
+    def mean_loss(vec: np.ndarray) -> float:
+        candidate = hypernets.params_from_vector(params, vec)
+        return sum(adjoint.loss_and_gradient(sample, prior, candidate, layers,
+                                             init=init)[0]
+                   for sample, prior, init in batch) / len(batch)
+
+    grad = np.zeros_like(theta)
+    for sample, prior, init in batch:
+        _, grads, _ = adjoint.loss_and_gradient(sample, prior, params, layers, init=init)
+        grad += adjoint.gradient_vector(params, grads)
+    return grad / len(batch), central_diff_gradient(mean_loss, theta, step)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import conftest
-from gecsr import hypernets, model, training
+from gecsr import hypernets, model
 from gecsr.hypernets import hypernet_forward, params_from_checkpoint
 from gecsr.model import DatasetManifest, SignalPrior, gaussian_matrix
 from gecsr.solver import (
@@ -194,12 +194,12 @@ def test_criterion_6_layer_extensibility(hypergru_attn_ckpt, hypernet_ckpt,
         assert np.all(np.isfinite(res.nmse_db)), f"{name} produced non-finite curve"
     # Fixed-depth variants must be padded with beta = 0.5 beyond layer 10.
     for name, ckpt in (("hypernet", hypernet_ckpt), ("net_direct", net_direct_ckpt)):
-        policy = policy_for_evaluation(ckpt, layers=30, n=100)
+        policy = policy_for_evaluation(ckpt, n=100)
         assert policy.beta("z", 11, None) == 0.5
         assert policy.beta("x", 30, None) == 0.5
     # The recurrent controller runs natively (no padding wrapper).
-    native = policy_for_evaluation(hypergru_attn_ckpt, layers=30, n=100)
-    assert not isinstance(native, training.ExtendedPolicy)
+    native = policy_for_evaluation(hypergru_attn_ckpt, n=100)
+    assert type(native) is hypernets.HyperGruPolicy
     finals = {name: float(res.median_db[-1]) for name, res in results.items()}
     record(6, True, "finite 30-layer curves on binary matrices at 50 dB: "
            + ", ".join(f"{k} {v:.1f} dB" for k, v in sorted(finals.items())))

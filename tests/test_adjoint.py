@@ -46,6 +46,7 @@ from gecsr.solver import (
     spectral_init,
 )
 from gecsr.training import TrainerConfig, sample_loss, train
+from gradcheck import adjoint_check
 
 LAYERS = 4
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_controllers.json")
@@ -269,6 +270,15 @@ class TestAdjointGradients:
         grad = params_from_vector(params,
                                   _check_directional_derivatives(params, tiny_batch))
         assert np.any(grad.w1 != 0) and np.all(grad.attention.mix != 0)
+
+    @pytest.mark.parametrize("name", ["net_direct", "net_direct_tied", "hypernet"])
+    def test_componentwise_past_trained_depth(self, name, tiny_batch):
+        # Two layers past its depth a fixed-depth controller damps by 0.5,
+        # which carries no gradient of its own; the trained layers' gradient
+        # still takes in the extra layers' loss.
+        grad, reference = adjoint_check(_variant_params(name), tiny_batch, LAYERS + 2)
+        np.testing.assert_allclose(grad, reference, rtol=2e-4,
+                                   atol=1e-7 * float(np.max(np.abs(reference))))
 
     def test_componentwise_direct(self, tiny_batch):
         params = _variant_params("net_direct")

@@ -38,6 +38,41 @@ def _train_config(tmp_path, **trainer):
     return str(path)
 
 
+_TRAIN = {"variants": ["net_direct"], "manifest": TINY_MANIFEST,
+          "trainer": {"epochs": 1, "batch_size": 2, "layers": 2}}
+_SWEEP = {"kind": "ratio", "grid": [2.0], "variants": [{"name": "schedule_0.5"}],
+          "manifest": TINY_MANIFEST, "samples": 2, "layers": 2}
+
+
+class TestMalformedConfig:
+    """A config of the wrong shape exits 2, with no traceback and no output."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("train", dict(_TRAIN, trainer="x")),
+        ("train", dict(_TRAIN, trainer={"learning_rate": "a"})),
+        ("train", dict(_TRAIN, trainer={"learning_rate": float("nan")})),
+        ("train", dict(_TRAIN, variants=3)),
+        ("train", [_TRAIN]),
+        ("sweep", [_SWEEP]),
+        ("sweep", dict(_SWEEP, variants=3)),
+        ("sweep", dict(_SWEEP, variants="schedule_0.5")),
+        ("sweep", dict(_SWEEP, variants=[{"checkpoint": "ck.json"}])),
+        ("sweep", dict(_SWEEP, grid=[float("inf")])),
+        ("sweep", dict(_SWEEP, kind="size", grid=[8], ratio=float("inf"))),
+        ("sweep", dict(_SWEEP, kind="size", grid=[8.5])),
+    ], ids=["trainer-string", "learning-rate-string", "learning-rate-nan",
+            "train-variants-number", "train-list", "sweep-list",
+            "sweep-variants-number", "sweep-variants-string", "sweep-entry-unnamed",
+            "ratio-grid-infinite", "ratio-infinite", "size-grid-fraction"])
+    def test_exit_code(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGen:
     def test_valid_manifest(self, manifest_path, capsys):
         assert main(["gen", "--manifest", manifest_path]) == 0
@@ -528,6 +563,25 @@ class TestReconImageWithCheckpoint:
                      "--snr-db", "25"]) == 0
         report = json.loads((out / "recon_report.json").read_text())
         assert report["variant"] == "hypergru"
+        assert np.isfinite(report["nmse_db"])
+
+    def test_cross_width_static_checkpoint_past_its_depth(self, tmp_path):
+        # A static controller trained at N = 16 for 2 layers drives a
+        # 64-pixel image for 4: it resamples the spectrum and damps layers
+        # 3 and 4 by 0.5.
+        rng = np.random.default_rng(78)
+        image = tmp_path / "img.pgm"
+        model.write_pgm(str(image), rng.random((8, 8)))
+        params = hypernets.init_hypernet_params(16, layers=2, hidden=4, seed=31)
+        payload = hypernets.checkpoint_payload("hypernet", params, n=16, layers=2)
+        ck = tmp_path / "ck.json"
+        hypernets.save_checkpoint(str(ck), payload)
+        out = tmp_path / "out"
+        assert main(["recon-image", "--image", str(image), "--checkpoint",
+                     str(ck), "--out", str(out), "--layers", "4",
+                     "--snr-db", "25"]) == 0
+        report = json.loads((out / "recon_report.json").read_text())
+        assert report["variant"] == "hypernet" and report["n"] == 64
         assert np.isfinite(report["nmse_db"])
 
 

@@ -11,7 +11,6 @@ from gecsr.hypernets import (
     HyperGruParams,
     HyperGruPolicy,
     HyperNetParams,
-    LayerOverflowError,
     MultiAttention,
     StaticHyperNetPolicy,
     attention_head,
@@ -30,6 +29,7 @@ from gecsr.hypernets import (
     relu,
     save_checkpoint,
     sigmoid,
+    spectrum_input,
 )
 from gecsr.solver import PolicyFeatures
 
@@ -209,12 +209,15 @@ class TestGruStep:
 
 class TestPolicies:
     def test_direct_lookup_and_overflow(self):
+        # Past its trained depth the schedule is 0.5 and takes no gradient.
         params = init_direct_params(4)
         policy = DirectSchedulePolicy(params)
         f = feats()
         assert policy.beta("z", 1, f) == pytest.approx(0.9, abs=1e-9)
-        with pytest.raises(LayerOverflowError):
-            policy.beta("z", 5, f)
+        assert policy.beta("z", 5, f) == policy.beta("x", 9, None) == 0.5
+        policy.reset(tape=True)
+        assert policy.backward_beta("z", 5, 1.0) == {}
+        assert not np.any(params_to_vector(policy.gradients()))
 
     def test_direct_tied_sides_match(self):
         params = init_direct_params(3, tied=True)
@@ -231,10 +234,14 @@ class TestPolicies:
             assert policy.beta("z", t, f) == policy.beta("x", t, f)
 
     def test_static_overflow(self):
+        # Past its trained depth the net is not run: 0.5, with no gradient.
         params = init_hypernet_params(8, layers=2, hidden=6, seed=13)
         policy = StaticHyperNetPolicy(params)
-        with pytest.raises(LayerOverflowError):
-            policy.beta("z", 3, feats())
+        assert policy.beta("z", 3, None) == policy.beta("x", 7, feats()) == 0.5
+        policy.reset(tape=True)
+        policy.beta("z", 1, feats())
+        policy.backward_beta("z", 3, 1.0)
+        assert not np.any(params_to_vector(policy.gradients()))
 
     def test_static_zero_weights(self):
         params = HyperNetParams(w1=np.zeros((4, 9)), w2=np.zeros((3, 4)))
@@ -276,10 +283,13 @@ class TestPolicies:
             assert policy.beta("z", t, feats()) == 0.5
 
     def test_gru_policy_feature_width_check(self):
+        # A spectrum of another width is resampled to the trained one.
         params = init_hypergru_params(8, hidden=4, seed=16)
-        policy = HyperGruPolicy(params)
-        with pytest.raises(ValueError):
-            policy.beta("z", 1, feats(n=5))
+        narrow = feats(n=5)
+        resampled = PolicyFeatures(spectrum_input(narrow.sigma_tilde, 8), narrow.sqrt_snr,
+                                   narrow.beta_prev, narrow.beta_prev2, narrow.v_ext)
+        assert (HyperGruPolicy(params).beta("z", 1, narrow)
+                == HyperGruPolicy(params).beta("z", 1, resampled))
 
     def test_gru_policy_uses_variance_feature(self):
         params = init_hypergru_params(8, hidden=6, seed=17)

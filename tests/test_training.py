@@ -9,7 +9,6 @@ from gecsr.solver import SolverTrace, align_phase, constant_schedule, run_solver
 from gecsr.training import (
     AdamState,
     EstimatorError,
-    ExtendedPolicy,
     IncompatibleError,
     TrainerConfig,
     TrainingAborted,
@@ -340,18 +339,20 @@ class TestEvaluate:
         params = hypernets.init_variant_params(variant, n=8, layers=2, hidden=4,
                                                heads=2, seed=14)
         payload = hypernets.checkpoint_payload(variant, params, n=8, layers=2)
-        policy = policy_for_evaluation(payload, layers=5, n=8)
-        assert isinstance(policy, ExtendedPolicy)
+        policy = policy_for_evaluation(payload, n=8)
+        assert type(policy) is type(hypernets.policy_for_params(params))
         assert policy.beta("z", 3, None) == 0.5
         assert policy.beta("x", 5, None) == 0.5
+        result = evaluate(payload, tiny_manifest(seed=54, count=2), layers=5)
+        assert np.all(np.isfinite(result.nmse_db))
 
     @pytest.mark.parametrize("variant", RECURRENT)
     def test_recurrent_extends_natively(self, variant):
         params = hypernets.init_variant_params(variant, n=8, layers=2, hidden=4,
                                                seed=15)
         payload = hypernets.checkpoint_payload(variant, params, n=8, layers=2)
-        policy = policy_for_evaluation(payload, layers=6, n=8)
-        assert not isinstance(policy, ExtendedPolicy)
+        policy = policy_for_evaluation(payload, n=8)
+        assert type(policy) is hypernets.HyperGruPolicy
         manifest = tiny_manifest(seed=54, count=2)
         result = evaluate(payload, manifest, layers=6)
         assert result.nmse_db.shape == (2, 6)
@@ -418,58 +419,55 @@ class TestTrainerConfig:
 
 
 class TestFeatureResample:
-    def test_resampled_width_reaches_base(self):
-        from gecsr.solver import PolicyFeatures
-        from gecsr.training import FeatureResamplePolicy
+    """The controllers resample a spectrum of another width themselves."""
 
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=21)
-        base = hypernets.HyperGruPolicy(params)
-        wrapped = FeatureResamplePolicy(base, trained_n=8)
+    @staticmethod
+    def _features(spectrum, sqrt_snr=10.0):
+        from gecsr.solver import PolicyFeatures
+
+        return PolicyFeatures(sigma_tilde=spectrum / np.linalg.norm(spectrum),
+                              sqrt_snr=sqrt_snr, beta_prev=1.0, beta_prev2=1.0,
+                              v_ext=1.0)
+
+    def test_resampled_width_reaches_base(self):
+        # Both spectrum readers see the linear resampling at the trained
+        # width, renormalized to unit norm.
         rng = np.random.default_rng(22)
-        sig = np.sort(rng.random(20))[::-1]
-        feats = PolicyFeatures(sigma_tilde=sig / np.linalg.norm(sig),
-                               sqrt_snr=10.0, beta_prev=1.0, beta_prev2=1.0,
-                               v_ext=1.0)
-        beta = wrapped.beta("z", 1, feats)
-        assert 0.0 < beta < 1.0
+        wide = self._features(np.sort(rng.random(20))[::-1])
+        shape = np.interp(np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 20),
+                          wide.sigma_tilde)
+        narrow = self._features(shape)
+        np.testing.assert_array_equal(hypernets.spectrum_input(wide.sigma_tilde, 8),
+                                      narrow.sigma_tilde)
+        gru = hypernets.init_hypergru_params(8, hidden=4, seed=21)
+        static = hypernets.init_hypernet_params(8, layers=3, hidden=4, seed=21)
+        for params in (gru, static):
+            got = hypernets.policy_for_params(params).beta("z", 1, wide)
+            assert 0.0 < got < 1.0
+            assert got == hypernets.policy_for_params(params).beta("z", 1, narrow)
 
     def test_identity_when_widths_match(self):
-        from gecsr.solver import PolicyFeatures
-        from gecsr.training import FeatureResamplePolicy
-
-        params = hypernets.init_hypernet_params(8, layers=3, hidden=4, seed=23)
-        raw = hypernets.StaticHyperNetPolicy(params)
-        wrapped = FeatureResamplePolicy(hypernets.StaticHyperNetPolicy(params),
-                                        trained_n=8)
         rng = np.random.default_rng(24)
-        sig = np.sort(rng.random(8))[::-1]
-        feats = PolicyFeatures(sigma_tilde=sig / np.linalg.norm(sig),
-                               sqrt_snr=5.0, beta_prev=1.0, beta_prev2=1.0,
-                               v_ext=1.0)
-        assert wrapped.beta("z", 1, feats) == raw.beta("z", 1, feats)
+        feats = self._features(np.sort(rng.random(8))[::-1], sqrt_snr=5.0)
+        assert hypernets.spectrum_input(feats.sigma_tilde, 8) is feats.sigma_tilde
+        params = hypernets.init_hypernet_params(8, layers=3, hidden=4, seed=23)
+        s = np.concatenate([feats.sigma_tilde, [feats.sqrt_snr]])
+        policy = hypernets.StaticHyperNetPolicy(params)
+        assert policy.beta("z", 1, feats) == hypernets.hypernet_forward(s, params)[0]
 
     def test_reused_policy_matches_fresh_policies(self):
-        # Two spectra queried through one wrapped policy must each be
-        # resampled, as fresh policies do, even when the second feature
-        # array takes over the memory (and so the id()) of the freed first.
-        from gecsr.solver import PolicyFeatures
-        from gecsr.training import FeatureResamplePolicy
-
-        def query(policy, spectrum):
-            return policy.beta("z", 1, PolicyFeatures(
-                sigma_tilde=spectrum / np.linalg.norm(spectrum), sqrt_snr=10.0,
-                beta_prev=1.0, beta_prev2=1.0, v_ext=1.0))
-
+        # Two spectra queried through one policy must each be resampled, as
+        # fresh policies do, even when the second feature array takes over
+        # the memory (and so the id()) of the freed first.
         params = hypernets.init_hypergru_params(8, hidden=4, seed=27)
         rng = np.random.default_rng(28)
         spectra = [np.sort(rng.random(20))[::-1] for _ in range(2)]
-        shared = FeatureResamplePolicy(hypernets.HyperGruPolicy(params), trained_n=8)
+        shared = hypernets.HyperGruPolicy(params)
         got = []
         for spectrum in spectra:
             shared.reset()
-            got.append(query(shared, spectrum))
-        want = [query(FeatureResamplePolicy(hypernets.HyperGruPolicy(params),
-                                            trained_n=8), spectrum)
+            got.append(shared.beta("z", 1, self._features(spectrum)))
+        want = [hypernets.HyperGruPolicy(params).beta("z", 1, self._features(spectrum))
                 for spectrum in spectra]
         assert got == want
 
