@@ -13,7 +13,6 @@ from .model import (
 from .solver import (
     DampingPolicy,
     GaussianMessage,
-    PolicyFeatures,
     SolverTrace,
     align_phase,
     constant_schedule,
@@ -40,7 +39,6 @@ __all__ = [
     "sample_signal",
     "DampingPolicy",
     "GaussianMessage",
-    "PolicyFeatures",
     "SolverTrace",
     "align_phase",
     "constant_schedule",

@@ -374,12 +374,19 @@ def _read_table(path: str) -> list[tuple[str, str, int, str, float]]:
         header = fh.readline().strip()
         if header != RESULT_HEADER:
             raise InputFormatError(f"unexpected result-table header: {header!r}")
-        for line in fh:
+        for number, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            variant, scenario, t, metric, value = line.split(",")
-            rows.append((variant, scenario, int(t), metric, float(value)))
+            try:
+                variant, scenario, t, metric, value = line.split(",")
+                row = (variant, scenario, int(t), metric, float(value))
+            except ValueError:
+                row = None
+            if row is None or not math.isfinite(row[4]):
+                raise InputFormatError(f"{path}, line {number}: expected five fields, an "
+                                       f"integer layer and a finite value: {line!r}")
+            rows.append(row)
     return rows
 
 

@@ -8,9 +8,13 @@ Three controller classes implement the solver's DampingPolicy interface:
   a multi-head self-attention sublayer over its input, with a residual
   path around it).
 * HyperGruPolicy -- a gated recurrent cell generating one damping factor per
-  query from the scenario features, the recent damping history, and the
+  query from the scenario, the querying side's own last two factors, and the
   current extrinsic variance, so it extends to any number of layers
   (optionally with a single attention head over the hidden state).
+
+The solver resets a controller once per run with the scenario (unit-norm
+spectrum, sqrt(SNR)) and queries it with the extrinsic variance; whatever
+else it reads -- the static schedule, the GRU's damping history -- it forms.
 
 Each controller owns its depth and width rules.  The fixed-depth ones
 (direct and static) damp by 0.5, with no gradient, past their trained depth.
@@ -22,11 +26,11 @@ for the trainer, and serialize to a JSON checkpoint.
 
 Each policy class is the only implementation of its controller, for the
 solver and for the exact adjoint alike.  A taped `solver.LayerRecursion`
-resets its policy with `reset(tape=True)`, which starts a recorded run:
-the forward functions below then fill a tape, the adjoint hands dL/dbeta
-back through `backward_beta` in reverse query order, and `gradients()`
-returns dL/dparameters as a bundle shaped like the weights.  Solver runs
-record nothing.
+resets its policy with `tape=True`, which starts a recorded run: the
+forward functions below then fill a tape, the adjoint hands dL/dbeta back
+through `backward_beta` in reverse query order, which returns dL/dv_ext,
+and `gradients()` returns dL/dparameters as a bundle shaped like the
+weights.  Solver runs record nothing.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .solver import DampingPolicy, PolicyFeatures
+from .solver import DampingPolicy
 
 INIT_SCALE = 0.1
 
@@ -49,7 +53,9 @@ class CheckpointError(ValueError):
 
 
 def sigmoid(v):
-    return 1.0 / (1.0 + np.exp(-np.asarray(v, dtype=float)))
+    # e^709 is about the largest finite power of e: the clip keeps a strongly
+    # negative input from overflowing and changes no value at v >= -709.
+    return 1.0 / (1.0 + np.exp(np.minimum(-np.asarray(v, dtype=float), 709.0)))
 
 
 def relu(v):
@@ -340,25 +346,23 @@ class DirectSchedulePolicy(DampingPolicy):
         self.params = params
         self._beta_z = sigmoid(params.logits_z)
         self._beta_x = self._beta_z if params.tied else sigmoid(params.logits_x)
-        self.reset()
 
-    def reset(self, tape: bool = False) -> None:
+    def reset(self, sigma_tilde: np.ndarray, sqrt_snr: float, tape: bool = False) -> None:
         self._grads = _zeros_like(self.params) if tape else None
 
-    def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
+    def beta(self, side: str, t: int, v_ext: float) -> float:
         if t > self.params.layers:
             return 0.5
         table = self._beta_z if side == "z" else self._beta_x
         return float(table[t - 1])
 
-    def backward_beta(self, side: str, t: int, g_beta: float) -> dict:
-        if t > self.params.layers:
-            return {}
-        table, grad = ((self._beta_z, self._grads.logits_z) if side == "z"
-                       else (self._beta_x, self._grads.logits_x))
-        beta = table[t - 1]
-        grad[t - 1] += g_beta * beta * (1.0 - beta)
-        return {}
+    def backward_beta(self, side: str, t: int, g_beta: float) -> float:
+        if t <= self.params.layers:
+            table, grad = ((self._beta_z, self._grads.logits_z) if side == "z"
+                           else (self._beta_x, self._grads.logits_x))
+            beta = table[t - 1]
+            grad[t - 1] += g_beta * beta * (1.0 - beta)
+        return 0.0
 
     def gradients(self) -> DirectDampingParams:
         return self._grads
@@ -369,26 +373,22 @@ class StaticHyperNetPolicy(DampingPolicy):
 
     def __init__(self, params: HyperNetParams):
         self.params = params
-        self.reset()
 
-    def reset(self, tape: bool = False) -> None:
-        self._cache: Optional[np.ndarray] = None
+    def reset(self, sigma_tilde: np.ndarray, sqrt_snr: float, tape: bool = False) -> None:
         self._tape = {} if tape else None
         self._g_betas = np.zeros(self.params.layers) if tape else None
+        s = np.concatenate([spectrum_input(sigma_tilde, self.params.n), [sqrt_snr]])
+        self._betas = hypernet_forward(s, self.params, self._tape)
 
-    def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
+    def beta(self, side: str, t: int, v_ext: float) -> float:
         if t > self.params.layers:
             return 0.5
-        if self._cache is None:
-            s = np.concatenate([spectrum_input(features.sigma_tilde, self.params.n),
-                                [features.sqrt_snr]])
-            self._cache = hypernet_forward(s, self.params, self._tape)
-        return float(self._cache[t - 1])
+        return float(self._betas[t - 1])
 
-    def backward_beta(self, side: str, t: int, g_beta: float) -> dict:
+    def backward_beta(self, side: str, t: int, g_beta: float) -> float:
         if t <= self.params.layers:
             self._g_betas[t - 1] += g_beta
-        return {}
+        return 0.0
 
     def gradients(self) -> HyperNetParams:
         grads = _zeros_like(self.params)
@@ -399,50 +399,54 @@ class StaticHyperNetPolicy(DampingPolicy):
 class HyperGruPolicy(DampingPolicy):
     """Recurrent controller: one hidden state carried across all queries.
 
-    Builds the step input [sigma_tilde, sqrt(SNR), beta(t-1), beta(t-2),
-    log10(v)] from the query features; the extrinsic variance is log-scaled
-    and clipped to [-11, 11] so it cannot saturate the gates.
+    The step input is [sigma_tilde, sqrt(SNR), beta(t-1), beta(t-2),
+    log10(v_ext)]: the scenario part is formed at reset, the factors are the
+    querying side's own (1 before the first layer), and log10(v_ext) is
+    clipped to [-11, 11] so it cannot saturate the gates.
     """
 
     def __init__(self, params: HyperGruParams):
         self.params = params
-        self.reset()
 
-    def reset(self, tape: bool = False) -> None:
+    def reset(self, sigma_tilde: np.ndarray, sqrt_snr: float, tape: bool = False) -> None:
+        self._scenario = np.concatenate([spectrum_input(sigma_tilde, self.params.n),
+                                         [sqrt_snr]])
         self.state = np.zeros(self.params.hidden)
+        self._history = {"z": (1.0, 1.0), "x": (1.0, 1.0)}
         self._steps: Optional[list[dict]] = [] if tape else None
         self._done: list[dict] = []
         self._g_state = np.zeros(self.params.hidden)
+        # dL/d(beta(t-1), beta(t-2)) of each side's next query back.
+        self._g_feed = {"z": (0.0, 0.0), "x": (0.0, 0.0)}
 
-    def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
-        log_v = np.log10(features.v_ext) if features.v_ext > 0 else -11.0
-        s = np.concatenate([
-            spectrum_input(features.sigma_tilde, self.params.n),
-            [features.sqrt_snr, features.beta_prev, features.beta_prev2,
-             min(max(log_v, -11.0), 11.0)],
-        ])
+    def beta(self, side: str, t: int, v_ext: float) -> float:
+        log_v = np.log10(v_ext) if v_ext > 0 else -11.0
+        prev, prev2 = self._history[side]
+        s = np.concatenate([self._scenario, [prev, prev2, min(max(log_v, -11.0), 11.0)]])
         step = None
         if self._steps is not None:
-            step = {"v_ext": features.v_ext, "log_inside": -11.0 < log_v < 11.0}
+            step = {"v_ext": v_ext, "log_inside": -11.0 < log_v < 11.0}
             self._steps.append(step)
         self.state, beta = gru_step(self.state, s, self.params, step)
+        self._history[side] = (beta, prev)
         return beta
 
-    def backward_beta(self, side: str, t: int, g_beta: float) -> dict:
-        """Backpropagation through time, one query back.
+    def backward_beta(self, side: str, t: int, g_beta: float) -> float:
+        """Backpropagation through time, one query back; returns dL/dv_ext.
 
-        Returns dL/d(feature) for the damping history and the extrinsic
-        variance, which the solver's own adjoint carries onwards.
+        The adjoints of this query's two damping-history inputs wait for the
+        same side's two earlier queries, whose outputs they are.
         """
         step = self._steps.pop()
-        self._g_state, g_s = gru_step_backward(g_beta, self._g_state, self.params, step)
+        fb1, fb2 = self._g_feed[side]
+        self._g_state, g_s = gru_step_backward(g_beta + fb1, self._g_state, self.params,
+                                               step)
         self._done.append(step)
         n = self.params.n
-        g_v_ext = 0.0
-        if step["log_inside"]:
-            g_v_ext = float(g_s[n + 3]) / (step["v_ext"] * np.log(10.0))
-        return {"beta_prev": float(g_s[n + 1]), "beta_prev2": float(g_s[n + 2]),
-                "v_ext": g_v_ext}
+        self._g_feed[side] = (fb2 + float(g_s[n + 1]), float(g_s[n + 2]))
+        if not step["log_inside"]:
+            return 0.0
+        return float(g_s[n + 3]) / (step["v_ext"] * np.log(10.0))
 
     def gradients(self) -> HyperGruParams:
         return gru_weight_gradients(self.params, self._done)

@@ -7,7 +7,8 @@ applying the true signal prior -- each followed by an extrinsic (debiasing)
 step.  The messages leaving the phase reconstructor and the denoiser pass
 through a damping operation whose factor beta(t) is supplied online by a
 DampingPolicy, which is where fixed schedules, learned vectors, and
-hypernetwork controllers plug in.
+hypernetwork controllers plug in.  A run resets the policy with its scenario
+(the unit-norm spectrum and sqrt(SNR)); a query passes the extrinsic variance.
 
 All messages carry a complex mean vector and a single scalar variance (the
 component average).  Variances are clamped to [V_MIN, V_MAX] throughout.
@@ -383,24 +384,15 @@ def nmse_db(x_true: np.ndarray, x_est: np.ndarray) -> float:
     return max(10.0 * np.log10(num / denom), NMSE_FLOOR_DB)
 
 
-@dataclass(frozen=True)
-class PolicyFeatures:
-    """Per-query inputs available to a damping policy."""
-
-    sigma_tilde: np.ndarray
-    sqrt_snr: float
-    beta_prev: float
-    beta_prev2: float
-    v_ext: float
-
-
 class DampingPolicy:
     """Online source of damping factors, queried once per side per layer."""
 
-    def reset(self, tape: bool = False) -> None:
-        """Clear per-run state; `LayerRecursion` calls it, taped when recorded."""
+    def reset(self, sigma_tilde: np.ndarray, sqrt_snr: float, tape: bool = False) -> None:
+        """Start a run in its scenario: the unit-norm spectrum and sqrt(SNR).
+        `LayerRecursion` calls it once per run, taped when recorded."""
 
-    def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
+    def beta(self, side: str, t: int, v_ext: float) -> float:
+        """Layer t's factor for side "z" or "x", given its extrinsic variance."""
         raise NotImplementedError
 
 
@@ -410,7 +402,7 @@ class SchedulePolicy(DampingPolicy):
     def __init__(self, schedule: Callable[[int], float]):
         self._schedule = schedule
 
-    def beta(self, side: str, t: int, features: PolicyFeatures) -> float:
+    def beta(self, side: str, t: int, v_ext: float) -> float:
         return float(self._schedule(t))
 
 
@@ -442,44 +434,32 @@ class SolverTrace:
         return len(self.x_means)
 
 
-def _query(policy: DampingPolicy, side: str, t: int,
-           features: PolicyFeatures) -> float:
-    beta = policy.beta(side, t, features)
-    if not np.isfinite(beta):
-        raise PolicyError(f"policy returned non-finite damping factor {beta}")
-    return min(max(float(beta), 0.0), 1.0)
-
-
 class DampedSide:
     """One side's damping step: the policy query, damp() and the clamp.
 
-    Layer t's factor beta comes from the policy, which sees the scenario,
-    this side's two previous factors (1 before the first layer) and the
-    extrinsic variance.  The damped message is beta * previous + (1 - beta)
-    * extrinsic, where "previous" is the last damped message with its raw
-    variance (the initial message at the start); the clamped copy goes on.
+    Layer t's factor beta comes from the policy, which sees the extrinsic
+    variance, and is clamped to [0, 1].  The damped message is beta *
+    previous + (1 - beta) * extrinsic, where "previous" is the last damped
+    message with its raw variance (the initial message at the start); the
+    clamped copy goes on.  `beta` keeps the last factor, for the trace.
 
     A taped side records each step for `backward`, which carries adjoints
-    back to the history and, through the policy's inputs, earlier factors.
+    back to the history and, through the policy, to the extrinsic variance.
     """
 
-    def __init__(self, side: str, policy: DampingPolicy, sigma_tilde: np.ndarray,
-                 sqrt_snr: float, start: GaussianMessage, taped: bool = False):
+    def __init__(self, side: str, policy: DampingPolicy, start: GaussianMessage,
+                 taped: bool = False):
         self.side, self.policy = side, policy
-        self.sigma_tilde, self.sqrt_snr = sigma_tilde, sqrt_snr
         self.hist = (start.mean, start.variance)
-        self.betas = (1.0, 1.0)
         self.records = [] if taped else None
-        # dL/d(history), and dL/dbeta(t) via the next queries' beta_prev(2) inputs.
-        self.g_hist = (0.0, 0.0)
-        self.g_feed = (0.0, 0.0)
+        self.g_hist = (0.0, 0.0)   # dL/d(history)
 
     def step(self, t: int, ext: GaussianMessage) -> GaussianMessage:
-        beta = _query(self.policy, self.side, t, PolicyFeatures(
-            self.sigma_tilde, self.sqrt_snr, self.betas[0], self.betas[1],
-            ext.variance))
+        beta = self.policy.beta(self.side, t, ext.variance)
+        if not np.isfinite(beta):
+            raise PolicyError(f"policy returned non-finite damping factor {beta}")
+        self.beta = beta = min(max(float(beta), 0.0), 1.0)
         previous = self.hist
-        self.betas = (beta, self.betas[0])
         self.hist = damp((ext.mean, ext.variance), previous, beta)
         if self.records is not None:
             self.records.append((beta, previous, ext, self.hist[1]))
@@ -494,12 +474,8 @@ class DampedSide:
         g_beta = (2.0 * float(np.vdot(g_mean, hist_m - ext.mean).real)
                   + g_var * (hist_v - ext.variance))
         self.g_hist = (beta * g_mean, beta * g_var)
-        fb1, fb2 = self.g_feed
-        feat_grads = self.policy.backward_beta(self.side, t, g_beta + fb1)
-        self.g_feed = (fb2 + feat_grads.get("beta_prev", 0.0),
-                       feat_grads.get("beta_prev2", 0.0))
-        return ((1.0 - beta) * g_mean,
-                (1.0 - beta) * g_var + feat_grads.get("v_ext", 0.0))
+        g_v_ext = self.policy.backward_beta(self.side, t, g_beta)
+        return (1.0 - beta) * g_mean, (1.0 - beta) * g_var + g_v_ext
 
 
 class LayerRecursion:
@@ -507,8 +483,8 @@ class LayerRecursion:
     two damping steps, which start at the spectral initialization (computed
     here when `init` is None).  Each caller runs its own phase reconstructor
     on `msg_1z` and hands the posterior to `advance`.  The recursion resets
-    its policy; a taped one resets it with a tape and records every step of
-    every layer, for `backward`.
+    its policy with the scenario; a taped one resets it with a tape and
+    records every step of every layer, for `backward`.
     """
 
     def __init__(self, sample: Sample, prior: SignalPrior, policy: DampingPolicy,
@@ -518,11 +494,10 @@ class LayerRecursion:
         msg_z0, msg_x0 = spectral_init(sample.y, self.matrix) if init is None else init
         self.msg_1z = GaussianMessage(msg_z0.mean, clamp_variance(msg_z0.variance))
         self.msg_2x = GaussianMessage(msg_x0.mean, clamp_variance(msg_x0.variance))
-        sigma_tilde, sqrt_snr = self.matrix.sigma_tilde, float(np.sqrt(self.matrix.snr))
-        self.side_z = DampedSide("z", policy, sigma_tilde, sqrt_snr, self.msg_1z, taped)
-        self.side_x = DampedSide("x", policy, sigma_tilde, sqrt_snr, self.msg_2x, taped)
+        self.side_z = DampedSide("z", policy, self.msg_1z, taped)
+        self.side_x = DampedSide("x", policy, self.msg_2x, taped)
         self.tapes = [] if taped else None
-        policy.reset(tape=taped)
+        policy.reset(self.matrix.sigma_tilde, float(np.sqrt(self.matrix.snr)), tape=taped)
 
     def advance(self, t: int, post_z: np.ndarray, var_z: float
                 ) -> Optional[tuple[np.ndarray, float, float]]:
@@ -615,8 +590,8 @@ def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
             den_x, v2z, v2x = layer
             trace.x_means.append(den_x)
             trace.nmse_db.append(nmse_db(sample.x, align_phase(sample.x, den_x)))
-            trace.beta_z.append(recursion.side_z.betas[0])
-            trace.beta_x.append(recursion.side_x.betas[0])
+            trace.beta_z.append(recursion.side_z.beta)
+            trace.beta_x.append(recursion.side_x.beta)
             trace.v2z.append(v2z)
             trace.v2x.append(v2x)
         if layer is None or not recursion.finite():

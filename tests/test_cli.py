@@ -537,6 +537,17 @@ class TestPlot:
         table = self._table(tmp_path, [])
         assert main(["plot", "--table", table, "--out", str(tmp_path)]) == 6
 
+    @pytest.mark.parametrize("row", ["a,scen,1,nmse_median_db", "a,scen,1,nmse_median_db,-3,4",
+                                     "a,scen,1,nmse_median_db,abc", "a,scen,x,nmse_median_db,-3",
+                                     "a,scen,1.5,nmse_median_db,-3", "a,scen,1,nmse_median_db,nan",
+                                     "a,scen,1,nmse_median_db,inf"])
+    def test_malformed_row_format_error(self, tmp_path, capsys, row):
+        table = self._table(tmp_path, ["a,scen,1,nmse_median_db,-2", row])
+        out = tmp_path / "plots"
+        assert main(["plot", "--table", table, "--out", str(out)]) == 5
+        assert "line 3" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.svg"))
+
     def test_sweep_summary_plot(self, tmp_path):
         rows = []
         for g in (10, 20):
@@ -546,6 +557,32 @@ class TestPlot:
         out = tmp_path / "plots"
         assert main(["plot", "--table", table, "--out", str(out)]) == 0
         assert (out / "sweep_snr.svg").exists()
+
+
+class TestHighSnrControllers:
+    """sqrt(SNR) = 1e15 at +300 dB reaches the controllers' gates unscaled."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, variant", [("eval", "hypergru"), ("eval", "hypernet"),
+                                                  ("eval", "hypernet_attn"),
+                                                  ("recon-image", "hypergru")])
+    def test_exits_cleanly(self, tmp_path, command, variant):
+        params = hypernets.init_variant_params(variant, n=16, layers=3)
+        ck = tmp_path / "ck.json"
+        hypernets.save_checkpoint(str(ck), hypernets.checkpoint_payload(
+            variant, params, n=16, layers=3))
+        out = tmp_path / "out"
+        if command == "eval":
+            manifest = tmp_path / "manifest.json"
+            manifest.write_text(json.dumps(dict(TINY_MANIFEST, m=64, n=16,
+                                                snr_db_range=[300.0, 300.0])))
+            args = ["eval", "--manifest", str(manifest), "--layers", "3"]
+        else:
+            image = tmp_path / "img.pgm"
+            model.write_pgm(str(image), np.random.default_rng(79).random((4, 4)))
+            args = ["recon-image", "--image", str(image), "--snr-db", "300",
+                    "--layers", "3"]
+        assert main(args + ["--checkpoint", str(ck), "--out", str(out)]) == 0
 
 
 class TestReconImageWithCheckpoint:

@@ -31,16 +31,19 @@ from gecsr.hypernets import (
     sigmoid,
     spectrum_input,
 )
-from gecsr.solver import PolicyFeatures
 
 
-def feats(n=8, sqrt_snr=10.0, beta_prev=1.0, beta_prev2=1.0, v_ext=1.0,
-          seed=0) -> PolicyFeatures:
+def scenario(n=8, sqrt_snr=10.0, seed=0) -> tuple[np.ndarray, float]:
+    """A unit-norm decreasing spectrum of width n with sqrt(SNR)."""
     rng = np.random.default_rng(seed)
     sig = np.sort(rng.random(n))[::-1] + 0.1
-    return PolicyFeatures(sigma_tilde=sig / np.linalg.norm(sig),
-                          sqrt_snr=sqrt_snr, beta_prev=beta_prev,
-                          beta_prev2=beta_prev2, v_ext=v_ext)
+    return sig / np.linalg.norm(sig), sqrt_snr
+
+
+def reset(policy, n=8, sqrt_snr=10.0, seed=0, tape=False):
+    """Reset `policy` on `scenario(n, sqrt_snr, seed)` and return it."""
+    policy.reset(*scenario(n, sqrt_snr, seed), tape=tape)
+    return policy
 
 
 class TestActivations:
@@ -61,6 +64,20 @@ class TestActivations:
         assert np.all((s > 0) & (s < 1))
         t = np.tanh(v)
         assert np.all((t > -1) & (t < 1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sigmoid_saturates_without_overflow(self):
+        # A gate fed sqrt(SNR) = 1e15 sees inputs far past e's exponent range.
+        assert sigmoid(1000.0) == 1.0
+        assert 0.0 < sigmoid(-1000.0) < 1e-300
+        np.testing.assert_array_equal(sigmoid(np.array([-1000.0, 1000.0])) > 0.5,
+                                      [False, True])
+
+    def test_sigmoid_unchanged_inside_exponent_range(self):
+        v = np.linspace(-709.0, 709.0, 20001)
+        np.testing.assert_array_equal(sigmoid(v), 1.0 / (1.0 + np.exp(-v)))
+        for x in (-709.0, -20.5, 0.0, 3.25, 709.0):
+            assert sigmoid(x) == 1.0 / (1.0 + np.exp(-x))
 
 
 class TestAttention:
@@ -151,9 +168,9 @@ class TestHyperNet:
 
     def test_snr_sensitivity_smoke(self):
         params = init_hypernet_params(8, layers=4, hidden=6, seed=4)
-        f_lo, f_hi = feats(sqrt_snr=3.0), feats(sqrt_snr=30.0)
-        s_lo = np.concatenate([f_lo.sigma_tilde, [f_lo.sqrt_snr]])
-        s_hi = np.concatenate([f_hi.sigma_tilde, [f_hi.sqrt_snr]])
+        sig, _ = scenario()
+        s_lo = np.concatenate([sig, [3.0]])
+        s_hi = np.concatenate([sig, [30.0]])
         assert not np.allclose(hypernet_forward(s_lo, params),
                                hypernet_forward(s_hi, params))
 
@@ -211,62 +228,57 @@ class TestPolicies:
     def test_direct_lookup_and_overflow(self):
         # Past its trained depth the schedule is 0.5 and takes no gradient.
         params = init_direct_params(4)
-        policy = DirectSchedulePolicy(params)
-        f = feats()
-        assert policy.beta("z", 1, f) == pytest.approx(0.9, abs=1e-9)
-        assert policy.beta("z", 5, f) == policy.beta("x", 9, None) == 0.5
-        policy.reset(tape=True)
-        assert policy.backward_beta("z", 5, 1.0) == {}
+        policy = reset(DirectSchedulePolicy(params))
+        assert policy.beta("z", 1, 1.0) == pytest.approx(0.9, abs=1e-9)
+        assert policy.beta("z", 5, 1.0) == policy.beta("x", 9, None) == 0.5
+        reset(policy, tape=True)
+        assert policy.backward_beta("z", 5, 1.0) == 0.0
         assert not np.any(params_to_vector(policy.gradients()))
 
     def test_direct_tied_sides_match(self):
         params = init_direct_params(3, tied=True)
-        policy = DirectSchedulePolicy(params)
-        f = feats()
+        policy = reset(DirectSchedulePolicy(params))
         for t in (1, 2, 3):
-            assert policy.beta("z", t, f) == policy.beta("x", t, f)
+            assert policy.beta("z", t, 1.0) == policy.beta("x", t, 1.0)
 
     def test_static_ties_sides(self):
         params = init_hypernet_params(8, layers=5, hidden=6, seed=12)
-        policy = StaticHyperNetPolicy(params)
-        f = feats()
+        policy = reset(StaticHyperNetPolicy(params))
         for t in (1, 3, 5):
-            assert policy.beta("z", t, f) == policy.beta("x", t, f)
+            assert policy.beta("z", t, 1.0) == policy.beta("x", t, 1.0)
 
     def test_static_overflow(self):
         # Past its trained depth the net is not run: 0.5, with no gradient.
         params = init_hypernet_params(8, layers=2, hidden=6, seed=13)
         policy = StaticHyperNetPolicy(params)
-        assert policy.beta("z", 3, None) == policy.beta("x", 7, feats()) == 0.5
-        policy.reset(tape=True)
-        policy.beta("z", 1, feats())
+        assert policy.beta("z", 3, None) == policy.beta("x", 7, 1.0) == 0.5
+        reset(policy, tape=True)
+        policy.beta("z", 1, 1.0)
         policy.backward_beta("z", 3, 1.0)
         assert not np.any(params_to_vector(policy.gradients()))
 
     def test_static_zero_weights(self):
         params = HyperNetParams(w1=np.zeros((4, 9)), w2=np.zeros((3, 4)))
-        policy = StaticHyperNetPolicy(params)
-        assert policy.beta("x", 2, feats()) == 0.5
+        policy = reset(StaticHyperNetPolicy(params))
+        assert policy.beta("x", 2, 1.0) == 0.5
 
     def test_static_cache_reset_between_runs(self):
         params = init_hypernet_params(8, layers=3, hidden=6, seed=14)
         policy = StaticHyperNetPolicy(params)
-        b1 = policy.beta("z", 1, feats(sqrt_snr=3.0))
-        policy.reset()
-        b2 = policy.beta("z", 1, feats(sqrt_snr=30.0))
+        b1 = reset(policy, sqrt_snr=3.0).beta("z", 1, 1.0)
+        b2 = reset(policy, sqrt_snr=30.0).beta("z", 1, 1.0)
         assert b1 != b2
 
     def test_gru_policy_stateful_determinism(self):
         params = init_hypergru_params(8, hidden=6, seed=15)
         policy = HyperGruPolicy(params)
-        sequence = [feats(v_ext=10.0**-k, beta_prev=0.8, beta_prev2=0.9, seed=k)
-                    for k in range(6)]
+        sequence = [10.0**-k for k in range(6)]
 
         def run():
-            policy.reset()
+            reset(policy)
             out = []
-            for t, f in enumerate(sequence):
-                out.append(policy.beta("z" if t % 2 == 0 else "x", t // 2 + 1, f))
+            for t, v_ext in enumerate(sequence):
+                out.append(policy.beta("z" if t % 2 == 0 else "x", t // 2 + 1, v_ext))
             return out
 
         first, second = run(), run()
@@ -278,25 +290,25 @@ class TestPolicies:
                                 w_reset=np.zeros((3, 15)),
                                 w_cand=np.zeros((3, 15)),
                                 w_out=np.zeros(3))
-        policy = HyperGruPolicy(params)
+        policy = reset(HyperGruPolicy(params))
         for t in (1, 2, 3):
-            assert policy.beta("z", t, feats()) == 0.5
+            assert policy.beta("z", t, 1.0) == 0.5
 
     def test_gru_policy_feature_width_check(self):
         # A spectrum of another width is resampled to the trained one.
         params = init_hypergru_params(8, hidden=4, seed=16)
-        narrow = feats(n=5)
-        resampled = PolicyFeatures(spectrum_input(narrow.sigma_tilde, 8), narrow.sqrt_snr,
-                                   narrow.beta_prev, narrow.beta_prev2, narrow.v_ext)
-        assert (HyperGruPolicy(params).beta("z", 1, narrow)
-                == HyperGruPolicy(params).beta("z", 1, resampled))
+        sig, sqrt_snr = scenario(n=5)
+        narrow, resampled = HyperGruPolicy(params), HyperGruPolicy(params)
+        narrow.reset(sig, sqrt_snr)
+        resampled.reset(spectrum_input(sig, 8), sqrt_snr)
+        assert narrow.beta("z", 1, 1.0) == resampled.beta("z", 1, 1.0)
 
     def test_gru_policy_uses_variance_feature(self):
         params = init_hypergru_params(8, hidden=6, seed=17)
-        policy = HyperGruPolicy(params)
-        b_small = policy.beta("z", 1, feats(v_ext=1e-6))
-        policy.reset()
-        b_large = policy.beta("z", 1, feats(v_ext=1e6))
+        policy = reset(HyperGruPolicy(params))
+        b_small = policy.beta("z", 1, 1e-6)
+        reset(policy)
+        b_large = policy.beta("z", 1, 1e6)
         assert b_small != b_large
 
 
@@ -335,9 +347,9 @@ class TestCheckpoints:
         restored = params_from_checkpoint(loaded)
         np.testing.assert_array_equal(params_to_vector(restored),
                                       params_to_vector(params))
-        policy = hypernets.policy_for_params(restored)
-        assert policy.beta("z", 1, feats()) == pytest.approx(
-            hypernets.policy_for_params(params).beta("z", 1, feats()))
+        policy = reset(hypernets.policy_for_params(restored))
+        assert policy.beta("z", 1, 1.0) == pytest.approx(
+            reset(hypernets.policy_for_params(params)).beta("z", 1, 1.0))
 
     def test_payload_rejects_mismatched_variant(self):
         # The label must agree with the bundle's family and attention flag,
@@ -364,7 +376,8 @@ class TestCheckpoints:
         path = tmp_path / "ck.json"
         save_checkpoint(str(path), payload)
         restored = params_from_checkpoint(load_checkpoint(str(path)))
-        s = np.concatenate([feats().sigma_tilde, [feats().sqrt_snr]])
+        sig, sqrt_snr = scenario()
+        s = np.concatenate([sig, [sqrt_snr]])
         np.testing.assert_array_equal(hypernet_forward(s, restored),
                                       hypernet_forward(s, params))
 

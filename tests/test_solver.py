@@ -12,7 +12,7 @@ import pytest
 from scipy import integrate
 from scipy.special import i0e, i1e
 
-from gecsr import model
+from gecsr import hypernets, model
 from gecsr.hypernets import init_hypergru_params, policy_for_params
 from gecsr.model import SignalPrior, TransformMatrix, gaussian_matrix
 from gecsr.solver import (
@@ -22,7 +22,6 @@ from gecsr.solver import (
     GaussianMessage,
     LayerRecursion,
     PolicyError,
-    PolicyFeatures,
     SchedulePolicy,
     align_phase,
     bessel_ratio,
@@ -440,7 +439,7 @@ class TestDamp:
         # A policy emitting factors outside [0, 1] is clamped by the
         # solver's query, before damp() sees the factor.
         class OutOfRange(DampingPolicy):
-            def beta(self, side, t, features):
+            def beta(self, side, t, v_ext):
                 return 1.5 if side == "z" else -0.5
 
         sample = _small_sample(seed=9)
@@ -583,7 +582,7 @@ class TestRunSolver:
         sample = _small_sample(4)
 
         class BadPolicy(DampingPolicy):
-            def beta(self, side, t, features):
+            def beta(self, side, t, v_ext):
                 return float("nan")
 
         with pytest.raises(PolicyError):
@@ -596,31 +595,42 @@ class TestRunSolver:
         for column in (trace.nmse_db, trace.beta_z, trace.beta_x, trace.v2z, trace.v2x):
             assert len(column) == 4
 
-    def test_beta_history_features_reach_policy(self):
+    def test_beta_history_features_reach_policy(self, monkeypatch):
+        # Entries n+1 and n+2 of each GRU step input are the querying
+        # side's own factors at t-1 and t-2 (1 before the first layer).
         sample = _small_sample(6)
-        seen = []
+        n = sample.matrix.n
+        inputs = []
+        gru_step = hypernets.gru_step
 
-        class Recorder(DampingPolicy):
-            def beta(self, side, t, features):
-                seen.append((side, t, features.beta_prev, features.beta_prev2))
-                return 0.25 * t / 10
+        def recording_step(state, s, params, tape=None):
+            inputs.append(s.copy())
+            return gru_step(state, s, params, tape)
 
-        run_solver(sample, SignalPrior(sample.rho), Recorder(), 3)
-        assert seen[0] == ("z", 1, 1.0, 1.0)
-        assert seen[1] == ("x", 1, 1.0, 1.0)
-        # Second layer sees the first layer's factor as beta_prev per side.
-        assert seen[2][0] == "z" and seen[2][2] == pytest.approx(0.025)
-        assert seen[3][0] == "x" and seen[3][2] == pytest.approx(0.025)
+        monkeypatch.setattr(hypernets, "gru_step", recording_step)
+        policy = policy_for_params(init_hypergru_params(n, hidden=5, seed=6))
+        trace = run_solver(sample, SignalPrior(sample.rho), policy, 3)
+        assert trace.beta_z != trace.beta_x
+        assert len(inputs) == 6
+        for k, s in enumerate(inputs):
+            t, own = k // 2 + 1, trace.beta_x if k % 2 else trace.beta_z
+            history = [1.0, 1.0] + own
+            assert (s[n + 1], s[n + 2]) == (history[t], history[t - 1])
 
     def test_sigma_tilde_feature_normalized(self):
         sample = _small_sample(7)
+        seen = []
 
         class NormCheck(DampingPolicy):
-            def beta(self, side, t, features):
-                assert abs(np.linalg.norm(features.sigma_tilde) - 1.0) < 1e-9
+            def reset(self, sigma_tilde, sqrt_snr, tape=False):
+                assert abs(np.linalg.norm(sigma_tilde) - 1.0) < 1e-9
+                seen.append(sqrt_snr)
+
+            def beta(self, side, t, v_ext):
                 return 0.5
 
         run_solver(sample, SignalPrior(sample.rho), NormCheck(), 2)
+        assert seen == [np.sqrt(sample.matrix.snr)]
 
     def test_convergence_small_instance(self):
         sample = _small_sample(8, m=80, n=20)
@@ -648,7 +658,6 @@ class TestLayerRecursionBackward:
         post_z, var_z, m1z, v1z, m2x, v2x, hz, hvz, hx, hvx = inputs
         policy = policy_for_params(init_hypergru_params(sample.matrix.n, hidden=5,
                                                         seed=5))
-        policy.reset(tape=True)
         init = (GaussianMessage(m1z, v1z), GaussianMessage(m2x, v2x))
         recursion = LayerRecursion(sample, SignalPrior(sample.rho), policy, init, taped)
         recursion.side_z.hist, recursion.side_x.hist = (hz, hvz), (hx, hvx)

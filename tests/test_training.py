@@ -422,42 +422,44 @@ class TestFeatureResample:
     """The controllers resample a spectrum of another width themselves."""
 
     @staticmethod
-    def _features(spectrum, sqrt_snr=10.0):
-        from gecsr.solver import PolicyFeatures
+    def _scenario(spectrum, sqrt_snr=10.0):
+        return spectrum / np.linalg.norm(spectrum), sqrt_snr
 
-        return PolicyFeatures(sigma_tilde=spectrum / np.linalg.norm(spectrum),
-                              sqrt_snr=sqrt_snr, beta_prev=1.0, beta_prev2=1.0,
-                              v_ext=1.0)
+    @staticmethod
+    def _first_beta(policy, scenario):
+        policy.reset(*scenario)
+        return policy.beta("z", 1, 1.0)
 
     def test_resampled_width_reaches_base(self):
         # Both spectrum readers see the linear resampling at the trained
         # width, renormalized to unit norm.
         rng = np.random.default_rng(22)
-        wide = self._features(np.sort(rng.random(20))[::-1])
+        wide = self._scenario(np.sort(rng.random(20))[::-1])
         shape = np.interp(np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 20),
-                          wide.sigma_tilde)
-        narrow = self._features(shape)
-        np.testing.assert_array_equal(hypernets.spectrum_input(wide.sigma_tilde, 8),
-                                      narrow.sigma_tilde)
+                          wide[0])
+        narrow = self._scenario(shape)
+        np.testing.assert_array_equal(hypernets.spectrum_input(wide[0], 8),
+                                      narrow[0])
         gru = hypernets.init_hypergru_params(8, hidden=4, seed=21)
         static = hypernets.init_hypernet_params(8, layers=3, hidden=4, seed=21)
         for params in (gru, static):
-            got = hypernets.policy_for_params(params).beta("z", 1, wide)
+            got = self._first_beta(hypernets.policy_for_params(params), wide)
             assert 0.0 < got < 1.0
-            assert got == hypernets.policy_for_params(params).beta("z", 1, narrow)
+            assert got == self._first_beta(hypernets.policy_for_params(params), narrow)
 
     def test_identity_when_widths_match(self):
         rng = np.random.default_rng(24)
-        feats = self._features(np.sort(rng.random(8))[::-1], sqrt_snr=5.0)
-        assert hypernets.spectrum_input(feats.sigma_tilde, 8) is feats.sigma_tilde
+        sigma_tilde, sqrt_snr = self._scenario(np.sort(rng.random(8))[::-1], sqrt_snr=5.0)
+        assert hypernets.spectrum_input(sigma_tilde, 8) is sigma_tilde
         params = hypernets.init_hypernet_params(8, layers=3, hidden=4, seed=23)
-        s = np.concatenate([feats.sigma_tilde, [feats.sqrt_snr]])
+        s = np.concatenate([sigma_tilde, [sqrt_snr]])
         policy = hypernets.StaticHyperNetPolicy(params)
-        assert policy.beta("z", 1, feats) == hypernets.hypernet_forward(s, params)[0]
+        assert (self._first_beta(policy, (sigma_tilde, sqrt_snr))
+                == hypernets.hypernet_forward(s, params)[0])
 
     def test_reused_policy_matches_fresh_policies(self):
         # Two spectra queried through one policy must each be resampled, as
-        # fresh policies do, even when the second feature array takes over
+        # fresh policies do, even when the second spectrum takes over
         # the memory (and so the id()) of the freed first.
         params = hypernets.init_hypergru_params(8, hidden=4, seed=27)
         rng = np.random.default_rng(28)
@@ -465,9 +467,8 @@ class TestFeatureResample:
         shared = hypernets.HyperGruPolicy(params)
         got = []
         for spectrum in spectra:
-            shared.reset()
-            got.append(shared.beta("z", 1, self._features(spectrum)))
-        want = [hypernets.HyperGruPolicy(params).beta("z", 1, self._features(spectrum))
+            got.append(self._first_beta(shared, self._scenario(spectrum)))
+        want = [self._first_beta(hypernets.HyperGruPolicy(params), self._scenario(spectrum))
                 for spectrum in spectra]
         assert got == want
 
