@@ -2,8 +2,9 @@
 
 Every command is deterministic given its config (seeds live in the configs).
 Exit codes: 0 ok, 2 config problem, 3 training abort, 4 checkpoint/scenario
-incompatibility, 5 unsupported input format, 6 empty result.  File writes go
-through a temp-then-rename step so partial outputs never appear.
+incompatibility, 5 unsupported input format, 6 empty result.  Every output
+file, the reconstructed image included, goes through one temp-then-rename
+writer (`model.write_atomic`), so partial outputs never appear.
 """
 
 from __future__ import annotations
@@ -49,24 +50,6 @@ class EmptyResultError(RuntimeError):
     """Nothing to write (maps to exit code 6)."""
 
 
-def _atomic_write(path: str, data: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ManifestError(f"config {path} must be a JSON object")
-    return raw
-
-
 def _policy_source(name: Optional[str], checkpoint: Optional[str]):
     """(table label, evaluation source): a checkpoint's payload, else a baseline."""
     if checkpoint:
@@ -84,14 +67,24 @@ def _scenario_label(manifest: DatasetManifest) -> str:
             f"_rho{manifest.rho_range[0]:g}-{manifest.rho_range[1]:g}")
 
 
-def _result_rows(variant: str, scenario: str, result: training.EvalResult) -> list[str]:
-    rows = []
-    for t in range(result.layers):
-        rows.append(f"{variant},{scenario},{t + 1},nmse_median_db,"
-                    f"{result.median_db[t]:.6g}")
-        rows.append(f"{variant},{scenario},{t + 1},nmse_mean_db,"
-                    f"{result.mean_db[t]:.6g}")
-    return rows
+def _write_results(out_dir: str, name: str, points: list, sources: list,
+                   layers: int) -> int:
+    """Evaluate every (label, source) at every (scenario, manifest) point and
+    write the long-format result table."""
+    rows = [RESULT_HEADER]
+    for scenario, manifest in points:
+        for label, source in sources:
+            result = training.evaluate(source, manifest, layers)
+            for t in range(result.layers):
+                rows.append(f"{label},{scenario},{t + 1},nmse_median_db,"
+                            f"{result.median_db[t]:.6g}")
+                rows.append(f"{label},{scenario},{t + 1},nmse_mean_db,"
+                            f"{result.mean_db[t]:.6g}")
+    os.makedirs(out_dir, exist_ok=True)
+    out_path = os.path.join(out_dir, name)
+    model.write_atomic(out_path, ("\n".join(rows) + "\n",))
+    print(f"result table -> {out_path}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------- commands
@@ -123,7 +116,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    raw = _load_json(args.config)
+    raw = model.read_json_object(args.config, ManifestError, "config")
     try:
         manifest = DatasetManifest.from_json(json.dumps(raw["manifest"]))
         variants = raw["variants"]
@@ -132,6 +125,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ManifestError(f"train config missing field {exc}") from exc
     if not isinstance(variants, list):
         raise ManifestError(f"train config 'variants' must be a list, got {variants!r}")
+    if not variants:
+        raise EmptyResultError("train config lists no variants")
     if args.seed is not None:
         trainer = replace(trainer, seed=args.seed)
     if args.layers is not None:
@@ -158,7 +153,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         loss_lines = ["step,batch_loss,moving_avg"]
         loss_lines += [f"{s},{l:.6g},{m:.6g}" for s, l, m in result.history]
         loss_path = os.path.join(args.out, f"{variant}_loss.csv")
-        _atomic_write(loss_path, "\n".join(loss_lines) + "\n")
+        model.write_atomic(loss_path, ("\n".join(loss_lines) + "\n",))
         written.append(loss_path)
         flag = " (no-progress flag raised)" if result.no_progress else ""
         print(f"{variant}: checkpoint -> {ck_path}{flag}")
@@ -169,19 +164,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     manifest = model.load_manifest(args.manifest)
     if manifest.count == 0:
         raise EmptyResultError("manifest has no samples to evaluate")
-    scenario = _scenario_label(manifest)
-    sources = [_policy_source(name, None) for name in BASELINES]
+    sources = list(BASELINES.items())
     if args.checkpoint:
         sources.insert(0, _policy_source(None, args.checkpoint))
-    rows = [RESULT_HEADER]
-    for label, source in sources:
-        rows += _result_rows(label, scenario,
-                             training.evaluate(source, manifest, args.layers))
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "eval.csv")
-    _atomic_write(out_path, "\n".join(rows) + "\n")
-    print(f"result table -> {out_path}")
-    return EXIT_OK
+    return _write_results(args.out, "eval.csv", [(_scenario_label(manifest), manifest)],
+                          sources, args.layers)
 
 
 def _sweep_manifest(base: DatasetManifest, kind: str, value: float,
@@ -205,7 +192,7 @@ def _sweep_manifest(base: DatasetManifest, kind: str, value: float,
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    raw = _load_json(args.config)
+    raw = model.read_json_object(args.config, ManifestError, "config")
     try:
         kind = raw["kind"]
         grid = raw["grid"]
@@ -220,6 +207,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             and isinstance(e.get("checkpoint", ""), str) for e in variants)):
         raise ManifestError("sweep 'variants' must be a list of objects, each with "
                             f"a 'name' and an optional 'checkpoint', got {variants!r}")
+    if not variants:
+        raise EmptyResultError("sweep config lists no variants")
     sources = [_policy_source(e["name"], e.get("checkpoint")) for e in variants]
     layers = (args.layers if args.layers is not None
               else model.integer_field("layers", raw.get("layers", 10)))
@@ -227,20 +216,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if samples == 0:
         raise EmptyResultError("sweep has no samples to evaluate")
     ratio = model.number_field("ratio", raw.get("ratio", 4.0))
-    rows = [RESULT_HEADER]
+    points = []
     for k, value in enumerate(grid):
         point_seed = (base.seed * 1_000_003 + k) % (2**63)
         manifest = _sweep_manifest(base, kind, model.number_field("grid", value),
                                    point_seed, ratio, samples)
-        scenario = f"{kind}={value:g}"
-        for label, source in sources:
-            rows += _result_rows(label, scenario,
-                                 training.evaluate(source, manifest, layers))
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, f"sweep_{kind}.csv")
-    _atomic_write(out_path, "\n".join(rows) + "\n")
-    print(f"result table -> {out_path}")
-    return EXIT_OK
+        points.append((f"{kind}={value:g}", manifest))
+    return _write_results(args.out, f"sweep_{kind}.csv", points, sources, layers)
 
 
 def cmd_recon_image(args: argparse.Namespace) -> int:
@@ -298,8 +280,8 @@ def cmd_recon_image(args: argparse.Namespace) -> int:
         "n": n,
         "rho_estimate": rho_est,
     }
-    _atomic_write(os.path.join(args.out, "recon_report.json"),
-                  json.dumps(report, indent=2, sort_keys=True) + "\n")
+    model.write_atomic(os.path.join(args.out, "recon_report.json"),
+                       (json.dumps(report, indent=2, sort_keys=True) + "\n",))
     print(f"reconstruction NMSE: {level:.2f} dB -> {out_image}")
     return EXIT_OK
 
@@ -398,37 +380,33 @@ def cmd_plot(args: argparse.Namespace) -> int:
     rows = _read_table(args.table)
     if not rows:
         raise EmptyResultError("result table has no data rows")
-    os.makedirs(args.out, exist_ok=True)
-    scenarios = sorted({r[1] for r in rows})
-    written = []
-    for scenario in scenarios:
+    plots: list[tuple[str, str]] = []
+
+    def add_plot(name: str, title: str, x_label: str, keep, x_of) -> None:
+        """Plot each variant's median NMSE at x_of(row) over the rows kept."""
         series: dict[str, list[tuple[float, float]]] = {}
-        for variant, scen, t, metric, value in rows:
-            if scen != scenario or metric != "nmse_median_db":
-                continue
-            series.setdefault(variant, []).append((float(t), value))
-        if not series:
-            continue
-        path = os.path.join(args.out, f"curve_{_safe_name(scenario)}.svg")
-        _atomic_write(path, _svg_plot(scenario, "layer t", series))
-        written.append(path)
+        for row in rows:
+            if row[3] == "nmse_median_db" and keep(row):
+                series.setdefault(row[0], []).append((x_of(row), row[4]))
+        if series:
+            plots.append((f"{_safe_name(name)}.svg", _svg_plot(title, x_label, series)))
+
+    scenarios = sorted({r[1] for r in rows})
+    for scenario in scenarios:
+        add_plot(f"curve_{scenario}", scenario, "layer t",
+                 lambda r: r[1] == scenario, lambda r: float(r[2]))
     # Sweep tables ("kind=value" scenarios) also get a final-layer summary.
-    parsed = [s.split("=") for s in scenarios if s.count("=") == 1]
-    if len(parsed) == len(scenarios) and len(scenarios) > 1:
-        kind = parsed[0][0]
-        if all(p[0] == kind for p in parsed):
-            t_max = max(r[2] for r in rows)
-            series = {}
-            for variant, scen, t, metric, value in rows:
-                if t != t_max or metric != "nmse_median_db":
-                    continue
-                series.setdefault(variant, []).append((float(scen.split("=")[1]), value))
-            path = os.path.join(args.out, f"sweep_{_safe_name(kind)}.svg")
-            _atomic_write(path, _svg_plot(f"{kind} sweep (t={t_max})", kind, series))
-            written.append(path)
-    if not written:
+    kinds = {s.split("=")[0] for s in scenarios if s.count("=") == 1}
+    if len(scenarios) > 1 and all(s.count("=") == 1 for s in scenarios) and len(kinds) == 1:
+        kind, t_max = kinds.pop(), max(r[2] for r in rows)
+        add_plot(f"sweep_{kind}", f"{kind} sweep (t={t_max})", kind,
+                 lambda r: r[2] == t_max, lambda r: float(r[1].split("=")[1]))
+    if not plots:
         raise EmptyResultError("no plottable series in the result table")
-    for path in written:
+    os.makedirs(args.out, exist_ok=True)
+    for name, svg in plots:
+        path = os.path.join(args.out, name)
+        model.write_atomic(path, (svg,))
         print(f"plot -> {path}")
     return EXIT_OK
 
@@ -484,26 +462,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Matched in order, so a subclass precedes its base: InputFormatError,
+# ManifestError and CheckpointError are ValueErrors.
+EXIT_CODES = {InputFormatError: EXIT_FORMAT, EmptyResultError: EXIT_EMPTY,
+              TrainingAborted: EXIT_TRAINING, IncompatibleError: EXIT_INCOMPATIBLE,
+              ValueError: EXIT_CONFIG, OSError: EXIT_CONFIG}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InputFormatError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except EmptyResultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except TrainingAborted as exc:
-        print(f"error: training aborted: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except IncompatibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except (ManifestError, hypernets.CheckpointError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -36,13 +36,14 @@ weights.  Solver runs record nothing.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .model import integer_field, read_json_object, write_atomic
 from .solver import DampingPolicy
 
 INIT_SCALE = 0.1
@@ -613,19 +614,12 @@ def checkpoint_payload(variant: str, params, n: int, layers: int,
 
 
 def save_checkpoint(path: str, payload: dict) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    chunks = json.JSONEncoder(indent=1, sort_keys=True).iterencode(payload)
+    write_atomic(path, itertools.chain(chunks, ("\n",)))
 
 
 def load_checkpoint(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    payload = read_json_object(path, CheckpointError, "checkpoint")
     for key in ("format", "variant", "n", "layers", "arrays"):
         if key not in payload:
             raise CheckpointError(f"checkpoint missing field {key!r}")
@@ -654,10 +648,13 @@ def params_from_checkpoint(payload: dict):
         raise CheckpointError(f"checkpoint field 'residual' must be true and "
                               f"belongs to hypernet_attn only, got "
                               f"{payload['residual']!r} for {variant!r}")
-    template = init_variant_params(
-        variant, int(payload["n"]), int(payload["layers"]),
-        hidden=int(payload.get("hidden", 0)), heads=int(payload.get("heads", 0)),
-        tied=bool(payload.get("tied", False)))
+    header = {key: integer_field(f"checkpoint field {key!r}", payload.get(key, 0),
+                                 CheckpointError)
+              for key in ("n", "layers", "hidden", "heads")}
+    if not isinstance(payload.get("tied", False), bool):
+        raise CheckpointError(f"checkpoint field 'tied' must be true or false, "
+                              f"got {payload['tied']!r}")
+    template = init_variant_params(variant, **header, tied=payload.get("tied", False))
     layout = _named_arrays(template)
     pieces = []
     for name, arr in layout:

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -27,11 +28,11 @@ class ManifestError(ValueError):
     """Raised when a dataset manifest is inconsistent or malformed."""
 
 
-def integer_field(name: str, value) -> int:
+def integer_field(name: str, value, error: type = ManifestError) -> int:
     """A config field's value as an int; booleans and fractions are refused."""
     if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer))
             or value % 1):
-        raise ManifestError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
@@ -41,6 +42,28 @@ def number_field(name: str, value) -> float:
             or not abs(value) <= sys.float_info.max):  # NaN fails the comparison too
         raise ManifestError(f"{name} must be a finite number, got {value!r}")
     return float(value)
+
+
+def read_json_object(path: str, error: type, what: str) -> dict:
+    """The JSON object in a file; anything else raises `error` naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{what} {path} must be a JSON object")
+    return raw
+
+
+def write_atomic(path: str, chunks: Iterable[str | bytes]) -> None:
+    """Stream str (UTF-8) and bytes chunks to a temp file renamed over `path`,
+    so no reader ever sees a partial file."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
+    os.replace(tmp, path)
 
 
 def check_snr_db(name: str, value: float) -> None:
@@ -494,9 +517,11 @@ class DatasetManifest:
                 classes = raw["matrix_class"]
                 fields["matrix_class"] = ((classes,) if isinstance(classes, str)
                                           else tuple(classes))
+            # A float, NaN included, is left to the range checks of __post_init__.
             for key in ("gammas", "snr_db_range", "rho_range"):
                 if key in raw:
-                    fields[key] = tuple(float(v) for v in raw[key])
+                    fields[key] = tuple(v if isinstance(v, float) else number_field(key, v)
+                                        for v in raw[key])
             return DatasetManifest(**fields)
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ManifestError):
@@ -587,6 +612,5 @@ def write_pgm(path: str, image: np.ndarray) -> None:
     if image.ndim != 2:
         raise ValueError("image must be 2-D")
     clipped = np.clip(np.round(image * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n".encode()
-    with open(path, "wb") as fh:
-        fh.write(header + clipped.tobytes())
+    header = f"P5\n{image.shape[1]} {image.shape[0]}\n255\n"
+    write_atomic(path, (header, clipped.tobytes()))

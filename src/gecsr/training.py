@@ -81,6 +81,8 @@ class TrainerConfig:
                 object.__setattr__(self, key, model.integer_field(key, getattr(self, key)))
             elif spec.type == "float":
                 model.number_field(key, getattr(self, key))
+            elif spec.type == "bool" and not isinstance(getattr(self, key), bool):
+                raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.batch_size < 1:
@@ -264,7 +266,8 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
             n_diverged += diverged
         if n_diverged > config.abort_fraction * len(batch):
             raise TrainingAborted(
-                f"solver diverged on {n_diverged}/{len(batch)} samples of a batch")
+                f"training aborted: solver diverged on {n_diverged}/{len(batch)} "
+                f"samples of a batch")
         return total / len(batch), grad / len(batch)
 
     history: list[tuple[int, float, float]] = []
@@ -326,10 +329,11 @@ def policy_for_evaluation(source: Union[DampingPolicy, dict],
     """
     if isinstance(source, DampingPolicy):
         return source
-    if n is not None and int(source["n"]) != n:
+    params = hypernets.params_from_checkpoint(source)
+    if n is not None and source["n"] != n:
         raise IncompatibleError(
             f"checkpoint trained at N={source['n']}, scenario has N={n}")
-    return policy_for_params(hypernets.params_from_checkpoint(source))
+    return policy_for_params(params)
 
 
 @dataclass

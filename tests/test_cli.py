@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from gecsr import cli, hypernets, model
+from gecsr import cli, hypernets, model, training
 from gecsr.cli import main
 
 TINY_MANIFEST = {
@@ -60,10 +60,18 @@ class TestMalformedConfig:
         ("sweep", dict(_SWEEP, grid=[float("inf")])),
         ("sweep", dict(_SWEEP, kind="size", grid=[8], ratio=float("inf"))),
         ("sweep", dict(_SWEEP, kind="size", grid=[8.5])),
+        ("train", dict(_TRAIN, trainer={"tied": "no"})),
+        ("train", dict(_TRAIN, trainer={"keep_best": "false"})),
+        ("train", dict(_TRAIN, manifest=dict(TINY_MANIFEST, snr_db_range=["15", "25"]))),
+        ("train", dict(_TRAIN, manifest=dict(TINY_MANIFEST, rho_range=[True, True]))),
+        ("sweep", dict(_SWEEP, manifest=dict(TINY_MANIFEST, matrix_class="geometric",
+                                              gammas=["0.9"]))),
     ], ids=["trainer-string", "learning-rate-string", "learning-rate-nan",
             "train-variants-number", "train-list", "sweep-list",
             "sweep-variants-number", "sweep-variants-string", "sweep-entry-unnamed",
-            "ratio-grid-infinite", "ratio-infinite", "size-grid-fraction"])
+            "ratio-grid-infinite", "ratio-infinite", "size-grid-fraction",
+            "tied-string", "keep-best-string", "snr-range-strings", "rho-range-booleans",
+            "gammas-string"])
     def test_exit_code(self, tmp_path, capsys, command, config):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -71,6 +79,49 @@ class TestMalformedConfig:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, config", [("train", dict(_TRAIN, variants=[])),
+                                                 ("sweep", dict(_SWEEP, variants=[]))])
+    def test_empty_variants_is_an_empty_result(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 6
+        assert "no variants" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestExitCodes:
+    """main maps each exception class to one exit code and prints its message."""
+
+    @pytest.mark.parametrize("exc, code", [
+        (cli.InputFormatError("bad"), 5), (cli.EmptyResultError("bad"), 6),
+        (training.TrainingAborted("bad"), 3), (training.IncompatibleError("bad"), 4),
+        (model.ManifestError("bad"), 2), (hypernets.CheckpointError("bad"), 2),
+        (ValueError("bad"), 2), (FileNotFoundError("bad"), 2)],
+        ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+    def test_exception_class(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_gen", fail)
+        assert main(["gen", "--manifest", "unused.json"]) == code
+        assert capsys.readouterr().err == "error: bad\n"
+
+    def test_training_abort_message(self, tmp_path, capsys, monkeypatch):
+        solve = training.run_solver
+
+        def diverging_solve(*args, **kwargs):
+            trace = solve(*args, **kwargs)
+            trace.diverged = True
+            return trace
+
+        monkeypatch.setattr(training, "run_solver", diverging_solve)
+        out = tmp_path / "out"
+        assert main(["train", "--config", _train_config(tmp_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: training aborted: solver diverged on 2/2 samples")
+        assert list(out.glob("*")) == []
 
 
 class TestGen:
@@ -285,6 +336,29 @@ class TestEval:
         assert "no samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body", ["null", "5", '"format variant n layers arrays"', "[]"])
+    def test_non_object_checkpoint_rejected(self, tmp_path, manifest_path, capsys, body):
+        ck = tmp_path / "ck.json"
+        ck.write_text(body)
+        out = tmp_path / "out"
+        assert main(["eval", "--manifest", manifest_path, "--checkpoint", str(ck),
+                     "--out", str(out)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("variant, field, value", [
+        ("hypergru", "n", 8.5), ("hypergru", "n", "8"), ("hypergru", "layers", 2.7),
+        ("hypergru", "layers", True), ("hypergru", "hidden", 4.9),
+        ("hypergru", "heads", 0.5), ("net_direct", "tied", 0), ("net_direct", "tied", None)])
+    def test_untyped_header_field_rejected(self, tmp_path, manifest_path, capsys,
+                                          variant, field, value):
+        params = hypernets.init_variant_params(variant, n=8, layers=2, hidden=4, seed=9)
+        payload = hypernets.checkpoint_payload(variant, params, n=8, layers=2)
+        payload[field] = value
+        assert self._eval_with(tmp_path, manifest_path, payload) == 2
+        assert f"'{field}' must be" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_static_extension_beyond_trained_depth(self, tmp_path, manifest_path):
         params = hypernets.init_direct_params(2)
         payload = hypernets.checkpoint_payload("net_direct", params, n=8, layers=2)
@@ -315,6 +389,36 @@ class TestSweep:
         lines = (out / "sweep_snr.csv").read_text().splitlines()
         scenarios = {line.split(",")[1] for line in lines[1:]}
         assert scenarios == {"snr=15", "snr=25"}
+
+    def test_one_snr_point_equals_eval_on_its_manifest(self, tmp_path):
+        # A sweep point is an eval of the manifest it derives, with the
+        # sweep's value as its scenario label.
+        params = hypernets.init_hypergru_params(8, hidden=4, seed=12)
+        ck = tmp_path / "ck.json"
+        hypernets.save_checkpoint(str(ck), hypernets.checkpoint_payload(
+            "hypergru", params, n=8, layers=2))
+        cfg = {"kind": "snr", "grid": [18.0], "manifest": TINY_MANIFEST,
+               "samples": 3, "layers": 3,
+               "variants": [{"name": "hypergru", "checkpoint": str(ck)},
+                            {"name": cli.BASELINE_GEOMETRIC},
+                            {"name": cli.BASELINE_CONSTANT}]}
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps(cfg))
+        point = dict(TINY_MANIFEST, seed=TINY_MANIFEST["seed"] * 1_000_003 % 2**63,
+                     count=3, snr_db_range=[18.0, 18.0])
+        manifest = tmp_path / "point.json"
+        manifest.write_text(json.dumps(point))
+        assert main(["sweep", "--config", str(sweep), "--out", str(tmp_path / "s")]) == 0
+        assert main(["eval", "--manifest", str(manifest), "--checkpoint", str(ck),
+                     "--layers", "3", "--out", str(tmp_path / "e")]) == 0
+
+        def without_scenario(path):
+            return [[f for k, f in enumerate(line.split(",")) if k != 1]
+                    for line in path.read_text().splitlines()]
+
+        swept = without_scenario(tmp_path / "s" / "sweep_snr.csv")
+        assert swept == without_scenario(tmp_path / "e" / "eval.csv")
+        assert len(swept) == 1 + 3 * 3 * 2
 
     def test_ratio_grid_changes_m(self, tmp_path):
         cfg = {
@@ -410,6 +514,21 @@ class TestReconImage:
         assert np.isfinite(report["nmse_db"])
         recon = model.read_pgm(str(out / "recon.pgm"))
         assert recon.shape == (8, 8)
+
+    def test_every_output_renamed_into_place(self, tmp_path, monkeypatch):
+        image = self._write_image(tmp_path)
+        replaced, rename = [], os.replace
+
+        def recording_replace(src, dst):
+            replaced.append(os.path.basename(dst))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        out = tmp_path / "out"
+        assert main(["recon-image", "--image", image, "--out", str(out),
+                     "--layers", "1"]) == 0
+        assert sorted(replaced) == sorted(p.name for p in out.iterdir())
+        assert sorted(replaced) == ["recon.pgm", "recon_report.json"]
 
     def test_spectral_init_only(self, tmp_path):
         image = self._write_image(tmp_path)
@@ -536,6 +655,13 @@ class TestPlot:
     def test_empty_table_exit_code(self, tmp_path):
         table = self._table(tmp_path, [])
         assert main(["plot", "--table", table, "--out", str(tmp_path)]) == 6
+
+    def test_sweep_table_without_medians_exit_code(self, tmp_path):
+        table = self._table(tmp_path, ["v,snr=10,1,nmse_mean_db,-1",
+                                       "v,snr=20,1,nmse_mean_db,-2"])
+        out = tmp_path / "plots"
+        assert main(["plot", "--table", table, "--out", str(out)]) == 6
+        assert not out.exists()
 
     @pytest.mark.parametrize("row", ["a,scen,1,nmse_median_db", "a,scen,1,nmse_median_db,-3,4",
                                      "a,scen,1,nmse_median_db,abc", "a,scen,x,nmse_median_db,-3",

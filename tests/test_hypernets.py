@@ -1,5 +1,7 @@
 """Controller tests: activations, attention, static net, GRU, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -409,6 +411,14 @@ class TestCheckpoints:
         save_checkpoint(str(p1), payload)
         save_checkpoint(str(p2), payload)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_holds_the_indented_json_and_no_temp_remains(self, tmp_path):
+        params = init_variant_params("hypergru_attn", n=8, layers=4, hidden=5, seed=21)
+        payload = checkpoint_payload("hypergru_attn", params, n=8, layers=4)
+        path = tmp_path / "ck.json"
+        save_checkpoint(str(path), payload)
+        assert path.read_text() == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
