@@ -71,6 +71,8 @@ def _write_results(out_dir: str, name: str, points: list, sources: list,
                    layers: int) -> int:
     """Evaluate every (label, source) at every (scenario, manifest) point and
     write the long-format result table."""
+    if layers < 1:
+        raise ManifestError(f"layers must be >= 1, got {layers}")
     rows = [RESULT_HEADER]
     for scenario, manifest in points:
         for label, source in sources:
@@ -117,12 +119,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     raw = model.read_json_object(args.config, ManifestError, "config")
-    try:
-        manifest = DatasetManifest.from_json(json.dumps(raw["manifest"]))
-        variants = raw["variants"]
-        trainer = TrainerConfig.from_dict(raw.get("trainer", {}))
-    except KeyError as exc:
-        raise ManifestError(f"train config missing field {exc}") from exc
+    model.check_keys(raw, "train config", ("variants", "manifest"), ("trainer",))
+    manifest = model.record_from_object(DatasetManifest, raw["manifest"], "manifest")
+    trainer = model.record_from_object(TrainerConfig, raw.get("trainer", {}), "trainer")
+    variants = raw["variants"]
     if not isinstance(variants, list):
         raise ManifestError(f"train config 'variants' must be a list, got {variants!r}")
     if not variants:
@@ -193,20 +193,19 @@ def _sweep_manifest(base: DatasetManifest, kind: str, value: float,
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     raw = model.read_json_object(args.config, ManifestError, "config")
-    try:
-        kind = raw["kind"]
-        grid = raw["grid"]
-        base = DatasetManifest.from_json(json.dumps(raw["manifest"]))
-        variants = raw["variants"]
-    except KeyError as exc:
-        raise ManifestError(f"sweep config missing field {exc}") from exc
+    model.check_keys(raw, "sweep config", ("kind", "grid", "manifest", "variants"),
+                     ("samples", "layers", "ratio"))
+    kind, grid, variants = raw["kind"], raw["grid"], raw["variants"]
+    base = model.record_from_object(DatasetManifest, raw["manifest"], "manifest")
     if not (isinstance(grid, list) and grid):
         raise ManifestError("sweep grid must be a non-empty list")
-    if not (isinstance(variants, list) and all(
-            isinstance(e, dict) and isinstance(e.get("name"), str)
-            and isinstance(e.get("checkpoint", ""), str) for e in variants)):
-        raise ManifestError("sweep 'variants' must be a list of objects, each with "
-                            f"a 'name' and an optional 'checkpoint', got {variants!r}")
+    if not isinstance(variants, list):
+        raise ManifestError(f"sweep 'variants' must be a list, got {variants!r}")
+    for entry in variants:
+        model.check_keys(entry, "sweep variant", ("name",), ("checkpoint",))
+        if not all(isinstance(value, str) for value in entry.values()):
+            raise ManifestError(f"sweep variant {entry!r}: 'name' and 'checkpoint' "
+                                "must be strings")
     if not variants:
         raise EmptyResultError("sweep config lists no variants")
     sources = [_policy_source(e["name"], e.get("checkpoint")) for e in variants]

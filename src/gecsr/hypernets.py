@@ -648,9 +648,12 @@ def params_from_checkpoint(payload: dict):
         raise CheckpointError(f"checkpoint field 'residual' must be true and "
                               f"belongs to hypernet_attn only, got "
                               f"{payload['residual']!r} for {variant!r}")
-    header = {key: integer_field(f"checkpoint field {key!r}", payload.get(key, 0),
-                                 CheckpointError)
-              for key in ("n", "layers", "hidden", "heads")}
+    header = {}
+    for key, least in (("n", 1), ("layers", 1), ("hidden", 0), ("heads", 0)):
+        name = f"checkpoint field {key!r}"
+        header[key] = integer_field(name, payload.get(key, 0), CheckpointError)
+        if header[key] < least:
+            raise CheckpointError(f"{name} must be >= {least}, got {header[key]}")
     if not isinstance(payload.get("tied", False), bool):
         raise CheckpointError(f"checkpoint field 'tied' must be true or false, "
                               f"got {payload['tied']!r}")

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -54,6 +54,30 @@ def read_json_object(path: str, error: type, what: str) -> dict:
     if not isinstance(raw, dict):
         raise error(f"{what} {path} must be a JSON object")
     return raw
+
+
+def check_keys(raw, what: str, required: Iterable[str], optional: Iterable[str]) -> None:
+    """Refuse, with a ManifestError, a config value that is not a JSON object,
+    or whose keys leave out one of `required` or name one in neither list."""
+    if not isinstance(raw, dict):
+        raise ManifestError(f"{what} must be a JSON object, got {raw!r}")
+    missing = set(required) - raw.keys()
+    if missing:
+        raise ManifestError(f"{what} missing fields: {sorted(missing)}")
+    unknown = raw.keys() - set(required) - set(optional)
+    if unknown:
+        raise ManifestError(f"unknown {what} fields: {sorted(unknown)}")
+
+
+def record_from_object(cls, raw, what: str):
+    """The dataclass record `cls` built from a JSON object of its fields; the
+    fields without a default are required."""
+    fields = cls.__dataclass_fields__
+    check_keys(raw, what, [k for k, f in fields.items() if f.default is MISSING], fields)
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ManifestError(f"{what} field has wrong type: {exc}") from exc
 
 
 def write_atomic(path: str, chunks: Iterable[str | bytes]) -> None:
@@ -469,6 +493,15 @@ class DatasetManifest:
     def __post_init__(self) -> None:
         for key in ("seed", "count", "m", "n"):
             object.__setattr__(self, key, integer_field(key, getattr(self, key)))
+        # Code and JSON build the same record and hash(): a class name is a
+        # one-class list and a number a float (NaN is left to the range checks).
+        classes = self.matrix_class
+        object.__setattr__(self, "matrix_class",
+                           (classes,) if isinstance(classes, str) else tuple(classes))
+        for key in ("gammas", "snr_db_range", "rho_range"):
+            object.__setattr__(self, key, tuple(
+                v if isinstance(v, float) else number_field(key, v)
+                for v in getattr(self, key)))
         if self.count < 0:
             raise ManifestError(f"count must be >= 0, got {self.count}")
         if not (self.m >= self.n >= 1):
@@ -484,10 +517,10 @@ class DatasetManifest:
             for g in self.gammas:
                 if not (0.0 < g <= 1.0):
                     raise ManifestError(f"gamma must be in (0, 1], got {g}")
-        for name, (lo, hi) in (("snr_db_range", self.snr_db_range),
-                               ("rho_range", self.rho_range)):
-            if lo > hi:
-                raise ManifestError(f"{name} has lo > hi: [{lo}, {hi}]")
+        for name, pair in (("snr_db_range", self.snr_db_range),
+                           ("rho_range", self.rho_range)):
+            if len(pair) != 2 or pair[0] > pair[1]:
+                raise ManifestError(f"{name} must be [lo, hi] with lo <= hi, got {list(pair)}")
         for value in self.snr_db_range:
             check_snr_db("snr_db_range", value)
         if not (0.0 < self.rho_range[0] and self.rho_range[1] <= 1.0):
@@ -496,45 +529,13 @@ class DatasetManifest:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "DatasetManifest":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ManifestError(f"manifest is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ManifestError("manifest must be a JSON object")
-        required = {"seed", "count", "m", "n"}
-        missing = required - raw.keys()
-        if missing:
-            raise ManifestError(f"manifest missing fields: {sorted(missing)}")
-        unknown = raw.keys() - DatasetManifest.__dataclass_fields__.keys()
-        if unknown:
-            raise ManifestError(f"unknown manifest fields: {sorted(unknown)}")
-        try:
-            fields = {key: raw[key] for key in required}
-            if "matrix_class" in raw:
-                classes = raw["matrix_class"]
-                fields["matrix_class"] = ((classes,) if isinstance(classes, str)
-                                          else tuple(classes))
-            # A float, NaN included, is left to the range checks of __post_init__.
-            for key in ("gammas", "snr_db_range", "rho_range"):
-                if key in raw:
-                    fields[key] = tuple(v if isinstance(v, float) else number_field(key, v)
-                                        for v in raw[key])
-            return DatasetManifest(**fields)
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ManifestError):
-                raise
-            raise ManifestError(f"manifest field has wrong type: {exc}") from exc
-
     def hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 
 def load_manifest(path: str) -> DatasetManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        return DatasetManifest.from_json(fh.read())
+    return record_from_object(DatasetManifest,
+                              read_json_object(path, ManifestError, "manifest"), "manifest")
 
 
 def scenario_at(manifest: DatasetManifest, index: int) -> tuple[str, Optional[float]]:

@@ -97,16 +97,6 @@ class TrainerConfig:
     def to_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
-    @staticmethod
-    def from_dict(raw: dict) -> "TrainerConfig":
-        if not isinstance(raw, dict):
-            raise ValueError(f"trainer config must be an object, got {raw!r}")
-        known = set(TrainerConfig.__dataclass_fields__)
-        unknown = raw.keys() - known
-        if unknown:
-            raise ValueError(f"unknown trainer fields: {sorted(unknown)}")
-        return TrainerConfig(**raw)
-
 
 def sample_loss(x_true: np.ndarray, trace: SolverTrace, layers: int) -> float:
     """`solver.aligned_error` summed over the first `layers` estimates."""

@@ -66,14 +66,19 @@ HYPERNET_CONFIG = TrainerConfig(
 HYPERNET_SEEDS = (93, 7)
 
 
+def cache_key(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> str:
+    """The cache file's stem for a (variant, manifest, config)."""
+    key = hashlib.sha256(
+        f"{variant}|{manifest.hash()}|{json.dumps(config.to_dict(), sort_keys=True)}"
+        .encode()).hexdigest()[:16]
+    return f"{variant}-{key}"
+
+
 def train_cached(variant: str, manifest: DatasetManifest,
                  config: TrainerConfig) -> dict:
     """Train once per (variant, manifest, config); reuse across test runs."""
     os.makedirs(CACHE_DIR, exist_ok=True)
-    key = hashlib.sha256(
-        f"{variant}|{manifest.hash()}|{json.dumps(config.to_dict(), sort_keys=True)}"
-        .encode()).hexdigest()[:16]
-    path = os.path.join(CACHE_DIR, f"{variant}-{key}.json")
+    path = os.path.join(CACHE_DIR, f"{cache_key(variant, manifest, config)}.json")
     # The key does not see the code, so a checkpoint whose header differs
     # from the one training writes now (say, an older form of the variant)
     # is retrained rather than served.

@@ -45,39 +45,52 @@ _SWEEP = {"kind": "ratio", "grid": [2.0], "variants": [{"name": "schedule_0.5"}]
 
 
 class TestMalformedConfig:
-    """A config of the wrong shape exits 2, with no traceback and no output."""
+    """A config of the wrong shape exits 2, naming what is wrong, with no
+    traceback and no output."""
 
-    @pytest.mark.parametrize("command, config", [
-        ("train", dict(_TRAIN, trainer="x")),
-        ("train", dict(_TRAIN, trainer={"learning_rate": "a"})),
-        ("train", dict(_TRAIN, trainer={"learning_rate": float("nan")})),
-        ("train", dict(_TRAIN, variants=3)),
-        ("train", [_TRAIN]),
-        ("sweep", [_SWEEP]),
-        ("sweep", dict(_SWEEP, variants=3)),
-        ("sweep", dict(_SWEEP, variants="schedule_0.5")),
-        ("sweep", dict(_SWEEP, variants=[{"checkpoint": "ck.json"}])),
-        ("sweep", dict(_SWEEP, grid=[float("inf")])),
-        ("sweep", dict(_SWEEP, kind="size", grid=[8], ratio=float("inf"))),
-        ("sweep", dict(_SWEEP, kind="size", grid=[8.5])),
-        ("train", dict(_TRAIN, trainer={"tied": "no"})),
-        ("train", dict(_TRAIN, trainer={"keep_best": "false"})),
-        ("train", dict(_TRAIN, manifest=dict(TINY_MANIFEST, snr_db_range=["15", "25"]))),
-        ("train", dict(_TRAIN, manifest=dict(TINY_MANIFEST, rho_range=[True, True]))),
+    @pytest.mark.parametrize("command, config, named", [
+        ("train", dict(_TRAIN, trainer="x"), "trainer"),
+        ("train", dict(_TRAIN, trainer={"learning_rate": "a"}), "learning_rate"),
+        ("train", dict(_TRAIN, trainer={"learning_rate": float("nan")}), "learning_rate"),
+        ("train", dict(_TRAIN, variants=3), "variants"),
+        ("train", [_TRAIN], "must be a JSON object"),
+        ("sweep", [_SWEEP], "must be a JSON object"),
+        ("sweep", dict(_SWEEP, variants=3), "variants"),
+        ("sweep", dict(_SWEEP, variants="schedule_0.5"), "variants"),
+        ("sweep", dict(_SWEEP, variants=[{"checkpoint": "ck.json"}]), "name"),
+        ("sweep", dict(_SWEEP, grid=[float("inf")]), "grid"),
+        ("sweep", dict(_SWEEP, kind="size", grid=[8], ratio=float("inf")), "ratio"),
+        ("sweep", dict(_SWEEP, kind="size", grid=[8.5]), "grid"),
+        ("train", dict(_TRAIN, trainer={"tied": "no"}), "tied"),
+        ("train", dict(_TRAIN, trainer={"keep_best": "false"}), "keep_best"),
+        ("train", dict(_TRAIN, manifest=dict(TINY_MANIFEST, snr_db_range=["15", "25"])),
+         "snr_db_range"),
+        ("train", dict(_TRAIN, manifest=dict(TINY_MANIFEST, rho_range=[True, True])),
+         "rho_range"),
         ("sweep", dict(_SWEEP, manifest=dict(TINY_MANIFEST, matrix_class="geometric",
-                                              gammas=["0.9"]))),
+                                              gammas=["0.9"])), "gammas"),
+        # A misspelt key must not leave its default in place unnoticed.
+        ("train", dict(_TRAIN, trainer_config={"epochs": 1}), "trainer_config"),
+        ("sweep", dict(_SWEEP, sampels=2), "sampels"),
+        ("sweep", dict(_SWEEP, variants=[{"name": "schedule_0.5", "chekpoint": "ck.json"}]),
+         "chekpoint"),
+        ("train", dict(_TRAIN, manifest=dict(TINY_MANIFEST, snr_range=[20.0, 20.0])),
+         "snr_range"),
+        ("train", dict(_TRAIN, trainer={"learnig_rate": 0.1}), "learnig_rate"),
     ], ids=["trainer-string", "learning-rate-string", "learning-rate-nan",
             "train-variants-number", "train-list", "sweep-list",
             "sweep-variants-number", "sweep-variants-string", "sweep-entry-unnamed",
             "ratio-grid-infinite", "ratio-infinite", "size-grid-fraction",
             "tied-string", "keep-best-string", "snr-range-strings", "rho-range-booleans",
-            "gammas-string"])
-    def test_exit_code(self, tmp_path, capsys, command, config):
+            "gammas-string", "train-key-misspelt", "sweep-key-misspelt",
+            "sweep-entry-key-misspelt", "manifest-key-misspelt", "trainer-key-misspelt"])
+    def test_exit_code(self, tmp_path, capsys, command, config, named):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "out"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and named in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, config", [("train", dict(_TRAIN, variants=[])),
@@ -336,6 +349,16 @@ class TestEval:
         assert "no samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("layers", ["-1", "0"])
+    def test_non_positive_layers_rejected(self, tmp_path, manifest_path, capsys, layers):
+        # -1 used to reach numpy ("negative dimensions are not allowed"), and
+        # 0 the solver, after a sample and its spectral init were drawn.
+        out = tmp_path / "out"
+        assert main(["eval", "--manifest", manifest_path, "--layers", layers,
+                     "--out", str(out)]) == 2
+        assert f"layers must be >= 1, got {layers}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("body", ["null", "5", '"format variant n layers arrays"', "[]"])
     def test_non_object_checkpoint_rejected(self, tmp_path, manifest_path, capsys, body):
         ck = tmp_path / "ck.json"
@@ -349,7 +372,9 @@ class TestEval:
     @pytest.mark.parametrize("variant, field, value", [
         ("hypergru", "n", 8.5), ("hypergru", "n", "8"), ("hypergru", "layers", 2.7),
         ("hypergru", "layers", True), ("hypergru", "hidden", 4.9),
-        ("hypergru", "heads", 0.5), ("net_direct", "tied", 0), ("net_direct", "tied", None)])
+        ("hypergru", "heads", 0.5), ("net_direct", "tied", 0), ("net_direct", "tied", None),
+        ("hypergru", "n", 0), ("hypernet", "layers", -1), ("hypergru", "hidden", -2),
+        ("hypernet_attn", "heads", -1)])
     def test_untyped_header_field_rejected(self, tmp_path, manifest_path, capsys,
                                           variant, field, value):
         params = hypernets.init_variant_params(variant, n=8, layers=2, hidden=4, seed=9)
@@ -447,6 +472,15 @@ class TestSweep:
         out = tmp_path / "out"
         assert main(["sweep", "--config", str(path), "--out", str(out)]) == 6
         assert "no samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("layers", [-1, 0])
+    def test_non_positive_layers_rejected(self, tmp_path, capsys, layers):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(_SWEEP, layers=layers)))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert f"layers must be >= 1, got {layers}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_fractional_sample_count_rejected(self, tmp_path, capsys):

@@ -585,6 +585,11 @@ class TestForwardMeasure:
             forward_measure(mat, np.zeros(5, complex), rng)
 
 
+def _from_json(text: str) -> DatasetManifest:
+    """A manifest read from JSON text as load_manifest reads a file's object."""
+    return model.record_from_object(DatasetManifest, json.loads(text), "manifest")
+
+
 def _dataset_digest(manifest: DatasetManifest) -> str:
     h = hashlib.sha256()
     for index in range(manifest.count):
@@ -643,6 +648,8 @@ class TestManifest:
             self._small(snr_db_range=(25.0, 15.0))
         with pytest.raises(ManifestError):
             self._small(rho_range=(0.8, 0.3))
+        with pytest.raises(ManifestError, match="rho_range"):
+            self._small(rho_range=(0.3, 0.5, 0.8))
 
     @pytest.mark.parametrize("snr_db_range", [(float("nan"), float("nan")), (1e9, 1e9),
                                               (20.0, float("inf")), (-300.5, 20.0)])
@@ -661,7 +668,7 @@ class TestManifest:
 
     def test_json_round_trip(self):
         m = self._small()
-        again = DatasetManifest.from_json(m.to_json())
+        again = _from_json(m.to_json())
         assert again == m
         assert again.hash() == m.hash()
 
@@ -672,15 +679,27 @@ class TestManifest:
         assert DatasetManifest(seed=3, count=10, m=40, n=10).hash() == (
             "18de1454db7433196bc1b188b16729c9f89c53414b33bac7810b30d97a7edc62")
 
+    def test_code_and_json_build_the_same_record(self):
+        # Checkpoints record the training manifest's hash(), so a manifest
+        # built in code with integer entries and a bare class name must hash
+        # as the same manifest read from JSON.
+        built = DatasetManifest(seed=3, count=10, m=40, n=10, matrix_class="binary",
+                                gammas=(1,), snr_db_range=(20, 20), rho_range=(1, 1))
+        read = _from_json('{"seed": 3, "count": 10, "m": 40, "n": 10, '
+                          '"matrix_class": "binary", "gammas": [1], '
+                          '"snr_db_range": [20, 20], "rho_range": [1, 1]}')
+        assert built == read and built.matrix_class == ("binary",)
+        assert built.hash() == read.hash() and hash(built) == hash(read)
+
     def test_from_json_fills_absent_fields_with_defaults(self):
-        got = DatasetManifest.from_json(
+        got = _from_json(
             '{"seed": 3, "count": 10, "m": 40, "n": 10, "matrix_class": "binary"}')
         assert got == DatasetManifest(seed=3, count=10, m=40, n=10,
                                       matrix_class=("binary",))
 
     def test_from_json_rejects_non_list_class(self):
         with pytest.raises(ManifestError):
-            DatasetManifest.from_json(
+            _from_json(
                 '{"seed": 3, "count": 10, "m": 40, "n": 10, "matrix_class": 3}')
 
     @pytest.mark.parametrize("field, value", [("seed", 1.9), ("count", 3.7), ("m", 400.5),
@@ -690,7 +709,7 @@ class TestManifest:
         raw = dict(seed=3, count=10, m=40, n=10)
         raw[field] = value
         with pytest.raises(ManifestError, match=field):
-            DatasetManifest.from_json(json.dumps(raw))
+            _from_json(json.dumps(raw))
 
     def test_constructor_rejects_non_integer_counts(self):
         with pytest.raises(ManifestError, match="^count must be an integer"):
@@ -699,7 +718,7 @@ class TestManifest:
             self._small(n=True)
 
     def test_from_json_accepts_integral_floats(self):
-        got = DatasetManifest.from_json('{"seed": 3.0, "count": 10, "m": 4e1, "n": 10}')
+        got = _from_json('{"seed": 3.0, "count": 10, "m": 4e1, "n": 10}')
         assert got == DatasetManifest(seed=3, count=10, m=40, n=10)
         assert isinstance(got.m, int) and got.hash() == DatasetManifest(
             seed=3, count=10, m=40, n=10).hash()
@@ -707,14 +726,16 @@ class TestManifest:
     def test_from_json_rejects_unknown_fields(self):
         # A misspelt field must not leave its default in place unnoticed.
         with pytest.raises(ManifestError, match="snr_range"):
-            DatasetManifest.from_json(
+            _from_json(
                 '{"seed": 3, "count": 10, "m": 40, "n": 10, "snr_range": [40, 40]}')
 
-    def test_from_json_rejects_garbage(self):
+    def test_from_json_rejects_garbage(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("{not json")
         with pytest.raises(ManifestError):
-            DatasetManifest.from_json("{not json")
+            model.load_manifest(str(path))
         with pytest.raises(ManifestError):
-            DatasetManifest.from_json("{\"seed\": 1}")
+            _from_json("{\"seed\": 1}")
 
 
 class TestPgm:

@@ -1,8 +1,11 @@
 """Trainer tests: loss, gradient estimators, optimizer, loop, evaluation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import conftest
 from gecsr import adjoint, hypernets, model, training
 from gecsr.model import DatasetManifest, SignalPrior
 from gecsr.solver import SolverTrace, align_phase, constant_schedule, run_solver
@@ -383,7 +386,7 @@ class TestGradCheck:
 class TestTrainerConfig:
     def test_round_trip(self):
         config = TrainerConfig(learning_rate=0.01, batch_size=5, tied=True)
-        again = TrainerConfig.from_dict(config.to_dict())
+        again = model.record_from_object(TrainerConfig, config.to_dict(), "trainer")
         assert again == config
 
     @pytest.mark.parametrize("field", ["batch_size", "epochs", "layers", "grad_pairs",
@@ -397,7 +400,22 @@ class TestTrainerConfig:
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(ValueError):
-            TrainerConfig.from_dict({"momentum": 0.9})
+            model.record_from_object(TrainerConfig, {"momentum": 0.9}, "trainer")
+
+    def test_acceptance_cache_keys_pinned(self):
+        # The acceptance cache keys on to_dict() and the manifest's hash(); a
+        # change to either would retrain every cached controller (about 26 min).
+        keys = {conftest.cache_key("net_direct", conftest.TRAIN_MATCHED,
+                                   conftest.NET_DIRECT_CONFIG),
+                conftest.cache_key("hypergru_attn", conftest.TRAIN_HYPER,
+                                   conftest.HYPERGRU_ATTN_CONFIG)}
+        keys |= {conftest.cache_key(variant, conftest.TRAIN_HYPER,
+                                    replace(conftest.HYPERNET_CONFIG, seed=seed))
+                 for variant in ("hypernet", "hypernet_attn")
+                 for seed in conftest.HYPERNET_SEEDS}
+        assert keys == {"net_direct-b90feb1bb8f65e01", "hypergru_attn-6b8950017f1e4a12",
+                        "hypernet-b65683b83bf9e09d", "hypernet-c95b77411922e9b2",
+                        "hypernet_attn-8d571874888461f2", "hypernet_attn-d3b0cd966fb590b5"}
 
     def test_validation(self):
         with pytest.raises(ValueError):
