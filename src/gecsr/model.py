@@ -12,10 +12,12 @@ scale, tr(A A^H) / M = SNR.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 import sys
+from ctypes import CDLL, c_char, c_double, c_int, c_int64, c_void_p
 from dataclasses import MISSING, asdict, dataclass
 from typing import Iterable, Optional
 
@@ -193,12 +195,12 @@ def _gram(a: np.ndarray) -> np.ndarray:
     With b the M x 2N float view of a (columns Re a_1, Im a_1, Re a_2, ...),
     b^T b is a symmetric rank-k update, half the flops of a general product,
     and needs no conjugate copy of a.  Its 2 x 2 blocks hold the real and
-    imaginary parts of the Gram entries.
+    imaginary parts of the Gram entries, stored Fortran-ordered for zheevr.
     """
     m, n = a.shape
     b = np.ascontiguousarray(a).view(float).reshape(m, 2 * n)
     r = (b.T @ b).reshape(n, 2, n, 2)
-    gram = np.empty((n, n), dtype=complex)
+    gram = np.empty((n, n), dtype=complex, order="F")
     np.add(r[:, 0, :, 0], r[:, 1, :, 1], out=gram.real)
     np.subtract(r[:, 0, :, 1], r[:, 1, :, 0], out=gram.imag)
     return gram
@@ -224,34 +226,47 @@ def gaussian_class_singulars(m: int, n: int, rng: np.random.Generator) -> np.nda
     return np.sqrt(w)
 
 
-def _eigh_one_thread(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs of a Hermitian matrix by zheevr, on one thread.
+@functools.cache
+def _bundled_lapack():
+    """LAPACKE zheevr and the thread count get/set of numpy's OpenBLAS, or None."""
+    lib = CDLL(np.linalg._umath_linalg.__file__)
+    names = ("LAPACKE_zheevr", "openblas_get_num_threads", "openblas_set_num_threads")
+    funcs = [getattr(lib, f"scipy_{name}64_", None) for name in names]
+    if None in funcs:  # a numpy built on another BLAS
+        return None
+    funcs[0].restype = c_int64  # numpy's scipy-openblas64 has int64 LAPACK integers
+    funcs[0].argtypes = [c_int] + [c_char] * 3 + [
+        c_int64, c_void_p, c_int64, c_double, c_double, c_int64, c_int64, c_double,
+        c_void_p, c_void_p, c_void_p, c_int64, c_void_p]
+    funcs[1].argtypes, funcs[2].argtypes, funcs[2].restype = [], [c_int], None
+    return funcs
 
-    Under two OpenBLAS threads zheevr returns other eigenvector phases
-    than under one, and the 10-layer image solve amplifies that rounding
-    past 1e-10 relative; on one thread the factors, and with them the
-    solve, do not depend on the process's thread count.  scipy's wheels
-    carry their own OpenBLAS, whose process-wide count is set for this
-    call and then restored; where scipy links another BLAS, the solve
-    runs on that BLAS's own count.  scipy is imported here so that
-    commands which never factor a dense draw do not pay for loading it.
-    The Gram matrix is overwritten.
+
+def _gram_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs of the Gram matrix a^H a by zheevr, on one thread.
+
+    LAPACKE's zheevr (column-major 102, jobz V, range A, uplo L, abstol 0: scipy's
+    eigh(driver="evr")) runs in numpy's OpenBLAS, in place on the Fortran-ordered
+    Gram matrix, with the process-wide thread count set to 1: two threads give other
+    eigenvector phases, which the 10-layer image solve amplifies past 1e-10 relative.
+    A numpy linked to another BLAS runs np.linalg.eigh.
     """
-    import ctypes
-
-    from scipy.linalg import cython_lapack, eigh
-
-    blas = ctypes.CDLL(cython_lapack.__file__)
-    get_threads = getattr(blas, "scipy_openblas_get_num_threads", None)
-    set_threads = getattr(blas, "scipy_openblas_set_num_threads", None)
-    if get_threads is None or set_threads is None:
-        return eigh(gram, driver="evr", overwrite_a=True, check_finite=False)
+    gram, n = _gram(a), a.shape[1]
+    if _bundled_lapack() is None:
+        return np.linalg.eigh(gram)
+    zheevr, get_threads, set_threads = _bundled_lapack()
+    w, v = np.empty(n), np.empty((n, n), dtype=complex, order="F")
+    found, support = np.zeros(1, dtype=np.int64), np.empty(2 * n, dtype=np.int64)
     threads = get_threads()
     set_threads(1)
     try:
-        return eigh(gram, driver="evr", overwrite_a=True, check_finite=False)
+        info = zheevr(102, b"V", b"A", b"L", n, gram.ctypes.data, n, 0.0, 0.0, 0, 0, 0.0,
+                      found.ctypes.data, w.ctypes.data, v.ctypes.data, n, support.ctypes.data)
     finally:
         set_threads(threads)
+    if info or found[0] < n:
+        raise np.linalg.LinAlgError(f"zheevr info {info}: {found[0]} of {n} eigenvalues")
+    return w, v
 
 
 def economy_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,9 +286,9 @@ def economy_factors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zheevd's divide-and-conquer workspace.  Its eigenvectors are
     orthogonal to O(N eps), against O(eps) for zheevd: about 1e-12 at
     N = 1024, inside the eps * kappa^2 budget of GRAM_CONDITION_CAP.  It
-    runs on one BLAS thread (_eigh_one_thread).
+    is numpy's own OpenBLAS zheevr, on one thread (_gram_eigh).
     """
-    w, v = _eigh_one_thread(_gram(a))
+    w, v = _gram_eigh(a)
     w, v = w[::-1], v[:, ::-1]
     if not _gram_conditioned(w):
         _, s, vh = np.linalg.svd(a, full_matrices=False)
@@ -436,13 +451,12 @@ def dense_gaussian_matrix(m: int, n: int, snr_linear: float,
                           rng: np.random.Generator) -> TransformMatrix:
     """Gaussian-class transform built from a dense i.i.d. draw.
 
-    Distributionally equivalent to gaussian_matrix; used for large
-    image-reconstruction instances.  The M x N draw is kept as the
-    operator, scaled in place, with the right factors of its N x N Gram
-    matrix (economy_factors).  Its condition number is near
-    (1 + sqrt(N/M)) / (1 - sqrt(N/M)), 3 at M = 4N, so the SVD fallback
-    runs only for draws close to square.  Besides the draw, the working
-    set peaks at one real component of it (while drawing) or at the Gram
+    Distributionally equivalent to gaussian_matrix; used for large image-reconstruction
+    instances.  The M x N draw is kept as the operator, scaled in place, with the right
+    factors of its N x N Gram matrix (economy_factors), which numpy's own zheevr reads
+    in place.  Its condition number is near (1 + sqrt(N/M)) / (1 - sqrt(N/M)), 3 at
+    M = 4N, so the SVD fallback runs only for draws close to square.  Besides the draw,
+    the working set peaks at one real component of it (while drawing) or at the Gram
     product and the N x N factors: no second complex M x N array.
     """
     a = complex_normal(rng, m, n)

@@ -83,12 +83,13 @@ class TrainerConfig:
                 model.number_field(key, getattr(self, key))
             elif spec.type == "bool" and not isinstance(getattr(self, key), bool):
                 raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
+        for key, low in (("batch_size", 1), ("layers", 1), ("grad_pairs", 1), ("epochs", 0),
+                         ("hidden", 0), ("heads", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        for key in ("learning_rate", "grad_perturbation"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)}")
         if self.grad_estimator not in ("spsa", "adjoint"):
             raise ValueError(f"unknown gradient estimator {self.grad_estimator!r}")
         if self.optimizer != "adam":

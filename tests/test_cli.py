@@ -236,6 +236,15 @@ class TestTrain:
         assert "layers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("epochs", -1), ("hidden", -2), ("heads", -1),
+                                              ("grad_pairs", 0), ("grad_perturbation", 0.0)])
+    def test_out_of_range_trainer_field_rejected(self, tmp_path, capsys, field, value):
+        cfg = _train_config(tmp_path, **{field: value})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [("batch_size", 2.5), ("epochs", True),
                                               ("layers", 2.5), ("seed", 1.5)])
     def test_non_integer_trainer_field_rejected(self, tmp_path, capsys, field, value):
@@ -783,19 +792,40 @@ class TestReconImageWithCheckpoint:
 
 
 _LOADED_SCIPY = """
-import sys
+import json, os, sys
+import numpy as np
 import gecsr, gecsr.cli
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+from gecsr.model import write_pgm
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+loaded = [scipy_modules()]
+os.chdir(sys.argv[1])
+write_pgm("img.pgm", np.random.default_rng(0).random((8, 8)))
+assert gecsr.cli.main(["recon-image", "--image", "img.pgm", "--ratio", "4",
+                       "--layers", "2", "--out", "recon"]) == 0
+loaded.append(scipy_modules())
+with open("binary.json", "w") as fh:
+    json.dump({"seed": 3, "count": 2, "m": 64, "n": 16, "matrix_class": "binary",
+               "snr_db_range": [20, 20]}, fh)
+assert gecsr.cli.main(["eval", "--manifest", "binary.json", "--layers", "3",
+                       "--out", "runs"]) == 0
+loaded.append(scipy_modules())
+print(json.dumps(loaded))
 """
 
 
 class TestImport:
-    def test_cli_import_leaves_scipy_unloaded(self):
-        # scipy is loaded by the dense factorization only, so commands that
-        # never factor a dense draw start without it.
+    def test_cli_import_leaves_scipy_unloaded(self, tmp_path):
+        # The dense factorization calls numpy's own zheevr, so neither the
+        # import nor a command that factors a dense draw (recon-image, eval
+        # on binary transforms) loads scipy.
         src = os.path.dirname(os.path.dirname(model.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH")))))
-        out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], env=env,
-                             check=True, capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+        out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, str(tmp_path)], env=env,
+                             check=True, capture_output=True, text=True, timeout=120)
+        assert json.loads(out.stdout.splitlines()[-1]) == [[], [], []]
+        assert (tmp_path / "recon" / "recon.pgm").exists()
+        assert (tmp_path / "runs" / "eval.csv").exists()

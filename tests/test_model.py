@@ -427,6 +427,76 @@ class TestEconomyFactors:
         np.testing.assert_allclose(s, s_true, rtol=1e-9, atol=0)
 
 
+def _scipy_eigh_one_thread(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.linalg.eigh(driver="evr") with scipy's own OpenBLAS on one thread."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack, eigh
+
+    blas = ctypes.CDLL(cython_lapack.__file__)
+    if not hasattr(blas, "scipy_openblas_set_num_threads"):
+        pytest.skip("scipy is not linked to its bundled OpenBLAS")
+    threads = blas.scipy_openblas_get_num_threads()
+    blas.scipy_openblas_set_num_threads(1)
+    try:
+        return eigh(gram, driver="evr")
+    finally:
+        blas.scipy_openblas_set_num_threads(threads)
+
+
+_NEEDS_BUNDLED = pytest.mark.skipif(model._bundled_lapack() is None,
+                                    reason="numpy is not linked to its bundled OpenBLAS")
+
+
+class TestBundledEigensolve:
+    """The Gram eigensolve calls the zheevr of the OpenBLAS numpy links."""
+
+    @_NEEDS_BUNDLED
+    @pytest.mark.parametrize("draw", ["dense", "binary"])
+    def test_matches_scipy_evr_driver(self, draw):
+        # The same LAPACK driver with the same arguments, on one thread each:
+        # scipy's OpenBLAS 0.3.30 and numpy's 0.3.31 gave identical bits.
+        rng = np.random.default_rng(35)
+        if draw == "dense":
+            a = model.complex_normal(rng, 512, 256)
+        else:
+            a = (rng.random((400, 100)) < 0.5).astype(complex)
+        w_ref, v_ref = _scipy_eigh_one_thread(model._gram(a))
+        w, v = model._gram_eigh(a)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_fallback_without_bundled_symbols(self, monkeypatch):
+        # A numpy built on another BLAS exports no scipy_LAPACKE_zheevr64_;
+        # economy_factors then runs np.linalg.eigh.
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(model, "CDLL", lambda path: object())
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: calls.append(h) or eigh(h))
+        model._bundled_lapack.cache_clear()
+        try:
+            assert model._bundled_lapack() is None
+            a = model.complex_normal(np.random.default_rng(36), 300, 120)
+            s, v = economy_factors(a)
+        finally:
+            model._bundled_lapack.cache_clear()
+        assert len(calls) == 1
+        # U from the SVD of A, each column turned to the phase of A v_i.
+        u, av = np.linalg.svd(a, full_matrices=False)[0], a @ v
+        phase = np.sum(u.conj() * av, axis=0)
+        u = u * (phase / np.abs(phase))
+        assert np.linalg.norm(av - u * s) / np.linalg.norm(a) < 1e-10
+        assert np.linalg.norm(v.conj().T @ v - np.eye(120)) < 1e-10
+
+    @_NEEDS_BUNDLED
+    def test_nan_raises(self):
+        # A NaN entry of A puts NaN in a row and column of the Gram matrix,
+        # which LAPACKE's NaN check refuses with info -6.
+        a = model.complex_normal(np.random.default_rng(37), 40, 10)
+        a[3, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="info -6"):
+            model._gram_eigh(a)
+
+
 class TestDenseGaussianMatrix:
     def test_operator_scaled_to_snr(self):
         rng = np.random.default_rng(23)

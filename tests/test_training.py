@@ -428,6 +428,16 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match="optimizer"):
             TrainerConfig(optimizer="sgd")
 
+    @pytest.mark.parametrize("field, value, least", [
+        ("epochs", -1, 0), ("hidden", -2, 0), ("heads", -1, 0), ("grad_pairs", 0, 1),
+        ("grad_perturbation", 0.0, 1e-3), ("grad_perturbation", -0.05, 1e-3)])
+    def test_rejects_out_of_range_field(self, field, value, least):
+        # epochs -1 trained nothing and wrote the initial controller; hidden
+        # -2 failed inside numpy after the output directory was made.
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value})
+        assert getattr(TrainerConfig(**{field: least}), field) == least
+
     @pytest.mark.parametrize("estimator", ["spsa", "adjoint"])
     def test_rejects_non_positive_layers(self, estimator):
         for layers in (0, -3):
