@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .hypernets import _named_arrays, policy_for_params
-from .model import Sample, SignalPrior
+from .model import Sample
 from .solver import (
     GaussianMessage,
     LayerRecursion,
@@ -97,7 +97,7 @@ def _backward_magnitude(g_mean, g_var, y, rec):
     return g_mu, g_v
 
 
-def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
+def loss_and_gradient(sample: Sample, params, layers: int,
                       init: Optional[tuple[GaussianMessage, GaussianMessage]] = None,
                       loss_clip: float = 1e6):
     """Aligned multi-layer loss of one sample and d(loss)/d(parameters).
@@ -111,7 +111,7 @@ def loss_and_gradient(sample: Sample, prior: SignalPrior, params, layers: int,
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
     policy = policy_for_params(params)
-    recursion = LayerRecursion(sample, prior, policy, init, taped=True)
+    recursion = LayerRecursion(sample, policy, init, taped=True)
 
     y, x_true = sample.y, sample.x
     zero = {name: np.zeros_like(arr) for name, arr in _named_arrays(params)}

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -70,18 +71,19 @@ def _scenario_label(manifest: DatasetManifest) -> str:
 def _write_results(out_dir: str, name: str, points: list, sources: list,
                    layers: int) -> int:
     """Evaluate every (label, source) at every (scenario, manifest) point and
-    write the long-format result table."""
+    write the long-format result table.  Every policy is built before any solve."""
     if layers < 1:
         raise ManifestError(f"layers must be >= 1, got {layers}")
+    runs = [(label, scenario, manifest, training.policy_for_evaluation(source, manifest.n))
+            for scenario, manifest in points for label, source in sources]
     rows = [RESULT_HEADER]
-    for scenario, manifest in points:
-        for label, source in sources:
-            result = training.evaluate(source, manifest, layers)
-            for t in range(result.layers):
-                rows.append(f"{label},{scenario},{t + 1},nmse_median_db,"
-                            f"{result.median_db[t]:.6g}")
-                rows.append(f"{label},{scenario},{t + 1},nmse_mean_db,"
-                            f"{result.mean_db[t]:.6g}")
+    for label, scenario, manifest, policy in runs:
+        result = training.evaluate(policy, manifest, layers)
+        for t in range(result.layers):
+            rows.append(f"{label},{scenario},{t + 1},nmse_median_db,"
+                        f"{result.median_db[t]:.6g}")
+            rows.append(f"{label},{scenario},{t + 1},nmse_mean_db,"
+                        f"{result.mean_db[t]:.6g}")
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, name)
     model.write_atomic(out_path, ("\n".join(rows) + "\n",))
@@ -103,7 +105,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     for i in range(probe):
         sample = model.sample_at(manifest, i)
         snrs.append(10.0 * math.log10(sample.snr))
-        rhos.append(sample.rho)
+        rhos.append(sample.prior.rho)
         cls, _ = model.scenario_at(manifest, i)
         classes[cls] = classes.get(cls, 0) + 1
     edges = np.linspace(manifest.rho_range[0], manifest.rho_range[1] + 1e-12, 5)
@@ -155,7 +157,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         loss_path = os.path.join(args.out, f"{variant}_loss.csv")
         model.write_atomic(loss_path, ("\n".join(loss_lines) + "\n",))
         written.append(loss_path)
-        flag = " (no-progress flag raised)" if result.no_progress else ""
+        flag = (" (no-progress flag raised)"
+                if result.checkpoint["metadata"]["no_progress"] else "")
         print(f"{variant}: checkpoint -> {ck_path}{flag}")
     return EXIT_OK
 
@@ -203,12 +206,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ManifestError(f"sweep 'variants' must be a list, got {variants!r}")
     for entry in variants:
         model.check_keys(entry, "sweep variant", ("name",), ("checkpoint",))
-        if not all(isinstance(value, str) for value in entry.values()):
-            raise ManifestError(f"sweep variant {entry!r}: 'name' and 'checkpoint' "
-                                "must be strings")
+        # The name labels the entry's rows of the comma-separated table.
+        if not (all(isinstance(value, str) for value in entry.values())
+                and re.fullmatch(r"[\w.=+-]+", entry["name"])):
+            raise ManifestError(f"sweep variant {entry!r}: 'name' and 'checkpoint' must be "
+                                "strings, the name of letters, digits and _ . = + -")
     if not variants:
         raise EmptyResultError("sweep config lists no variants")
-    sources = [_policy_source(e["name"], e.get("checkpoint")) for e in variants]
+    names = [entry["name"] for entry in variants]
+    if len(set(names)) < len(names):
+        raise ManifestError(f"sweep variant names must differ, got {names}")
+    sources = [(e["name"], _policy_source(e["name"], e.get("checkpoint"))[1])
+               for e in variants]
     layers = (args.layers if args.layers is not None
               else model.integer_field("layers", raw.get("layers", 10)))
     samples = model.integer_field("samples", raw.get("samples", 48))
@@ -229,8 +238,9 @@ def cmd_recon_image(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.ratio) and args.ratio >= 1.0):
         raise ManifestError(f"--ratio must be a finite number >= 1, got {args.ratio}")
     model.check_snr_db("--snr-db", args.snr_db)
-    if args.layers < 0:
-        raise ManifestError(f"--layers must be >= 0, got {args.layers}")
+    for flag, value in (("--layers", args.layers), ("--seed", args.seed)):
+        if value < 0:
+            raise ManifestError(f"{flag} must be >= 0, got {value}")
     try:
         image = model.read_pgm(args.image)
     except ValueError as exc:
@@ -251,18 +261,17 @@ def cmd_recon_image(args: argparse.Namespace) -> int:
     variant, source = _policy_source(BASELINE_GEOMETRIC, args.checkpoint)
     policy = training.policy_for_evaluation(source)
     rho_est = min(max(float(np.mean(image > 0.05)), 1.0 / n), 1.0)
-    prior = SignalPrior(rho_est)
     snr = 10.0 ** (args.snr_db / 10.0)
     rng = np.random.default_rng([args.seed, n, m])
     matrix = model.dense_gaussian_matrix(m, n, snr, rng)
     y = model.forward_measure(matrix, x, rng)
-    sample = model.Sample(x=x, y=y, matrix=matrix, snr=snr, rho=rho_est)
+    sample = model.Sample(x=x, y=y, matrix=matrix, snr=snr, prior=SignalPrior(rho_est))
     if args.layers == 0:
         _, msg_x0 = solver.spectral_init(y, matrix)
         estimate = msg_x0.mean
         level = nmse_db(x, align_phase(x, estimate))
     else:
-        trace = run_solver(sample, prior, policy, args.layers)
+        trace = run_solver(sample, policy, args.layers)
         estimate = trace.x_means[-1]
         level = trace.nmse_db[-1]
     aligned = align_phase(x, estimate)

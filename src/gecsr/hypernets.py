@@ -17,7 +17,8 @@ spectrum, sqrt(SNR)) and queries it with the extrinsic variance; whatever
 else it reads -- the static schedule, the GRU's damping history -- it forms.
 
 Each controller owns its depth and width rules.  The fixed-depth ones
-(direct and static) damp by 0.5, with no gradient, past their trained depth.
+(direct and static) share `TablePolicy`: a per-side table of factors formed
+at reset, and 0.5, with no gradient, past their trained depth.
 The static and recurrent ones read the spectrum through `spectrum_input`,
 so a controller trained at one N runs at any other.
 
@@ -340,60 +341,58 @@ def spectrum_input(sigma_tilde: np.ndarray, n: int) -> np.ndarray:
     return shape / norm if norm > 0 else shape
 
 
-class DirectSchedulePolicy(DampingPolicy):
-    """Damping factors sigmoid(logit) looked up per layer and side."""
+class TablePolicy(DampingPolicy):
+    """A fixed-depth controller: a table of factors per side, formed at `reset`,
+    0.5 with no gradient past `params.layers`, and dL/dbeta summed per side."""
 
-    def __init__(self, params: DirectDampingParams):
+    def __init__(self, params):
         self.params = params
-        self._beta_z = sigmoid(params.logits_z)
-        self._beta_x = self._beta_z if params.tied else sigmoid(params.logits_x)
 
-    def reset(self, sigma_tilde: np.ndarray, sqrt_snr: float, tape: bool = False) -> None:
-        self._grads = _zeros_like(self.params) if tape else None
+    def _start(self, beta_z: np.ndarray, beta_x: np.ndarray, tape: bool) -> None:
+        self._tables = {"z": beta_z, "x": beta_x}
+        self._g_tables = {s: np.zeros(self.params.layers) for s in "zx"} if tape else None
 
     def beta(self, side: str, t: int, v_ext: float) -> float:
         if t > self.params.layers:
             return 0.5
-        table = self._beta_z if side == "z" else self._beta_x
-        return float(table[t - 1])
+        return float(self._tables[side][t - 1])
 
     def backward_beta(self, side: str, t: int, g_beta: float) -> float:
         if t <= self.params.layers:
-            table, grad = ((self._beta_z, self._grads.logits_z) if side == "z"
-                           else (self._beta_x, self._grads.logits_x))
-            beta = table[t - 1]
-            grad[t - 1] += g_beta * beta * (1.0 - beta)
+            self._g_tables[side][t - 1] += g_beta
         return 0.0
 
+
+class DirectSchedulePolicy(TablePolicy):
+    """Damping factors sigmoid(logit) looked up per layer and side."""
+
+    def reset(self, sigma_tilde: np.ndarray, sqrt_snr: float, tape: bool = False) -> None:
+        beta_z = sigmoid(self.params.logits_z)
+        beta_x = beta_z if self.params.tied else sigmoid(self.params.logits_x)
+        self._start(beta_z, beta_x, tape)
+
     def gradients(self) -> DirectDampingParams:
-        return self._grads
+        grads = _zeros_like(self.params)
+        # A tied bundle's two logit arrays are one, so both sides add into it.
+        for side, logits in (("z", grads.logits_z), ("x", grads.logits_x)):
+            beta = self._tables[side]
+            logits += self._g_tables[side] * beta * (1.0 - beta)
+        return grads
 
 
-class StaticHyperNetPolicy(DampingPolicy):
+class StaticHyperNetPolicy(TablePolicy):
     """Static controller: one forward pass per run, both sides tied."""
-
-    def __init__(self, params: HyperNetParams):
-        self.params = params
 
     def reset(self, sigma_tilde: np.ndarray, sqrt_snr: float, tape: bool = False) -> None:
         self._tape = {} if tape else None
-        self._g_betas = np.zeros(self.params.layers) if tape else None
         s = np.concatenate([spectrum_input(sigma_tilde, self.params.n), [sqrt_snr]])
-        self._betas = hypernet_forward(s, self.params, self._tape)
-
-    def beta(self, side: str, t: int, v_ext: float) -> float:
-        if t > self.params.layers:
-            return 0.5
-        return float(self._betas[t - 1])
-
-    def backward_beta(self, side: str, t: int, g_beta: float) -> float:
-        if t <= self.params.layers:
-            self._g_betas[t - 1] += g_beta
-        return 0.0
+        betas = hypernet_forward(s, self.params, self._tape)
+        self._start(betas, betas, tape)
 
     def gradients(self) -> HyperNetParams:
         grads = _zeros_like(self.params)
-        hypernet_backward(self._g_betas, self.params, self._tape, grads)
+        hypernet_backward(self._g_tables["x"] + self._g_tables["z"], self.params,
+                          self._tape, grads)
         return grads
 
 

@@ -476,13 +476,13 @@ def forward_measure(matrix: TransformMatrix, x: np.ndarray,
 
 @dataclass
 class Sample:
-    """One phase-retrieval instance: signal, measurements, and scenario."""
+    """One phase-retrieval instance: signal, measurements, scenario and prior."""
 
     x: np.ndarray
     y: np.ndarray
     matrix: TransformMatrix
     snr: float
-    rho: float
+    prior: SignalPrior
 
 
 @dataclass(frozen=True)
@@ -516,8 +516,9 @@ class DatasetManifest:
             object.__setattr__(self, key, tuple(
                 v if isinstance(v, float) else number_field(key, v)
                 for v in getattr(self, key)))
-        if self.count < 0:
-            raise ManifestError(f"count must be >= 0, got {self.count}")
+        for key in ("seed", "count"):
+            if getattr(self, key) < 0:
+                raise ManifestError(f"{key} must be >= 0, got {getattr(self, key)}")
         if not (self.m >= self.n >= 1):
             raise ManifestError(f"need M >= N >= 1, got ({self.m}, {self.n})")
         if not self.matrix_class:
@@ -574,8 +575,7 @@ def sample_at(manifest: DatasetManifest, index: int) -> Sample:
     rng = np.random.default_rng([manifest.seed, index])
     snr_db = rng.uniform(*manifest.snr_db_range)
     snr = 10.0 ** (snr_db / 10.0)
-    rho = rng.uniform(*manifest.rho_range)
-    prior = SignalPrior(rho)
+    prior = SignalPrior(rng.uniform(*manifest.rho_range))
     x = sample_signal(prior, manifest.n, rng)
     while not np.any(x):
         x = sample_signal(prior, manifest.n, rng)
@@ -587,7 +587,7 @@ def sample_at(manifest: DatasetManifest, index: int) -> Sample:
     else:
         matrix = binary_matrix(manifest.m, manifest.n, snr, rng)
     y = forward_measure(matrix, x, rng)
-    return Sample(x=x, y=y, matrix=matrix, snr=snr, rho=rho)
+    return Sample(x=x, y=y, matrix=matrix, snr=snr, prior=prior)
 
 
 def read_pgm(path: str) -> np.ndarray:

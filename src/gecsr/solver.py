@@ -3,7 +3,7 @@
 One solver layer runs three Bayesian estimators in sequence -- a phase
 reconstructor working on the magnitude measurements, an SVD-domain linear
 (LMMSE) reconstructor coupling the signal and its transform, and a denoiser
-applying the true signal prior -- each followed by an extrinsic (debiasing)
+applying the sample's prior -- each followed by an extrinsic (debiasing)
 step.  The messages leaving the phase reconstructor and the denoiser pass
 through a damping operation whose factor beta(t) is supplied online by a
 DampingPolicy, which is where fixed schedules, learned vectors, and
@@ -487,10 +487,10 @@ class LayerRecursion:
     records every step of every layer, for `backward`.
     """
 
-    def __init__(self, sample: Sample, prior: SignalPrior, policy: DampingPolicy,
+    def __init__(self, sample: Sample, policy: DampingPolicy,
                  init: Optional[tuple[GaussianMessage, GaussianMessage]] = None,
                  taped: bool = False):
-        self.matrix, self.prior = sample.matrix, prior
+        self.matrix, self.prior = sample.matrix, sample.prior
         msg_z0, msg_x0 = spectral_init(sample.y, self.matrix) if init is None else init
         self.msg_1z = GaussianMessage(msg_z0.mean, clamp_variance(msg_z0.variance))
         self.msg_2x = GaussianMessage(msg_x0.mean, clamp_variance(msg_x0.variance))
@@ -566,21 +566,21 @@ class LayerRecursion:
                     and np.all(np.isfinite(self.msg_2x.mean)))
 
 
-def run_solver(sample: Sample, prior: SignalPrior, policy: DampingPolicy,
-               layers: int,
+def run_solver(sample: Sample, policy: DampingPolicy, layers: int,
                init: Optional[tuple[GaussianMessage, GaussianMessage]] = None
                ) -> SolverTrace:
     """Run the layered solver and record the per-layer trace.
 
     Each layer runs the phase reconstructor, then `LayerRecursion.advance`.
-    A non-finite message truncates the run and flags divergence.
+    A non-finite message truncates the run and flags divergence.  The
+    denoiser applies `sample.prior` (`dataclasses.replace` swaps in another).
 
     `init` may carry a precomputed spectral initialization so the (pure)
     layer recursion can be re-run cheaply under different policies.
     """
     if layers < 1:
         raise ValueError(f"need at least one layer, got {layers}")
-    recursion = LayerRecursion(sample, prior, policy, init)
+    recursion = LayerRecursion(sample, policy, init)
 
     trace = SolverTrace()
     trace.init_nmse_db = nmse_db(sample.x, align_phase(sample.x, recursion.msg_2x.mean))

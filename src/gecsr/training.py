@@ -28,8 +28,8 @@ from .hypernets import (
     params_to_vector,
     policy_for_params,
 )
-from .model import DatasetManifest, Sample, SignalPrior
-from .solver import DampingPolicy, GaussianMessage, SolverTrace, aligned_error, run_solver
+from .model import DatasetManifest
+from .solver import DampingPolicy, SolverTrace, aligned_error, run_solver
 
 
 class EstimatorError(RuntimeError):
@@ -84,7 +84,7 @@ class TrainerConfig:
             elif spec.type == "bool" and not isinstance(getattr(self, key), bool):
                 raise ValueError(f"{key} must be true or false, got {getattr(self, key)!r}")
         for key, low in (("batch_size", 1), ("layers", 1), ("grad_pairs", 1), ("epochs", 0),
-                         ("hidden", 0), ("heads", 0)):
+                         ("hidden", 0), ("heads", 0), ("seed", 0)):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         for key in ("learning_rate", "grad_perturbation"):
@@ -183,14 +183,8 @@ class _SampleCache:
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
-        self._store: dict[int, tuple] = {}  # index -> (sample, prior, init)
+        self._store: dict[int, tuple] = {}  # index -> (sample, init)
         self._bytes = 0
-
-    @staticmethod
-    def _nbytes(sample: Sample, init: tuple[GaussianMessage, GaussianMessage]) -> int:
-        arrays = (sample.x, sample.y, sample.matrix.operator, sample.matrix.right_unitary,
-                  sample.matrix.singulars, init[0].mean, init[1].mean)
-        return sum(a.nbytes for a in arrays)
 
     def get(self, index: int):
         hit = self._store.get(index)
@@ -198,20 +192,19 @@ class _SampleCache:
             return hit
         sample = model.sample_at(self.manifest, index)
         init = solver.spectral_init(sample.y, sample.matrix)
-        entry = (sample, SignalPrior(sample.rho), init)
-        size = self._nbytes(sample, init)
+        size = sum(a.nbytes for a in (sample.x, sample.y, sample.matrix.operator,
+                                      sample.matrix.right_unitary, sample.matrix.singulars,
+                                      init[0].mean, init[1].mean))
         if self._bytes + size <= SAMPLE_CACHE_BYTES:
-            self._store[index] = entry
+            self._store[index] = (sample, init)
             self._bytes += size
-        return entry
+        return sample, init
 
 
 @dataclass
 class TrainResult:
     checkpoint: dict
     history: list
-    no_progress: bool
-    params: object
 
 
 def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> TrainResult:
@@ -242,14 +235,13 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
         candidate = params_from_vector(params, vec)
         policy = None if gradient else policy_for_params(candidate)
         total, grad, n_diverged = 0.0, np.zeros_like(vec), 0
-        for sample, prior, init in batch:
+        for sample, init in batch:
             if gradient:
                 loss, grads, diverged = adjoint.loss_and_gradient(
-                    sample, prior, candidate, config.layers, init=init,
-                    loss_clip=config.loss_clip)
+                    sample, candidate, config.layers, init=init, loss_clip=config.loss_clip)
                 grad += adjoint.gradient_vector(candidate, grads)
             else:
-                trace = run_solver(sample, prior, policy, config.layers, init=init)
+                trace = run_solver(sample, policy, config.layers, init=init)
                 diverged = trace.diverged
                 loss = (config.loss_clip if diverged
                         else sample_loss(sample.x, trace, config.layers))
@@ -295,20 +287,17 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
 
     if config.keep_best and history:
         theta = best_theta
-    trained = params_from_vector(params, theta)
-    # No progress unless the last ten steps' mean loss is below the first ten's.
-    no_progress = bool(recent) and not (np.mean(recent[-10:]) < np.mean(recent[:10]))
     metadata = {
         "train_manifest_hash": manifest.hash(),
         "trainer": config.to_dict(),
         "steps": step,
         "final_loss": history[-1][1] if history else None,
-        "no_progress": no_progress,
+        # No progress unless the last ten steps' mean loss is below the first ten's.
+        "no_progress": bool(recent) and not (np.mean(recent[-10:]) < np.mean(recent[:10])),
     }
-    payload = checkpoint_payload(variant, trained, n=manifest.n,
+    payload = checkpoint_payload(variant, params_from_vector(params, theta), n=manifest.n,
                                  layers=config.layers, metadata=metadata)
-    return TrainResult(checkpoint=payload, history=history,
-                       no_progress=no_progress, params=trained)
+    return TrainResult(checkpoint=payload, history=history)
 
 
 def policy_for_evaluation(source: Union[DampingPolicy, dict],
@@ -358,7 +347,7 @@ def evaluate(source: Union[DampingPolicy, dict], manifest: DatasetManifest,
     flags = np.zeros(manifest.count, dtype=bool)
     for i in range(manifest.count):
         sample = model.sample_at(manifest, i)
-        trace = run_solver(sample, SignalPrior(sample.rho), policy, layers)
+        trace = run_solver(sample, policy, layers)
         curves[i, :trace.layers] = trace.nmse_db
         inits[i] = trace.init_nmse_db
         flags[i] = trace.diverged

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from gecsr import adjoint, hypernets, model, solver
-from gecsr.model import DatasetManifest, SignalPrior
+from gecsr.model import DatasetManifest
 from gecsr.training import EstimatorError, sample_loss, spsa_gradient
 
 
@@ -69,7 +69,7 @@ def grad_check(pairs: int = 64, perturbation: float = 1e-3,
     manifest = DatasetManifest(seed=20, count=4, m=16, n=8,
                                matrix_class=("gaussian",),
                                snr_db_range=(20.0, 20.0), rho_range=(0.5, 0.5))
-    cases = [(s, SignalPrior(s.rho), solver.spectral_init(s.y, s.matrix))
+    cases = [(s, solver.spectral_init(s.y, s.matrix))
              for s in (model.sample_at(manifest, i) for i in range(manifest.count))]
     template = hypernets.init_hypernet_params(manifest.n, layers=3, hidden=5,
                                               attention=False, seed=seed)
@@ -81,8 +81,8 @@ def grad_check(pairs: int = 64, perturbation: float = 1e-3,
         policy = hypernets.StaticHyperNetPolicy(
             hypernets.params_from_vector(template, vec))
         total = 0.0
-        for sample, prior, init in cases:
-            trace = solver.run_solver(sample, prior, policy, 3, init=init)
+        for sample, init in cases:
+            trace = solver.run_solver(sample, policy, 3, init=init)
             total += min(sample_loss(sample.x, trace, 3), 1e6)
         return total / manifest.count
 
@@ -99,18 +99,17 @@ def grad_check(pairs: int = 64, perturbation: float = 1e-3,
 def adjoint_check(params, batch, layers: int, step: float = 1e-6
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(adjoint gradient, central differences) of the mean
-    `adjoint.loss_and_gradient` loss over `batch`, a list of (sample, prior,
-    spectral init) triples, at `layers` layers."""
+    `adjoint.loss_and_gradient` loss over `batch`, a list of (sample,
+    spectral init) pairs, at `layers` layers."""
     theta = hypernets.params_to_vector(params)
 
     def mean_loss(vec: np.ndarray) -> float:
         candidate = hypernets.params_from_vector(params, vec)
-        return sum(adjoint.loss_and_gradient(sample, prior, candidate, layers,
-                                             init=init)[0]
-                   for sample, prior, init in batch) / len(batch)
+        return sum(adjoint.loss_and_gradient(sample, candidate, layers, init=init)[0]
+                   for sample, init in batch) / len(batch)
 
     grad = np.zeros_like(theta)
-    for sample, prior, init in batch:
-        _, grads, _ = adjoint.loss_and_gradient(sample, prior, params, layers, init=init)
+    for sample, init in batch:
+        _, grads, _ = adjoint.loss_and_gradient(sample, params, layers, init=init)
         grad += adjoint.gradient_vector(params, grads)
     return grad / len(batch), central_diff_gradient(mean_loss, theta, step)

@@ -232,7 +232,7 @@ def test_criterion_8_invariant_suites():
 
     # Message-variance clamping through a full solver run.
     sample = _small_sample(81, m=48, n=12)
-    trace = run_solver(sample, SignalPrior(sample.rho), constant_schedule(0.0), 10)
+    trace = run_solver(sample, constant_schedule(0.0), 10)
     if not all(V_MIN <= v <= V_MAX for v in trace.v2z + trace.v2x):
         failures.append("variance clamp")
 

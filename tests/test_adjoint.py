@@ -57,8 +57,7 @@ def _batch(manifest):
     out = []
     for i in range(manifest.count):
         sample = model.sample_at(manifest, i)
-        out.append((sample, SignalPrior(sample.rho),
-                    spectral_init(sample.y, sample.matrix)))
+        out.append((sample, spectral_init(sample.y, sample.matrix)))
     return out
 
 
@@ -106,10 +105,10 @@ def _golden_values(batch) -> dict:
     for name in ALL_VARIANTS:
         params = _variant_params(name)
         runs = []
-        for sample, prior, init in batch:
-            loss, grads, _ = loss_and_gradient(sample, prior, params, LAYERS,
+        for sample, init in batch:
+            loss, grads, _ = loss_and_gradient(sample, params, LAYERS,
                                                init=init)
-            trace = run_solver(sample, prior, policy_for_params(params), LAYERS,
+            trace = run_solver(sample, policy_for_params(params), LAYERS,
                                init=init)
             runs.append({"loss": loss,
                          "gradient": gradient_vector(params, grads).tolist(),
@@ -147,22 +146,22 @@ class TestAdjointForward:
         # Bit for bit, on every transform class.
         params = _variant_params(name)
         policy = policy_for_params(params)
-        for sample, prior, init in class_batch:
-            loss_adj, _, diverged = loss_and_gradient(sample, prior, params,
+        for sample, init in class_batch:
+            loss_adj, _, diverged = loss_and_gradient(sample, params,
                                                       LAYERS, init=init)
             assert not diverged
-            trace = run_solver(sample, prior, policy, LAYERS, init=init)
+            trace = run_solver(sample, policy, LAYERS, init=init)
             assert loss_adj == sample_loss(sample.x, trace, LAYERS)
 
     @pytest.mark.parametrize("layers", [0, -3])
     def test_non_positive_layers_rejected(self, layers, tiny_batch):
         # As in run_solver: no layer means no loss to differentiate.
-        sample, prior, init = tiny_batch[0]
+        sample, init = tiny_batch[0]
         params = _variant_params("net_direct")
         with pytest.raises(ValueError, match="at least one layer"):
-            loss_and_gradient(sample, prior, params, layers, init=init)
+            loss_and_gradient(sample, params, layers, init=init)
         with pytest.raises(ValueError, match="at least one layer"):
-            run_solver(sample, prior, policy_for_params(params), layers, init=init)
+            run_solver(sample, policy_for_params(params), layers, init=init)
 
 
 class TestForwardMagnitude:
@@ -202,12 +201,12 @@ class TestDivergence:
     @pytest.mark.parametrize("name", ["net_direct", "hypergru_attn"])
     def test_overflowing_init_diverges(self, name, tiny_batch):
         params = _variant_params(name)
-        sample, prior, init = tiny_batch[0]
+        sample, init = tiny_batch[0]
         init = self._scaled_init(init, 1e200)
         with np.errstate(over="ignore", invalid="ignore"):
-            trace = run_solver(sample, prior, policy_for_params(params), LAYERS,
+            trace = run_solver(sample, policy_for_params(params), LAYERS,
                                init=init)
-            loss, grads, diverged = loss_and_gradient(sample, prior, params, LAYERS,
+            loss, grads, diverged = loss_and_gradient(sample, params, LAYERS,
                                                       init=init, loss_clip=1e6)
         assert trace.diverged and trace.layers == 0
         assert trace.beta_z == trace.beta_x == trace.v2z == trace.v2x == []
@@ -217,10 +216,10 @@ class TestDivergence:
 
     def test_clipped_loss_is_not_divergence(self, tiny_batch):
         params = _variant_params("net_direct")
-        sample, prior, init = tiny_batch[0]
+        sample, init = tiny_batch[0]
         init = self._scaled_init(init, 1e150)
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads, diverged = loss_and_gradient(sample, prior, params, LAYERS,
+            loss, grads, diverged = loss_and_gradient(sample, params, LAYERS,
                                                       init=init, loss_clip=1e6)
         assert (loss, diverged) == (1e6, False)
         assert all(not np.any(g) for g in grads.values())
@@ -233,15 +232,15 @@ def _check_directional_derivatives(params, tiny_batch):
     def batch_loss(v):
         candidate = params_from_vector(params, v)
         total = 0.0
-        for sample, prior, init in tiny_batch:
-            loss, _, _ = loss_and_gradient(sample, prior, candidate,
+        for sample, init in tiny_batch:
+            loss, _, _ = loss_and_gradient(sample, candidate,
                                            LAYERS, init=init)
             total += loss
         return total / len(tiny_batch)
 
     grad = np.zeros_like(vec)
-    for sample, prior, init in tiny_batch:
-        _, grads, _ = loss_and_gradient(sample, prior, params, LAYERS,
+    for sample, init in tiny_batch:
+        _, grads, _ = loss_and_gradient(sample, params, LAYERS,
                                         init=init)
         grad += gradient_vector(params, grads)
     grad /= len(tiny_batch)
@@ -284,8 +283,8 @@ class TestAdjointGradients:
         params = _variant_params("net_direct")
         vec = params_to_vector(params)
         grad = np.zeros_like(vec)
-        for sample, prior, init in tiny_batch:
-            _, grads, _ = loss_and_gradient(sample, prior, params, LAYERS,
+        for sample, init in tiny_batch:
+            _, grads, _ = loss_and_gradient(sample, params, LAYERS,
                                             init=init)
             grad += gradient_vector(params, grads)
         grad /= len(tiny_batch)
@@ -295,12 +294,10 @@ class TestAdjointGradients:
             vp[i] += eps
             vm[i] -= eps
             fd_total = 0.0
-            for sample, prior, init in tiny_batch:
-                lp, _, _ = loss_and_gradient(sample, prior,
-                                             params_from_vector(params, vp),
+            for sample, init in tiny_batch:
+                lp, _, _ = loss_and_gradient(sample, params_from_vector(params, vp),
                                              LAYERS, init=init)
-                lm, _, _ = loss_and_gradient(sample, prior,
-                                             params_from_vector(params, vm),
+                lm, _, _ = loss_and_gradient(sample, params_from_vector(params, vm),
                                              LAYERS, init=init)
                 fd_total += (lp - lm) / (2 * eps)
             fd = fd_total / len(tiny_batch)
@@ -417,11 +414,11 @@ class TestPolicyQueries:
     def test_non_finite_factor_raises_like_the_solver(self, tiny_batch):
         params = hypernets.init_direct_params(LAYERS)
         params.logits_z[1] = np.nan
-        sample, prior, init = tiny_batch[0]
+        sample, init = tiny_batch[0]
         with pytest.raises(PolicyError):
-            run_solver(sample, prior, policy_for_params(params), LAYERS, init=init)
+            run_solver(sample, policy_for_params(params), LAYERS, init=init)
         with pytest.raises(PolicyError):
-            loss_and_gradient(sample, prior, params, LAYERS, init=init)
+            loss_and_gradient(sample, params, LAYERS, init=init)
 
 
 class TestAdjointTraining:
@@ -434,7 +431,7 @@ class TestAdjointTraining:
                                layers=4, grad_estimator="adjoint",
                                grad_clip_norm=1.0, seed=12, hidden=4)
         result = train("hypergru", manifest, config)
-        assert not result.no_progress
+        assert not result.checkpoint["metadata"]["no_progress"]
         first = result.history[0][1]
         best = min(row[1] for row in result.history)
         assert best < first

@@ -154,6 +154,24 @@ class TestGen:
         path.write_text(json.dumps(bad))
         assert main(["gen", "--manifest", str(path)]) == 2
 
+    @pytest.mark.parametrize("changes, expected", [
+        ({}, "manifest valid; probed 4 samples\n"
+             "mean SNR: 20.00 dB (declared range 20..20)\n"
+             "rho histogram: [0.50,0.50):4 [0.50,0.50):0 [0.50,0.50):0 [0.50,0.50):0\n"
+             "matrix classes: gaussian=4\n"),
+        ({"count": 8, "matrix_class": ["gaussian", "binary"], "snr_db_range": [15.0, 25.0],
+          "rho_range": [0.3, 0.8]},
+         "manifest valid; probed 8 samples\n"
+         "mean SNR: 19.44 dB (declared range 15..25)\n"
+         "rho histogram: [0.30,0.43):4 [0.43,0.55):3 [0.55,0.68):1 [0.68,0.80):0\n"
+         "matrix classes: binary=4, gaussian=4\n")])
+    def test_full_stdout(self, tmp_path, capsys, changes, expected):
+        # The histogram reads each sample's drawn prior.
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(dict(TINY_MANIFEST, **changes)))
+        assert main(["gen", "--manifest", str(path)]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_empty_count(self, tmp_path, capsys):
         empty = dict(TINY_MANIFEST, count=0)
         path = tmp_path / "m.json"
@@ -168,7 +186,8 @@ class TestManifestErrors:
     @pytest.mark.parametrize("command", ["gen", "eval"])
     @pytest.mark.parametrize("bad", [{"snr_db_range": [float("nan"), float("nan")]},
                                      {"snr_db_range": [1e9, 1e9]},
-                                     {"snr_range": [40.0, 40.0]}])
+                                     {"snr_range": [40.0, 40.0]},
+                                     {"seed": -1}])
     def test_exit_code(self, tmp_path, capsys, command, bad):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(dict(TINY_MANIFEST, **bad)))
@@ -237,12 +256,20 @@ class TestTrain:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("epochs", -1), ("hidden", -2), ("heads", -1),
-                                              ("grad_pairs", 0), ("grad_perturbation", 0.0)])
+                                              ("grad_pairs", 0), ("grad_perturbation", 0.0),
+                                              ("seed", -1)])
     def test_out_of_range_trainer_field_rejected(self, tmp_path, capsys, field, value):
         cfg = _train_config(tmp_path, **{field: value})
         out = tmp_path / "out"
         assert main(["train", "--config", cfg, "--out", str(out)]) == 2
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["train", "--config", _train_config(tmp_path), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("batch_size", 2.5), ("epochs", True),
@@ -539,6 +566,97 @@ class TestSweep:
         path.write_text(json.dumps(cfg))
         assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 4
 
+    @staticmethod
+    def _checkpoint(path, variant="hypergru", n=8, seed=17, nan=False):
+        params = hypernets.init_variant_params(variant, n, 2, hidden=4, seed=seed)
+        payload = hypernets.checkpoint_payload(variant, params, n=n, layers=2)
+        if nan:
+            payload["arrays"]["w_out"]["data"][0] = float("nan")
+        hypernets.save_checkpoint(str(path), payload)
+        return str(path)
+
+    @staticmethod
+    def _sweep(tmp_path, capsys, kind, grid, variants, **manifest):
+        """(exit code, stderr, data rows or None) of a 2-sample, 2-layer sweep."""
+        cfg = {"kind": kind, "grid": grid, "variants": variants, "samples": 2, "layers": 2,
+               "manifest": dict(TINY_MANIFEST, **manifest)}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = main(["sweep", "--config", str(path), "--out", str(out)])
+        table = out / f"sweep_{kind}.csv"
+        rows = table.read_text().splitlines()[1:] if table.exists() else None
+        return code, capsys.readouterr().err, rows
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = training.run_solver
+        monkeypatch.setattr(training, "run_solver",
+                            lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+        return calls
+
+    def test_size_mismatch_at_a_later_point_fails_before_any_solve(self, tmp_path, capsys,
+                                                                     solves):
+        # The N=8 checkpoint fits the first point and not the second.
+        ck = self._checkpoint(tmp_path / "ck.json")
+        variants = [{"name": cli.BASELINE_GEOMETRIC}, {"name": "hypergru", "checkpoint": ck}]
+        code, err, rows = self._sweep(tmp_path, capsys, "size", [8, 12], variants)
+        assert (code, rows, solves) == (4, None, [])
+        assert "N=8" in err
+
+    def test_non_finite_third_checkpoint_fails_before_any_solve(self, tmp_path, capsys,
+                                                                solves):
+        ck = self._checkpoint(tmp_path / "ck.json", nan=True)
+        variants = [{"name": cli.BASELINE_GEOMETRIC}, {"name": cli.BASELINE_CONSTANT},
+                    {"name": "hypergru", "checkpoint": ck}]
+        code, err, rows = self._sweep(tmp_path, capsys, "snr", [15.0, 25.0], variants)
+        assert (code, rows, solves) == (2, None, [])
+        assert "non-finite" in err
+
+    def test_rows_carry_entry_names(self, tmp_path, capsys):
+        # Two checkpoints of one variant are two series, in the table and the plot.
+        variants = [{"name": f"gru_seed{seed}", "checkpoint": self._checkpoint(
+            tmp_path / f"ck{seed}.json", "hypergru_attn", seed=seed)} for seed in (1, 2)]
+        code, _, rows = self._sweep(tmp_path, capsys, "snr", [15.0, 25.0], variants)
+        assert code == 0
+        by_label = {}
+        for row in rows:
+            label, rest = row.split(",", 1)
+            by_label.setdefault(label, []).append(rest)
+        assert set(by_label) == {"gru_seed1", "gru_seed2"}
+        assert by_label["gru_seed1"] != by_label["gru_seed2"]
+        plots = tmp_path / "plots"
+        assert main(["plot", "--table", str(tmp_path / "out" / "sweep_snr.csv"),
+                     "--out", str(plots)]) == 0
+        assert (plots / "sweep_snr.svg").read_text().count("<polyline") == 2
+
+    @pytest.mark.parametrize("names", [("gru", "gru"), ("gru", "ok", "gru"),
+                                       (cli.BASELINE_CONSTANT, cli.BASELINE_CONSTANT)])
+    def test_repeated_names_rejected_before_any_solve(self, tmp_path, capsys, solves,
+                                                      names):
+        ck = self._checkpoint(tmp_path / "ck.json")
+        variants = [{"name": name} if name in cli.BASELINES
+                    else {"name": name, "checkpoint": ck} for name in names]
+        code, err, rows = self._sweep(tmp_path, capsys, "snr", [15.0], variants)
+        assert (code, rows, solves) == (2, None, [])
+        assert "names must differ" in err
+
+    @pytest.mark.parametrize("name", ["", "gru,1", "gru 1", "gru\n1"])
+    def test_name_unfit_for_the_table_rejected(self, tmp_path, capsys, name):
+        variants = [{"name": name, "checkpoint": self._checkpoint(tmp_path / "ck.json")}]
+        code, err, rows = self._sweep(tmp_path, capsys, "snr", [15.0], variants)
+        assert (code, rows) == (2, None)
+        assert "letters, digits" in err
+
+    def test_negative_base_seed_rejected(self, tmp_path, capsys, solves):
+        # A point seed folds the base seed modulo 2^63, so a negative one
+        # would run; the base manifest refuses it first.
+        code, err, rows = self._sweep(tmp_path, capsys, "snr", [15.0],
+                                      [{"name": cli.BASELINE_CONSTANT}], seed=-1)
+        assert (code, rows, solves) == (2, None, [])
+        assert "seed must be >= 0, got -1" in err
+
 
 class TestReconImage:
     def _write_image(self, tmp_path, side=8, bright=True):
@@ -621,7 +739,7 @@ class TestReconImage:
 
     @pytest.mark.parametrize("flag, value", [("--snr-db", "nan"), ("--snr-db", "inf"),
                                              ("--snr-db", "-inf"), ("--snr-db", "4000"),
-                                             ("--layers", "-1")])
+                                             ("--layers", "-1"), ("--seed", "-1")])
     def test_bad_snr_or_layers_rejected_before_reading(self, tmp_path, capsys,
                                                        monkeypatch, flag, value):
         def untouched(*args):

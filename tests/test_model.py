@@ -697,7 +697,7 @@ class TestManifest:
             assert np.all(sample.y >= 0)
             assert sample.y.shape == (16,) and sample.x.shape == (4,)
             assert abs(sample.matrix.snr / sample.snr - 1.0) < 1e-9
-            assert 0.3 <= sample.rho <= 0.8
+            assert 0.3 <= sample.prior.rho <= 0.8
 
     def test_class_cycling_equal_counts(self):
         m = self._small(count=8)
@@ -735,6 +735,12 @@ class TestManifest:
     def test_rejects_unknown_class(self):
         with pytest.raises(ManifestError):
             self._small(matrix_class=("fourier",))
+
+    def test_rejects_negative_seed(self):
+        # numpy would refuse it at the first draw, naming no field.
+        with pytest.raises(ManifestError, match="seed must be >= 0, got -1"):
+            self._small(seed=-1)
+        assert self._small(seed=0).seed == 0
 
     def test_json_round_trip(self):
         m = self._small()

@@ -7,12 +7,14 @@ denoiser against radial quadrature of the spike-and-slab posterior, and the
 linear reconstructor against the dense LMMSE formula.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import i0e, i1e
 
-from gecsr import hypernets, model
+from gecsr import hypernets, model, solver
 from gecsr.hypernets import init_hypergru_params, policy_for_params
 from gecsr.model import SignalPrior, TransformMatrix, gaussian_matrix
 from gecsr.solver import (
@@ -443,7 +445,7 @@ class TestDamp:
                 return 1.5 if side == "z" else -0.5
 
         sample = _small_sample(seed=9)
-        trace = run_solver(sample, SignalPrior(sample.rho), OutOfRange(), 3)
+        trace = run_solver(sample, OutOfRange(), 3)
         assert trace.beta_z == [1.0, 1.0, 1.0]
         assert trace.beta_x == [0.0, 0.0, 0.0]
 
@@ -547,16 +549,34 @@ def _small_sample(seed=0, m=24, n=8, snr_db=20.0, rho=0.5):
 
 
 class TestRunSolver:
+    def test_denoiser_applies_the_sample_prior(self, monkeypatch):
+        # The sample carries its prior; a mismatched one replaces it there.
+        sample = _small_sample(3)
+        seen = []
+
+        def recording_posterior(msg, prior, tape=None):
+            seen.append(prior)
+            return gb_posterior(msg, prior, tape)
+
+        monkeypatch.setattr(solver, "gb_posterior", recording_posterior)
+        run_solver(sample, geometric_schedule(0.9), 4)
+        assert seen == [sample.prior] * 4 and sample.prior.rho == 0.5
+        seen.clear()
+        mismatched = replace(sample, prior=SignalPrior(0.9))
+        trace = run_solver(mismatched, geometric_schedule(0.9), 4)
+        assert trace.layers == 4
+        assert len(seen) == 4 and all(prior is mismatched.prior for prior in seen)
+
     def test_rejects_zero_layers(self):
         sample = _small_sample()
         with pytest.raises(ValueError):
-            run_solver(sample, SignalPrior(sample.rho), constant_schedule(0.5), 0)
+            run_solver(sample, constant_schedule(0.5), 0)
 
     def test_full_damping_is_fixed_point(self):
         # With beta = 1 the damped messages never leave their initialization,
         # so every layer reproduces the layer-1 estimate exactly.
         sample = _small_sample(1)
-        trace = run_solver(sample, SignalPrior(sample.rho), constant_schedule(1.0), 5)
+        trace = run_solver(sample, constant_schedule(1.0), 5)
         assert trace.layers == 5
         for t in range(1, 5):
             np.testing.assert_array_equal(trace.x_means[t], trace.x_means[0])
@@ -566,15 +586,14 @@ class TestRunSolver:
 
     def test_purity(self):
         sample = _small_sample(2)
-        prior = SignalPrior(sample.rho)
-        t1 = run_solver(sample, prior, geometric_schedule(0.9), 6)
-        t2 = run_solver(sample, prior, geometric_schedule(0.9), 6)
+        t1 = run_solver(sample, geometric_schedule(0.9), 6)
+        t2 = run_solver(sample, geometric_schedule(0.9), 6)
         np.testing.assert_array_equal(np.array(t1.nmse_db), np.array(t2.nmse_db))
         np.testing.assert_array_equal(t1.x_means[-1], t2.x_means[-1])
 
     def test_variances_stay_clamped(self):
         sample = _small_sample(3)
-        trace = run_solver(sample, SignalPrior(sample.rho), constant_schedule(0.0), 12)
+        trace = run_solver(sample, constant_schedule(0.0), 12)
         for v in trace.v2z + trace.v2x:
             assert V_MIN <= v <= V_MAX
 
@@ -586,11 +605,11 @@ class TestRunSolver:
                 return float("nan")
 
         with pytest.raises(PolicyError):
-            run_solver(sample, SignalPrior(sample.rho), BadPolicy(), 3)
+            run_solver(sample, BadPolicy(), 3)
 
     def test_trace_shape_and_csv(self):
         sample = _small_sample(5)
-        trace = run_solver(sample, SignalPrior(sample.rho), geometric_schedule(0.9), 4)
+        trace = run_solver(sample, geometric_schedule(0.9), 4)
         assert trace.layers == 4
         for column in (trace.nmse_db, trace.beta_z, trace.beta_x, trace.v2z, trace.v2x):
             assert len(column) == 4
@@ -609,7 +628,7 @@ class TestRunSolver:
 
         monkeypatch.setattr(hypernets, "gru_step", recording_step)
         policy = policy_for_params(init_hypergru_params(n, hidden=5, seed=6))
-        trace = run_solver(sample, SignalPrior(sample.rho), policy, 3)
+        trace = run_solver(sample, policy, 3)
         assert trace.beta_z != trace.beta_x
         assert len(inputs) == 6
         for k, s in enumerate(inputs):
@@ -629,12 +648,12 @@ class TestRunSolver:
             def beta(self, side, t, v_ext):
                 return 0.5
 
-        run_solver(sample, SignalPrior(sample.rho), NormCheck(), 2)
+        run_solver(sample, NormCheck(), 2)
         assert seen == [np.sqrt(sample.matrix.snr)]
 
     def test_convergence_small_instance(self):
         sample = _small_sample(8, m=80, n=20)
-        trace = run_solver(sample, SignalPrior(sample.rho), geometric_schedule(0.9), 25)
+        trace = run_solver(sample, geometric_schedule(0.9), 25)
         assert trace.nmse_db[-1] < -10.0
 
 
@@ -659,7 +678,7 @@ class TestLayerRecursionBackward:
         policy = policy_for_params(init_hypergru_params(sample.matrix.n, hidden=5,
                                                         seed=5))
         init = (GaussianMessage(m1z, v1z), GaussianMessage(m2x, v2x))
-        recursion = LayerRecursion(sample, SignalPrior(sample.rho), policy, init, taped)
+        recursion = LayerRecursion(sample, policy, init, taped)
         recursion.side_z.hist, recursion.side_x.hist = (hz, hvz), (hx, hvx)
         den_x, _, _ = recursion.advance(1, post_z, var_z)
         sides = (recursion.side_z.hist, recursion.side_x.hist)

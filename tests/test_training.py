@@ -170,7 +170,7 @@ class TestTrainLoop:
         result = train("net_direct", manifest, config)
         init = hypernets.init_direct_params(3)
         np.testing.assert_array_equal(
-            hypernets.params_to_vector(result.params),
+            hypernets.params_to_vector(hypernets.params_from_checkpoint(result.checkpoint)),
             hypernets.params_to_vector(init))
         assert result.history == []
 
@@ -188,7 +188,7 @@ class TestTrainLoop:
         config = TrainerConfig(epochs=6, batch_size=4, layers=4, grad_pairs=2,
                                seed=12, learning_rate=0.1)
         result = train("net_direct", manifest, config)
-        assert not result.no_progress
+        assert not result.checkpoint["metadata"]["no_progress"]
 
     def test_history_rows_and_metadata(self):
         manifest = tiny_manifest(count=4)
@@ -256,7 +256,7 @@ class TestTrainLoop:
         config = TrainerConfig(epochs=12, batch_size=4, layers=2, grad_pairs=1, seed=3)
         result = train("net_direct", tiny_manifest(seed=62, count=4), config)
         assert len(result.history) == 12
-        assert result.no_progress == rising
+        assert result.checkpoint["metadata"]["no_progress"] == rising
 
 
 class TestSampleCache:
@@ -265,7 +265,7 @@ class TestSampleCache:
         # once per buffer: the M x N operator and the N x N unitary, no
         # left singular vectors and no adjoint copies.
         manifest = tiny_manifest(count=1, m=24, n=6)
-        sample, _, _ = training._SampleCache(manifest).get(0)
+        sample, _ = training._SampleCache(manifest).get(0)
         buffers = {}
         for value in vars(sample.matrix).values():
             for arr in (value if isinstance(value, tuple) else (value,)):
@@ -276,7 +276,7 @@ class TestSampleCache:
 
     def test_entry_matches_fresh_sample(self):
         manifest = tiny_manifest(count=2)
-        sample, _, _ = training._SampleCache(manifest).get(1)
+        sample, _ = training._SampleCache(manifest).get(1)
         fresh = model.sample_at(manifest, 1)
         np.testing.assert_array_equal(sample.y, fresh.y)
         np.testing.assert_array_equal(sample.matrix.operator, fresh.matrix.operator)
@@ -430,7 +430,8 @@ class TestTrainerConfig:
 
     @pytest.mark.parametrize("field, value, least", [
         ("epochs", -1, 0), ("hidden", -2, 0), ("heads", -1, 0), ("grad_pairs", 0, 1),
-        ("grad_perturbation", 0.0, 1e-3), ("grad_perturbation", -0.05, 1e-3)])
+        ("grad_perturbation", 0.0, 1e-3), ("grad_perturbation", -0.05, 1e-3),
+        ("seed", -1, 0)])
     def test_rejects_out_of_range_field(self, field, value, least):
         # epochs -1 trained nothing and wrote the initial controller; hidden
         # -2 failed inside numpy after the output directory was made.
@@ -515,8 +516,7 @@ class TestTrainedHypernetSensitivity:
         rng = np.random.default_rng(26)
         sig = np.sort(rng.random(8))[::-1]
         shape = sig / np.linalg.norm(sig)
-        lo = hypernet_forward(np.concatenate([shape, [np.sqrt(10**1.4)]]),
-                              result.params)
-        hi = hypernet_forward(np.concatenate([shape, [np.sqrt(10**2.6)]]),
-                              result.params)
+        params = hypernets.params_from_checkpoint(result.checkpoint)
+        lo = hypernet_forward(np.concatenate([shape, [np.sqrt(10**1.4)]]), params)
+        hi = hypernet_forward(np.concatenate([shape, [np.sqrt(10**2.6)]]), params)
         assert not np.allclose(lo, hi)
