@@ -6,11 +6,12 @@ layer with `LayerRecursion.backward`.  Each solver step's adjoint sits
 beside its forward in `solver.py`, and each controller's in `hypernets.py`,
 so a recurrent controller is differentiated through time over the
 interleaved solver/controller graph.  The loss is `solver.aligned_error`
-summed over layers.  The one solver step kept here is a taped copy of the
-phase reconstructor with its adjoint (see `_forward_magnitude`); it forms
-the solver's expressions, so the forward pass and the loss equal the
-solver's bit for bit.  Spectral initializations are constants of the
-sample, so the recursion stops there.
+summed over layers, and its gradient is a bundle shaped like the weights.
+The one solver step kept here is a taped copy of the phase reconstructor
+with its adjoint (see `_forward_magnitude`); it forms the solver's
+expressions, so the forward pass and the loss equal the solver's bit for
+bit.  Spectral initializations are constants of the sample, so the
+recursion stops there.
 
 Everything here is validated against central differences of the actual
 training loss (see tests/test_adjoint.py).
@@ -22,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hypernets import _named_arrays, policy_for_params
+from .hypernets import _zeros_like, params_to_vector, policy_for_params
 from .model import Sample
 from .solver import (
     GaussianMessage,
@@ -102,9 +103,9 @@ def loss_and_gradient(sample: Sample, params, layers: int,
                       loss_clip: float = 1e6):
     """Aligned multi-layer loss of one sample and d(loss)/d(parameters).
 
-    Returns (loss, grads, diverged) with grads keyed like the checkpoint
-    arrays (`gradient_vector` flattens them).  The loss is `sample_loss` of
-    the solver's trace, bit for bit.  A clipped or non-finite run returns the
+    Returns (loss, grads, diverged) with grads a bundle shaped like `params`
+    (`gradient_vector` flattens it).  The loss is `sample_loss` of the
+    solver's trace, bit for bit.  A clipped or non-finite run returns the
     clip value with zero gradients.  A non-finite damping factor raises
     `PolicyError`, as in the solver.
     """
@@ -114,7 +115,6 @@ def loss_and_gradient(sample: Sample, params, layers: int,
     recursion = LayerRecursion(sample, policy, init, taped=True)
 
     y, x_true = sample.y, sample.x
-    zero = {name: np.zeros_like(arr) for name, arr in _named_arrays(params)}
     layer_tapes = []   # (phase reconstructor tape, loss adjoint) per layer
     loss = 0.0
     for t in range(1, layers + 1):
@@ -123,13 +123,13 @@ def loss_and_gradient(sample: Sample, params, layers: int,
         layer = recursion.advance(
             t, *_forward_magnitude(msg_1z.mean, msg_1z.variance, y, mag))
         if layer is None or not recursion.finite():
-            return loss_clip, zero, True
+            return loss_clip, _zeros_like(params), True
         term, g_est = aligned_error(x_true, layer[0])
         loss += term
         layer_tapes.append((mag, g_est))
 
     if not np.isfinite(loss) or loss >= loss_clip:
-        return loss_clip, zero, False
+        return loss_clip, _zeros_like(params), False
 
     # Backward sweep; g_1z and g_2x are the adjoints of the next layer's inputs.
     g_1z = (np.zeros(sample.matrix.m, complex), 0.0)
@@ -140,9 +140,9 @@ def loss_and_gradient(sample: Sample, params, layers: int,
         g_mu, g_v = _backward_magnitude(g_post_z, g_var_z, y, mag)
         g_1z = (g_m1z + g_mu, g_v1z + g_v)
 
-    return loss, dict(_named_arrays(policy.gradients())), False
+    return loss, policy.gradients(), False
 
 
-def gradient_vector(params, grads: dict) -> np.ndarray:
-    """Flatten a gradient dict in params_to_vector order."""
-    return np.concatenate([grads[name].ravel() for name, _ in _named_arrays(params)])
+def gradient_vector(grads) -> np.ndarray:
+    """Flatten a gradient bundle in params_to_vector order."""
+    return params_to_vector(grads)

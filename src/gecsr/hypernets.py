@@ -23,7 +23,8 @@ The static and recurrent ones read the spectrum through `spectrum_input`,
 so a controller trained at one N runs at any other.
 
 All weights live in small dataclasses that flatten to/from one real vector
-for the trainer, and serialize to a JSON checkpoint.
+for the trainer, and serialize to a JSON checkpoint.  `init_variant_params`
+builds the fresh weights of every variant named in `VARIANTS`.
 
 Each policy class is the only implementation of its controller, for the
 solver and for the exact adjoint alike.  A taped `solver.LayerRecursion`
@@ -452,51 +453,6 @@ class HyperGruPolicy(DampingPolicy):
         return gru_weight_gradients(self.params, self._done)
 
 
-def _uniform(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    return rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
-
-
-def init_hypernet_params(n: int, layers: int, hidden: int = 32, heads: int = 4,
-                         attention: bool = False, seed: int = 0) -> HyperNetParams:
-    rng = np.random.default_rng(seed)
-    w1 = _uniform(rng, hidden, n + 1)
-    w2 = _uniform(rng, layers, hidden)
-    attn = None
-    if attention:
-        attn = MultiAttention(
-            heads=tuple(AttentionHead(_uniform(rng, n + 1, n + 1),
-                                      _uniform(rng, n + 1, n + 1))
-                        for _ in range(heads)),
-            mix=_uniform(rng, heads),
-        )
-    return HyperNetParams(w1=w1, w2=w2, attention=attn)
-
-
-def init_hypergru_params(n: int, hidden: int = 32, attention: bool = False,
-                         seed: int = 0) -> HyperGruParams:
-    rng = np.random.default_rng(seed)
-    width = hidden + n + 4
-    w_update = _uniform(rng, hidden, width)
-    w_reset = _uniform(rng, hidden, width)
-    w_cand = _uniform(rng, hidden, width)
-    w_out = _uniform(rng, hidden)
-    attn = None
-    if attention:
-        attn = AttentionHead(_uniform(rng, hidden, hidden),
-                             _uniform(rng, hidden, hidden))
-    return HyperGruParams(w_update=w_update, w_reset=w_reset, w_cand=w_cand,
-                          w_out=w_out, attention=attn)
-
-
-def init_direct_params(layers: int, start_base: float = 0.9,
-                       tied: bool = False) -> DirectDampingParams:
-    """Logits initialized at the geometric schedule beta(t) = base^t."""
-    beta0 = np.clip(start_base ** np.arange(1, layers + 1), 1e-3, 1.0 - 1e-3)
-    logits = np.log(beta0 / (1.0 - beta0))
-    return DirectDampingParams(logits_z=logits.copy(), logits_x=logits.copy(),
-                               tied=tied)
-
-
 def _named_arrays(params) -> list[tuple[str, np.ndarray]]:
     """Flattening order for each parameter bundle (fixed and documented)."""
     if isinstance(params, DirectDampingParams):
@@ -511,14 +467,12 @@ def _named_arrays(params) -> list[tuple[str, np.ndarray]]:
                 out.append((f"head{i}_w_c", head.w_c))
             out.append(("mix", params.attention.mix))
         return out
-    if isinstance(params, HyperGruParams):
-        out = [("w_update", params.w_update), ("w_reset", params.w_reset),
-               ("w_cand", params.w_cand), ("w_out", params.w_out)]
-        if params.attention is not None:
-            out.append(("attn_w_b", params.attention.w_b))
-            out.append(("attn_w_c", params.attention.w_c))
-        return out
-    raise TypeError(f"unsupported parameter bundle {type(params).__name__}")
+    out = [("w_update", params.w_update), ("w_reset", params.w_reset),
+           ("w_cand", params.w_cand), ("w_out", params.w_out)]
+    if params.attention is not None:
+        out.append(("attn_w_b", params.attention.w_b))
+        out.append(("attn_w_c", params.attention.w_c))
+    return out
 
 
 def params_to_vector(params) -> np.ndarray:
@@ -554,16 +508,42 @@ CHECKPOINT_FORMAT = "gecsr-checkpoint-v1"
 def init_variant_params(variant: str, n: int, layers: int, hidden: int = 32,
                         heads: int = 4, tied: bool = False, seed: int = 0,
                         direct_init_base: float = 0.9):
-    """Fresh parameter bundle for a named controller variant."""
+    """Fresh parameter bundle for a named controller variant.
+
+    Direct logits start at the geometric schedule beta(t) = base^t.  Network
+    weights are uniform in [-INIT_SCALE, INIT_SCALE], drawn from `seed` in
+    flattening order.  Each family reads only the arguments it needs: direct
+    ones `layers`, `tied` and the base; static nets `n`, `layers`, `hidden`
+    and, with attention, `heads`; recurrent nets `n` and `hidden`.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected {tuple(VARIANTS)}")
     family, attention = VARIANTS[variant]
     if family is DirectDampingParams:
-        return init_direct_params(layers, start_base=direct_init_base, tied=tied)
+        beta0 = np.clip(direct_init_base ** np.arange(1, layers + 1), 1e-3, 1.0 - 1e-3)
+        logits = np.log(beta0 / (1.0 - beta0))
+        return DirectDampingParams(logits_z=logits, logits_x=logits.copy(), tied=tied)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape: int) -> np.ndarray:
+        return rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
+
+    # Keyword arguments are evaluated in the order written, so the draws
+    # follow the flattening order.
     if family is HyperNetParams:
-        return init_hypernet_params(n, layers, hidden, heads=heads,
-                                    attention=attention, seed=seed)
-    return init_hypergru_params(n, hidden, attention=attention, seed=seed)
+        params = HyperNetParams(w1=draw(hidden, n + 1), w2=draw(layers, hidden))
+        if attention:
+            params.attention = MultiAttention(
+                heads=tuple(AttentionHead(draw(n + 1, n + 1), draw(n + 1, n + 1))
+                            for _ in range(heads)),
+                mix=draw(heads))
+        return params
+    width = hidden + n + 4
+    params = HyperGruParams(w_update=draw(hidden, width), w_reset=draw(hidden, width),
+                            w_cand=draw(hidden, width), w_out=draw(hidden))
+    if attention:
+        params.attention = AttentionHead(draw(hidden, hidden), draw(hidden, hidden))
+    return params
 
 
 _POLICIES = {DirectDampingParams: DirectSchedulePolicy,
@@ -572,10 +552,7 @@ _POLICIES = {DirectDampingParams: DirectSchedulePolicy,
 
 
 def policy_for_params(params) -> DampingPolicy:
-    policy_class = _POLICIES.get(type(params))
-    if policy_class is None:
-        raise TypeError(f"unsupported parameter bundle {type(params).__name__}")
-    return policy_class(params)
+    return _POLICIES[type(params)](params)
 
 
 def checkpoint_payload(variant: str, params, n: int, layers: int,

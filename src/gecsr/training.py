@@ -239,7 +239,7 @@ def train(variant: str, manifest: DatasetManifest, config: TrainerConfig) -> Tra
             if gradient:
                 loss, grads, diverged = adjoint.loss_and_gradient(
                     sample, candidate, config.layers, init=init, loss_clip=config.loss_clip)
-                grad += adjoint.gradient_vector(candidate, grads)
+                grad += adjoint.gradient_vector(grads)
             else:
                 trace = run_solver(sample, policy, config.layers, init=init)
                 diverged = trace.diverged

@@ -71,8 +71,8 @@ def grad_check(pairs: int = 64, perturbation: float = 1e-3,
                                snr_db_range=(20.0, 20.0), rho_range=(0.5, 0.5))
     cases = [(s, solver.spectral_init(s.y, s.matrix))
              for s in (model.sample_at(manifest, i) for i in range(manifest.count))]
-    template = hypernets.init_hypernet_params(manifest.n, layers=3, hidden=5,
-                                              attention=False, seed=seed)
+    template = hypernets.init_variant_params("hypernet", manifest.n, 3, hidden=5,
+                                             seed=seed)
     theta_e = hypernets.params_to_vector(template)
     if theta_e.size > 64:
         raise ValueError("end-to-end surrogate exceeds 64 parameters")
@@ -111,5 +111,5 @@ def adjoint_check(params, batch, layers: int, step: float = 1e-6
     grad = np.zeros_like(theta)
     for sample, init in batch:
         _, grads, _ = adjoint.loss_and_gradient(sample, params, layers, init=init)
-        grad += adjoint.gradient_vector(params, grads)
+        grad += adjoint.gradient_vector(grads)
     return grad / len(batch), central_diff_gradient(mean_loss, theta, step)

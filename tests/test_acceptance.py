@@ -277,7 +277,7 @@ def test_criterion_8_invariant_suites():
         failures.append("attention stochasticity")
 
     # GRU state bounds and sigmoid-range damping factors.
-    params = hypernets.init_hypergru_params(6, hidden=5, seed=83)
+    params = hypernets.init_variant_params("hypergru", 6, 30, hidden=5, seed=83)
     state = np.zeros(5)
     for _ in range(30):
         state, beta = hypernets.gru_step(state, rng.normal(size=10), params)

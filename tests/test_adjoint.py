@@ -82,17 +82,17 @@ def class_batch(tiny_batch):
 
 def _variant_params(name):
     if name == "net_direct":
-        return hypernets.init_direct_params(LAYERS)
+        return hypernets.init_variant_params("net_direct", 8, LAYERS)
     if name == "net_direct_tied":
-        return hypernets.init_direct_params(LAYERS, tied=True)
+        return hypernets.init_variant_params("net_direct", 8, LAYERS, tied=True)
     if name == "hypernet":
-        return hypernets.init_hypernet_params(8, LAYERS, hidden=5, seed=3)
+        return hypernets.init_variant_params("hypernet", 8, LAYERS, hidden=5, seed=3)
     if name == "hypernet_attn":
-        return hypernets.init_hypernet_params(8, LAYERS, hidden=5, heads=3,
-                                              attention=True, seed=4)
+        return hypernets.init_variant_params("hypernet_attn", 8, LAYERS, hidden=5,
+                                             heads=3, seed=4)
     if name == "hypergru":
-        return hypernets.init_hypergru_params(8, hidden=5, seed=5)
-    return hypernets.init_hypergru_params(8, hidden=5, attention=True, seed=6)
+        return hypernets.init_variant_params("hypergru", 8, LAYERS, hidden=5, seed=5)
+    return hypernets.init_variant_params("hypergru_attn", 8, LAYERS, hidden=5, seed=6)
 
 
 ALL_VARIANTS = ("net_direct", "net_direct_tied", "hypernet", "hypernet_attn",
@@ -111,7 +111,7 @@ def _golden_values(batch) -> dict:
             trace = run_solver(sample, policy_for_params(params), LAYERS,
                                init=init)
             runs.append({"loss": loss,
-                         "gradient": gradient_vector(params, grads).tolist(),
+                         "gradient": gradient_vector(grads).tolist(),
                          "beta_z": trace.beta_z, "beta_x": trace.beta_x})
         adjoint_runs[name] = runs
     checkpoints = {}
@@ -211,8 +211,9 @@ class TestDivergence:
         assert trace.diverged and trace.layers == 0
         assert trace.beta_z == trace.beta_x == trace.v2z == trace.v2x == []
         assert (loss, diverged) == (1e6, True)
-        assert all(not np.any(g) for g in grads.values())
-        assert set(grads) == {key for key, _ in hypernets._named_arrays(params)}
+        assert type(grads) is type(params)
+        flat = params_to_vector(grads)
+        assert flat.shape == params_to_vector(params).shape and not np.any(flat)
 
     def test_clipped_loss_is_not_divergence(self, tiny_batch):
         params = _variant_params("net_direct")
@@ -222,7 +223,8 @@ class TestDivergence:
             loss, grads, diverged = loss_and_gradient(sample, params, LAYERS,
                                                       init=init, loss_clip=1e6)
         assert (loss, diverged) == (1e6, False)
-        assert all(not np.any(g) for g in grads.values())
+        assert type(grads) is type(params)
+        assert not np.any(params_to_vector(grads))
 
 
 def _check_directional_derivatives(params, tiny_batch):
@@ -242,7 +244,7 @@ def _check_directional_derivatives(params, tiny_batch):
     for sample, init in tiny_batch:
         _, grads, _ = loss_and_gradient(sample, params, LAYERS,
                                         init=init)
-        grad += gradient_vector(params, grads)
+        grad += gradient_vector(grads)
     grad /= len(tiny_batch)
 
     rng = np.random.default_rng(11)
@@ -286,7 +288,7 @@ class TestAdjointGradients:
         for sample, init in tiny_batch:
             _, grads, _ = loss_and_gradient(sample, params, LAYERS,
                                             init=init)
-            grad += gradient_vector(params, grads)
+            grad += gradient_vector(grads)
         grad /= len(tiny_batch)
         eps = 1e-6
         for i in range(vec.size):
@@ -412,7 +414,7 @@ class TestEstimatorAdjoints:
 
 class TestPolicyQueries:
     def test_non_finite_factor_raises_like_the_solver(self, tiny_batch):
-        params = hypernets.init_direct_params(LAYERS)
+        params = hypernets.init_variant_params("net_direct", 8, LAYERS)
         params.logits_z[1] = np.nan
         sample, init = tiny_batch[0]
         with pytest.raises(PolicyError):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -217,7 +218,7 @@ class TestTrain:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 0
         ck = json.loads((out / "net_direct.json").read_text())
         params = hypernets.params_from_checkpoint(ck)
-        init = hypernets.init_direct_params(3)
+        init = hypernets.init_variant_params("net_direct", 8, 3)
         np.testing.assert_array_equal(hypernets.params_to_vector(params),
                                       hypernets.params_to_vector(init))
 
@@ -304,7 +305,7 @@ class TestEval:
         assert len(lines) == 1 + 12
 
     def test_checkpoint_included(self, tmp_path, manifest_path):
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=6)
+        params = hypernets.init_variant_params("hypergru", 8, 2, hidden=4, seed=6)
         payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
         ck = tmp_path / "ck.json"
         hypernets.save_checkpoint(str(ck), payload)
@@ -315,7 +316,7 @@ class TestEval:
         assert "hypergru," in body
 
     def test_n_mismatch_exit_code(self, tmp_path, manifest_path):
-        params = hypernets.init_hypergru_params(5, hidden=4, seed=7)
+        params = hypernets.init_variant_params("hypergru", 5, 2, hidden=4, seed=7)
         payload = hypernets.checkpoint_payload("hypergru", params, n=5, layers=2)
         ck = tmp_path / "ck.json"
         hypernets.save_checkpoint(str(ck), payload)
@@ -329,7 +330,7 @@ class TestEval:
                      "--layers", "2", "--out", str(tmp_path / "out")])
 
     def test_unknown_checkpoint_format_rejected(self, tmp_path, manifest_path, capsys):
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=8)
+        params = hypernets.init_variant_params("hypergru", 8, 2, hidden=4, seed=8)
         payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
         payload["format"] = "gecsr-checkpoint-v0"
         assert self._eval_with(tmp_path, manifest_path, payload) == 2
@@ -337,7 +338,7 @@ class TestEval:
         assert not (tmp_path / "out").exists()
 
     def test_wrong_array_shape_rejected(self, tmp_path, manifest_path, capsys):
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=9)
+        params = hypernets.init_variant_params("hypergru", 8, 2, hidden=4, seed=9)
         payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
         payload["arrays"]["w_out"] = {"shape": [5], "data": [0.1] * 5}
         assert self._eval_with(tmp_path, manifest_path, payload) == 2
@@ -345,7 +346,7 @@ class TestEval:
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_array_value_rejected(self, tmp_path, manifest_path, capsys):
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=9)
+        params = hypernets.init_variant_params("hypergru", 8, 2, hidden=4, seed=9)
         payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
         payload["arrays"]["w_out"]["data"][2] = float("nan")
         assert self._eval_with(tmp_path, manifest_path, payload) == 2
@@ -356,10 +357,10 @@ class TestEval:
         # Attention weights under a plain "hypergru" header must not load as
         # a controller without attention.  The writer refuses such a bundle,
         # so the arrays are added to a valid payload by hand.
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=9)
+        params = hypernets.init_variant_params("hypergru", 8, 2, hidden=4, seed=9)
         payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
-        head = hypernets.init_hypergru_params(8, hidden=4, attention=True,
-                                              seed=9).attention
+        head = hypernets.init_variant_params("hypergru_attn", 8, 2, hidden=4,
+                                             seed=9).attention
         for name, arr in (("attn_w_b", head.w_b), ("attn_w_c", head.w_c)):
             payload["arrays"][name] = {"shape": list(arr.shape),
                                        "data": arr.ravel().tolist()}
@@ -421,7 +422,7 @@ class TestEval:
         assert not (tmp_path / "out").exists()
 
     def test_static_extension_beyond_trained_depth(self, tmp_path, manifest_path):
-        params = hypernets.init_direct_params(2)
+        params = hypernets.init_variant_params("net_direct", 8, 2)
         payload = hypernets.checkpoint_payload("net_direct", params, n=8, layers=2)
         ck = tmp_path / "ck.json"
         hypernets.save_checkpoint(str(ck), payload)
@@ -454,7 +455,7 @@ class TestSweep:
     def test_one_snr_point_equals_eval_on_its_manifest(self, tmp_path):
         # A sweep point is an eval of the manifest it derives, with the
         # sweep's value as its scenario label.
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=12)
+        params = hypernets.init_variant_params("hypergru", 8, 2, hidden=4, seed=12)
         ck = tmp_path / "ck.json"
         hypernets.save_checkpoint(str(ck), hypernets.checkpoint_payload(
             "hypergru", params, n=8, layers=2))
@@ -550,7 +551,7 @@ class TestSweep:
         assert "gamma=1," in body and "gamma=0.95," in body
 
     def test_size_sweep_rejects_mismatched_checkpoint(self, tmp_path):
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=17)
+        params = hypernets.init_variant_params("hypergru", 8, 2, hidden=4, seed=17)
         payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=2)
         ck = tmp_path / "ck.json"
         hypernets.save_checkpoint(str(ck), payload)
@@ -845,6 +846,15 @@ class TestPlot:
         assert main(["plot", "--table", table, "--out", str(out)]) == 0
         assert (out / "sweep_snr.svg").exists()
 
+    def test_markup_in_labels_is_escaped(self, tmp_path):
+        table = self._table(tmp_path, [f"a<b&c,s<1>,{t},nmse_median_db,{-t}"
+                                       for t in (1, 2)])
+        out = tmp_path / "plots"
+        assert main(["plot", "--table", table, "--out", str(out)]) == 0
+        svg = minidom.parse(str(out / "curve_s_1_.svg"))
+        texts = [node.firstChild.data for node in svg.getElementsByTagName("text")]
+        assert "a<b&c" in texts and "s<1>" in texts
+
 
 class TestHighSnrControllers:
     """sqrt(SNR) = 1e15 at +300 dB reaches the controllers' gates unscaled."""
@@ -877,7 +887,7 @@ class TestReconImageWithCheckpoint:
         rng = np.random.default_rng(77)
         image = tmp_path / "img.pgm"
         model.write_pgm(str(image), rng.random((8, 8)))
-        params = hypernets.init_hypergru_params(16, hidden=4, seed=30)
+        params = hypernets.init_variant_params("hypergru", 16, 4, hidden=4, seed=30)
         payload = hypernets.checkpoint_payload("hypergru", params, n=16, layers=4)
         ck = tmp_path / "ck.json"
         hypernets.save_checkpoint(str(ck), payload)
@@ -896,7 +906,7 @@ class TestReconImageWithCheckpoint:
         rng = np.random.default_rng(78)
         image = tmp_path / "img.pgm"
         model.write_pgm(str(image), rng.random((8, 8)))
-        params = hypernets.init_hypernet_params(16, layers=2, hidden=4, seed=31)
+        params = hypernets.init_variant_params("hypernet", 16, 2, hidden=4, seed=31)
         payload = hypernets.checkpoint_payload("hypernet", params, n=16, layers=2)
         ck = tmp_path / "ck.json"
         hypernets.save_checkpoint(str(ck), payload)

@@ -19,9 +19,6 @@ from gecsr.hypernets import (
     checkpoint_payload,
     gru_step,
     hypernet_forward,
-    init_direct_params,
-    init_hypergru_params,
-    init_hypernet_params,
     init_variant_params,
     load_checkpoint,
     multi_attention,
@@ -164,12 +161,12 @@ class TestHyperNet:
         np.testing.assert_allclose(out, np.full(5, 0.5))
 
     def test_output_strictly_inside_unit_interval(self):
-        params = init_hypernet_params(8, layers=7, hidden=6, seed=3)
+        params = init_variant_params("hypernet", 8, 7, hidden=6, seed=3)
         out = hypernet_forward(np.ones(9), params)
         assert np.all((out > 0) & (out < 1))
 
     def test_snr_sensitivity_smoke(self):
-        params = init_hypernet_params(8, layers=4, hidden=6, seed=4)
+        params = init_variant_params("hypernet", 8, 4, hidden=6, seed=4)
         sig, _ = scenario()
         s_lo = np.concatenate([sig, [3.0]])
         s_hi = np.concatenate([sig, [30.0]])
@@ -177,13 +174,12 @@ class TestHyperNet:
                                hypernet_forward(s_hi, params))
 
     def test_shape_mismatch(self):
-        params = init_hypernet_params(8, layers=4, hidden=6, seed=5)
+        params = init_variant_params("hypernet", 8, 4, hidden=6, seed=5)
         with pytest.raises(ValueError):
             hypernet_forward(np.ones(7), params)
 
     def test_attention_variant_runs(self):
-        params = init_hypernet_params(8, layers=4, hidden=6, heads=4,
-                                      attention=True, seed=6)
+        params = init_variant_params("hypernet_attn", 8, 4, hidden=6, heads=4, seed=6)
         out = hypernet_forward(np.ones(9), params)
         assert out.shape == (4,) and np.all((out > 0) & (out < 1))
 
@@ -201,7 +197,7 @@ class TestGruStep:
     def test_closed_update_gate_freezes_state(self):
         # Large negative update-gate weights force z ~ 0: state is carried.
         h, d = 4, 5
-        params = init_hypergru_params(d - 4, hidden=h, seed=7)
+        params = init_variant_params("hypergru", d - 4, 3, hidden=h, seed=7)
         params.w_update[:, :] = 0.0
         params.w_update[:, h:] = -50.0  # input features are positive here
         state0 = np.tanh(np.random.default_rng(8).normal(size=h))
@@ -210,7 +206,7 @@ class TestGruStep:
 
     def test_state_stays_in_unit_box(self):
         rng = np.random.default_rng(9)
-        params = init_hypergru_params(4, hidden=6, seed=10)
+        params = init_variant_params("hypergru", 4, 3, hidden=6, seed=10)
         state = np.zeros(6)
         for _ in range(50):
             state, beta = gru_step(state, rng.normal(size=8), params)
@@ -218,8 +214,8 @@ class TestGruStep:
             assert 0.0 < beta < 1.0
 
     def test_attention_readout_changes_beta_only(self):
-        base = init_hypergru_params(4, hidden=5, seed=11)
-        attn = init_hypergru_params(4, hidden=5, attention=True, seed=11)
+        base = init_variant_params("hypergru", 4, 3, hidden=5, seed=11)
+        attn = init_variant_params("hypergru_attn", 4, 3, hidden=5, seed=11)
         s = np.ones(8)
         st_b, _ = gru_step(np.zeros(5), s, base)
         st_a, _ = gru_step(np.zeros(5), s, attn)
@@ -229,7 +225,7 @@ class TestGruStep:
 class TestPolicies:
     def test_direct_lookup_and_overflow(self):
         # Past its trained depth the schedule is 0.5 and takes no gradient.
-        params = init_direct_params(4)
+        params = init_variant_params("net_direct", 8, 4)
         policy = reset(DirectSchedulePolicy(params))
         assert policy.beta("z", 1, 1.0) == pytest.approx(0.9, abs=1e-9)
         assert policy.beta("z", 5, 1.0) == policy.beta("x", 9, None) == 0.5
@@ -238,20 +234,20 @@ class TestPolicies:
         assert not np.any(params_to_vector(policy.gradients()))
 
     def test_direct_tied_sides_match(self):
-        params = init_direct_params(3, tied=True)
+        params = init_variant_params("net_direct", 8, 3, tied=True)
         policy = reset(DirectSchedulePolicy(params))
         for t in (1, 2, 3):
             assert policy.beta("z", t, 1.0) == policy.beta("x", t, 1.0)
 
     def test_static_ties_sides(self):
-        params = init_hypernet_params(8, layers=5, hidden=6, seed=12)
+        params = init_variant_params("hypernet", 8, 5, hidden=6, seed=12)
         policy = reset(StaticHyperNetPolicy(params))
         for t in (1, 3, 5):
             assert policy.beta("z", t, 1.0) == policy.beta("x", t, 1.0)
 
     def test_static_overflow(self):
         # Past its trained depth the net is not run: 0.5, with no gradient.
-        params = init_hypernet_params(8, layers=2, hidden=6, seed=13)
+        params = init_variant_params("hypernet", 8, 2, hidden=6, seed=13)
         policy = StaticHyperNetPolicy(params)
         assert policy.beta("z", 3, None) == policy.beta("x", 7, 1.0) == 0.5
         reset(policy, tape=True)
@@ -265,14 +261,14 @@ class TestPolicies:
         assert policy.beta("x", 2, 1.0) == 0.5
 
     def test_static_cache_reset_between_runs(self):
-        params = init_hypernet_params(8, layers=3, hidden=6, seed=14)
+        params = init_variant_params("hypernet", 8, 3, hidden=6, seed=14)
         policy = StaticHyperNetPolicy(params)
         b1 = reset(policy, sqrt_snr=3.0).beta("z", 1, 1.0)
         b2 = reset(policy, sqrt_snr=30.0).beta("z", 1, 1.0)
         assert b1 != b2
 
     def test_gru_policy_stateful_determinism(self):
-        params = init_hypergru_params(8, hidden=6, seed=15)
+        params = init_variant_params("hypergru", 8, 3, hidden=6, seed=15)
         policy = HyperGruPolicy(params)
         sequence = [10.0**-k for k in range(6)]
 
@@ -298,7 +294,7 @@ class TestPolicies:
 
     def test_gru_policy_feature_width_check(self):
         # A spectrum of another width is resampled to the trained one.
-        params = init_hypergru_params(8, hidden=4, seed=16)
+        params = init_variant_params("hypergru", 8, 3, hidden=4, seed=16)
         sig, sqrt_snr = scenario(n=5)
         narrow, resampled = HyperGruPolicy(params), HyperGruPolicy(params)
         narrow.reset(sig, sqrt_snr)
@@ -306,7 +302,7 @@ class TestPolicies:
         assert narrow.beta("z", 1, 1.0) == resampled.beta("z", 1, 1.0)
 
     def test_gru_policy_uses_variance_feature(self):
-        params = init_hypergru_params(8, hidden=6, seed=17)
+        params = init_variant_params("hypergru", 8, 3, hidden=6, seed=17)
         policy = reset(HyperGruPolicy(params))
         b_small = policy.beta("z", 1, 1e-6)
         reset(policy)
@@ -324,13 +320,26 @@ class TestParamVector:
         np.testing.assert_array_equal(params_to_vector(back), vec)
 
     def test_tied_direct_half_size(self):
-        untied = init_direct_params(6, tied=False)
-        tied = init_direct_params(6, tied=True)
+        untied = init_variant_params("net_direct", 8, 6, tied=False)
+        tied = init_variant_params("net_direct", 8, 6, tied=True)
         assert params_to_vector(untied).size == 12
         assert params_to_vector(tied).size == 6
 
+    @pytest.mark.parametrize("variant, changes", [
+        ("net_direct", ({"n": 4}, {"n": 400})),
+        ("hypergru", ({"layers": 3}, {"layers": 30})),
+        ("hypergru_attn", ({"layers": 3}, {"layers": 30})),
+        ("hypernet", ({"heads": 1, "tied": False}, {"heads": 7, "tied": True})),
+    ])
+    def test_family_ignores_arguments_it_does_not_read(self, variant, changes):
+        base = dict(n=8, layers=5, hidden=6, heads=3, seed=19)
+        one, other = (init_variant_params(variant, **{**base, **change})
+                      for change in changes)
+        assert type(one) is type(other)
+        np.testing.assert_array_equal(params_to_vector(one), params_to_vector(other))
+
     def test_wrong_length_rejected(self):
-        params = init_direct_params(4)
+        params = init_variant_params("net_direct", 8, 4)
         with pytest.raises(ValueError):
             params_from_vector(params, np.zeros(3))
 
@@ -366,7 +375,8 @@ class TestCheckpoints:
                 with pytest.raises(hypernets.CheckpointError, match=label):
                     checkpoint_payload(label, params, n=8, layers=4)
         with pytest.raises(hypernets.CheckpointError, match="mystery"):
-            checkpoint_payload("mystery", init_direct_params(3), n=4, layers=3)
+            checkpoint_payload("mystery", init_variant_params("net_direct", 4, 3),
+                               n=4, layers=3)
 
     def test_residual_form_in_header(self, tmp_path):
         # The residual form is written to the header and read back as the
@@ -427,7 +437,7 @@ class TestCheckpoints:
             load_checkpoint(str(path))
 
     def test_unknown_variant_rejected(self, tmp_path):
-        params = init_direct_params(3)
+        params = init_variant_params("net_direct", 4, 3)
         payload = checkpoint_payload("net_direct", params, n=4, layers=3)
         payload["variant"] = "mystery"
         path = tmp_path / "bad.json"

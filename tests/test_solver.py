@@ -15,7 +15,7 @@ from scipy import integrate
 from scipy.special import i0e, i1e
 
 from gecsr import hypernets, model, solver
-from gecsr.hypernets import init_hypergru_params, policy_for_params
+from gecsr.hypernets import init_variant_params, policy_for_params
 from gecsr.model import SignalPrior, TransformMatrix, gaussian_matrix
 from gecsr.solver import (
     V_MAX,
@@ -627,7 +627,8 @@ class TestRunSolver:
             return gru_step(state, s, params, tape)
 
         monkeypatch.setattr(hypernets, "gru_step", recording_step)
-        policy = policy_for_params(init_hypergru_params(n, hidden=5, seed=6))
+        policy = policy_for_params(init_variant_params("hypergru", n, 3, hidden=5,
+                                                       seed=6))
         trace = run_solver(sample, policy, 3)
         assert trace.beta_z != trace.beta_x
         assert len(inputs) == 6
@@ -675,8 +676,8 @@ class TestLayerRecursionBackward:
     @staticmethod
     def _advance(sample, inputs, taped=False):
         post_z, var_z, m1z, v1z, m2x, v2x, hz, hvz, hx, hvx = inputs
-        policy = policy_for_params(init_hypergru_params(sample.matrix.n, hidden=5,
-                                                        seed=5))
+        policy = policy_for_params(init_variant_params("hypergru", sample.matrix.n, 1,
+                                                       hidden=5, seed=5))
         init = (GaussianMessage(m1z, v1z), GaussianMessage(m2x, v2x))
         recursion = LayerRecursion(sample, policy, init, taped)
         recursion.side_z.hist, recursion.side_x.hist = (hz, hvz), (hx, hvx)

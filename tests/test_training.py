@@ -168,7 +168,7 @@ class TestTrainLoop:
         manifest = tiny_manifest()
         config = TrainerConfig(epochs=0, batch_size=2, layers=3, seed=9)
         result = train("net_direct", manifest, config)
-        init = hypernets.init_direct_params(3)
+        init = hypernets.init_variant_params("net_direct", 8, 3)
         np.testing.assert_array_equal(
             hypernets.params_to_vector(hypernets.params_from_checkpoint(result.checkpoint)),
             hypernets.params_to_vector(init))
@@ -229,8 +229,7 @@ class TestTrainLoop:
         def diverging_gradient(sample, *args, **kwargs):
             loss, grads, diverged = differentiate(sample, *args, **kwargs)
             if sample.x.tobytes() in bad:
-                zero = {key: np.zeros_like(g) for key, g in grads.items()}
-                return kwargs["loss_clip"], zero, True
+                return kwargs["loss_clip"], hypernets._zeros_like(grads), True
             return loss, grads, diverged
 
         monkeypatch.setattr(training, "run_solver", diverging_solve)
@@ -332,7 +331,7 @@ class TestEvaluate:
         np.testing.assert_array_equal(r1.nmse_db, r2.nmse_db)
 
     def test_checkpoint_n_mismatch_rejected(self):
-        params = hypernets.init_hypernet_params(6, layers=3, hidden=4, seed=14)
+        params = hypernets.init_variant_params("hypernet", 6, 3, hidden=4, seed=14)
         payload = hypernets.checkpoint_payload("hypernet", params, n=6, layers=3)
         with pytest.raises(IncompatibleError):
             evaluate(payload, tiny_manifest(), layers=3)
@@ -363,7 +362,7 @@ class TestEvaluate:
 
     def test_checkpoint_round_trip_reproduces_curves(self, tmp_path):
         manifest = tiny_manifest(seed=55, count=3)
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=16)
+        params = hypernets.init_variant_params("hypergru", 8, 3, hidden=4, seed=16)
         payload = hypernets.checkpoint_payload("hypergru", params, n=8, layers=3)
         before = evaluate(payload, manifest, layers=3)
         path = tmp_path / "ck.json"
@@ -469,8 +468,8 @@ class TestFeatureResample:
         narrow = self._scenario(shape)
         np.testing.assert_array_equal(hypernets.spectrum_input(wide[0], 8),
                                       narrow[0])
-        gru = hypernets.init_hypergru_params(8, hidden=4, seed=21)
-        static = hypernets.init_hypernet_params(8, layers=3, hidden=4, seed=21)
+        gru = hypernets.init_variant_params("hypergru", 8, 3, hidden=4, seed=21)
+        static = hypernets.init_variant_params("hypernet", 8, 3, hidden=4, seed=21)
         for params in (gru, static):
             got = self._first_beta(hypernets.policy_for_params(params), wide)
             assert 0.0 < got < 1.0
@@ -480,7 +479,7 @@ class TestFeatureResample:
         rng = np.random.default_rng(24)
         sigma_tilde, sqrt_snr = self._scenario(np.sort(rng.random(8))[::-1], sqrt_snr=5.0)
         assert hypernets.spectrum_input(sigma_tilde, 8) is sigma_tilde
-        params = hypernets.init_hypernet_params(8, layers=3, hidden=4, seed=23)
+        params = hypernets.init_variant_params("hypernet", 8, 3, hidden=4, seed=23)
         s = np.concatenate([sigma_tilde, [sqrt_snr]])
         policy = hypernets.StaticHyperNetPolicy(params)
         assert (self._first_beta(policy, (sigma_tilde, sqrt_snr))
@@ -490,7 +489,7 @@ class TestFeatureResample:
         # Two spectra queried through one policy must each be resampled, as
         # fresh policies do, even when the second spectrum takes over
         # the memory (and so the id()) of the freed first.
-        params = hypernets.init_hypergru_params(8, hidden=4, seed=27)
+        params = hypernets.init_variant_params("hypergru", 8, 3, hidden=4, seed=27)
         rng = np.random.default_rng(28)
         spectra = [np.sort(rng.random(20))[::-1] for _ in range(2)]
         shared = hypernets.HyperGruPolicy(params)
