@@ -400,7 +400,14 @@ def cmd_plot(args: argparse.Namespace) -> int:
             if row[3] == "nmse_median_db" and keep(row):
                 series.setdefault(row[0], []).append((x_of(row), row[4]))
         if series:
-            plots.append((f"{_safe_name(name)}.svg", _svg_plot(title, x_label, series)))
+            # Labels that differ only where _safe_name writes "_" share a stem;
+            # each later holder of a taken file name gets a -2, -3, ... suffix.
+            stem, taken, k = _safe_name(name), {file for file, _ in plots}, 1
+            file = f"{stem}.svg"
+            while file in taken:
+                k += 1
+                file = f"{stem}-{k}.svg"
+            plots.append((file, _svg_plot(title, x_label, series)))
 
     scenarios = sorted({r[1] for r in rows})
     for scenario in scenarios:

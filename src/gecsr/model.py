@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from ctypes import CDLL, c_char, c_double, c_int, c_int64, c_void_p
@@ -101,15 +102,25 @@ def check_snr_db(name: str, value: float) -> None:
                             f"[-300, 300], got {value}")
 
 
+# Rows (along the last axis) drawn, or Gram columns folded, per step: the
+# temporaries of complex_normal and _gram stay at ROW_BLOCK rows.
+ROW_BLOCK = 64
+
+
 def complex_normal(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Standard circularly-symmetric complex Gaussian draws (unit variance).
 
-    All real parts are drawn first, then all imaginary parts, each written
-    straight into one complex array.
+    All real parts are drawn first, then all imaginary parts, ROW_BLOCK rows
+    at a time into one complex array.  The generator's stream does not depend
+    on how a draw is split, so the numbers and its end state are those of two
+    whole-array draws, without a real temporary of the array's size.
     """
     out = np.empty(shape, dtype=complex)
-    out.real = rng.standard_normal(shape)
-    out.imag = rng.standard_normal(shape)
+    rows = out.reshape(math.prod(shape[:-1]), *shape[-1:])  # 0-d and empty shapes too
+    for part in (rows.real, rows.imag):
+        for lo in range(0, len(rows), ROW_BLOCK):
+            block = part[lo:lo + ROW_BLOCK]
+            block[...] = rng.standard_normal(block.shape)
     out *= np.sqrt(0.5)
     return out
 
@@ -193,17 +204,31 @@ def _gram(a: np.ndarray) -> np.ndarray:
     """a^H a of a complex M x N matrix from one real symmetric product.
 
     With b the M x 2N float view of a (columns Re a_1, Im a_1, Re a_2, ...),
-    b^T b is a symmetric rank-k update, half the flops of a general product,
-    and needs no conjugate copy of a.  Its 2 x 2 blocks hold the real and
-    imaginary parts of the Gram entries, stored Fortran-ordered for zheevr.
+    r = b^T b is a symmetric rank-k update, half the flops of a general
+    product, and needs no conjugate copy of a.  numpy mirrors its triangle, so
+    r is exactly symmetric, and Gram entry (k, j) has real part r[2j, 2k] +
+    r[2j+1, 2k+1] and imaginary part r[2j+1, 2k] - r[2j, 2k+1]: column j
+    reads rows 2j and 2j+1 only.  It is written as complex floats over row j
+    of r: row 0 entry by entry, then row ranges [lo, hi) of at most
+    min(lo, ROW_BLOCK) rows, each of which writes only rows that earlier
+    ranges have read.  So the first half of r becomes the Fortran-ordered
+    Gram matrix zheevr reads, and the second half is released.  Besides a,
+    the working set peaks at r, 32 N^2 bytes.
     """
     m, n = a.shape
     b = np.ascontiguousarray(a).view(float).reshape(m, 2 * n)
-    r = (b.T @ b).reshape(n, 2, n, 2)
-    gram = np.empty((n, n), dtype=complex, order="F")
-    np.add(r[:, 0, :, 0], r[:, 1, :, 1], out=gram.real)
-    np.subtract(r[:, 0, :, 1], r[:, 1, :, 0], out=gram.imag)
-    return gram
+    r = b.T @ b
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + max(1, min(lo, ROW_BLOCK)))
+        np.add(r[2 * lo:2 * hi:2, 0::2], r[2 * lo + 1:2 * hi:2, 1::2], out=r[lo:hi, 0::2])
+        np.subtract(r[2 * lo + 1:2 * hi:2, 0::2], r[2 * lo:2 * hi:2, 1::2],
+                    out=r[lo:hi, 1::2])
+        lo = hi
+    # No view of r is alive, and a debugger reading the frame's locals holds r
+    # itself, which refcheck would refuse.
+    r.resize(2 * n * n, refcheck=False)
+    return r.view(complex).reshape(n, n).T
 
 
 def _gram_conditioned(w: np.ndarray) -> bool:
@@ -456,8 +481,10 @@ def dense_gaussian_matrix(m: int, n: int, snr_linear: float,
     factors of its N x N Gram matrix (economy_factors), which numpy's own zheevr reads
     in place.  Its condition number is near (1 + sqrt(N/M)) / (1 - sqrt(N/M)), 3 at
     M = 4N, so the SVD fallback runs only for draws close to square.  Besides the draw,
-    the working set peaks at one real component of it (while drawing) or at the Gram
-    product and the N x N factors: no second complex M x N array.
+    the working set peaks at two N x N complex arrays: the real 2N x 2N Gram product,
+    which _gram folds into its own first half, then the Gram matrix and V during the
+    eigensolve.  Drawing adds one real block of ROW_BLOCK rows; no second complex
+    M x N array is made.
     """
     a = complex_normal(rng, m, n)
     s, v = economy_factors(a)

@@ -855,6 +855,22 @@ class TestPlot:
         texts = [node.firstChild.data for node in svg.getElementsByTagName("text")]
         assert "a<b&c" in texts and "s<1>" in texts
 
+    def test_labels_with_one_safe_name_get_their_own_files(self, tmp_path, capsys):
+        # s<1 and s>1 both map to curve_s_1; the second plot is not written
+        # over the first, and s_1-2 does not take the second's suffixed name.
+        table = self._table(tmp_path, [f"v,{scenario},1,nmse_median_db,-1"
+                                       for scenario in ("s>1", "s_1-2", "s<1")])
+        out = tmp_path / "plots"
+        assert main(["plot", "--table", table, "--out", str(out)]) == 0
+        titles = {}
+        for path in out.glob("*.svg"):
+            texts = [node.firstChild.data for node in
+                     minidom.parse(str(path)).getElementsByTagName("text")]
+            titles[path.name] = next(s for s in ("s<1", "s>1", "s_1-2") if s in texts)
+        assert titles == {"curve_s_1.svg": "s<1", "curve_s_1-2.svg": "s>1",
+                          "curve_s_1-2-2.svg": "s_1-2"}
+        assert len(set(capsys.readouterr().out.splitlines())) == 3
+
 
 class TestHighSnrControllers:
     """sqrt(SNR) = 1e15 at +300 dB reaches the controllers' gates unscaled."""

@@ -33,15 +33,19 @@ from gecsr.model import (
 
 class TestComplexNormal:
     def test_bit_identical_to_separate_draws(self):
-        # The in-place fill equals the two-draw expression bit for bit.
-        for shape in ((1,), (7,), (40, 10)):
-            rng = np.random.default_rng(2)
+        # Filled ROW_BLOCK rows at a time, the array equals the two-draw
+        # expression bit for bit, and the generator ends where the two whole
+        # draws leave it; the shapes straddle the row block.
+        for shape in ((), (0,), (4, 0), (1,), (5,), (7,), (40, 10), (63, 3), (64, 3),
+                      (65, 3), (400, 100)):
+            rng, blocked = np.random.default_rng(2), np.random.default_rng(2)
             re = rng.standard_normal(shape)
             im = rng.standard_normal(shape)
             old = (re + 1j * im) * np.sqrt(0.5)
-            new = model.complex_normal(np.random.default_rng(2), *shape)
+            new = model.complex_normal(blocked, *shape)
             assert new.dtype == complex and new.flags.c_contiguous
             assert new.tobytes() == old.tobytes()
+            assert blocked.bit_generator.state == rng.bit_generator.state
 
 
 class TestSignalPrior:
@@ -403,6 +407,42 @@ class TestEconomyFactors:
         np.testing.assert_allclose(gram, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
         np.testing.assert_array_equal(gram, gram.conj().T)
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (3, 3), (63, 63), (64, 64), (65, 65),
+                                      (400, 100), (129, 129), (300, 129), (257, 257),
+                                      (600, 257)])
+    @pytest.mark.parametrize("draw", ["gaussian", "binary"])
+    def test_gram_fold_is_bit_identical(self, m, n, draw):
+        # Folded in place over the product's first half, the Gram matrix is
+        # bit for bit the fold of the whole product into a new array.
+        rng = np.random.default_rng(m + n)
+        if draw == "gaussian":
+            a = model.complex_normal(rng, m, n)
+        else:
+            a = np.where(rng.random((m, n)) < 0.5, 1.7, 0.0).astype(complex)
+        b = a.view(float).reshape(m, 2 * n)
+        r = (b.T @ b).reshape(n, 2, n, 2)
+        gram = model._gram(a)
+        assert gram.shape == (n, n) and gram.flags.f_contiguous
+        assert gram.real.tobytes() == (r[:, 0, :, 0] + r[:, 1, :, 1]).tobytes()
+        assert gram.imag.tobytes() == (r[:, 0, :, 1] - r[:, 1, :, 0]).tobytes()
+        np.testing.assert_array_equal(gram, gram.conj().T)
+
+    def test_gram_under_a_debugger(self):
+        # A debugger that reads each frame's locals holds a second reference
+        # to the product while _gram releases its second half.
+        def trace(frame, event, arg):
+            frame.f_locals
+            return trace
+
+        a = model.complex_normal(np.random.default_rng(38), 40, 10)
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            gram = model._gram(a)
+        finally:
+            sys.settrace(previous)
+        assert gram.tobytes() == model._gram(a).tobytes()
+
     def test_rank_deficient(self):
         # Repeated columns: the Gram matrix is singular, so the SVD is used.
         a = model.complex_normal(np.random.default_rng(31), 40, 6)
@@ -506,18 +546,21 @@ class TestDenseGaussianMatrix:
         np.testing.assert_allclose(energy / 60, 20.0, rtol=1e-12)
 
     def test_peak_memory_bounded_by_the_draw(self):
-        # Besides the M x N draw the working set is one real component at a
-        # time or the Gram work, half the draw at M = 4N; a second complex
-        # M x N array (a conjugate copy, a left factor) breaks the bound.
-        m, n = 2048, 512
-        tracemalloc.start()
-        try:
-            mat = dense_gaussian_matrix(m, n, 10.0, np.random.default_rng(24))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert mat.operator.shape == (m, n)
-        assert peak <= 2.0 * 16 * m * n
+        # Besides the M x N draw the working set is two N x N complex arrays:
+        # the real Gram product, then the Gram matrix and V.  The slack is two
+        # real ROW_BLOCK-row temporaries, of the draw or of the fold.  A real
+        # M x N part, a separate Gram array or a second complex M x N array
+        # (a conjugate copy, a left factor) breaks the bound.
+        for m, n in ((2048, 512), (2048, 256)):
+            slack = 2 * 8 * model.ROW_BLOCK * n
+            tracemalloc.start()
+            try:
+                mat = dense_gaussian_matrix(m, n, 10.0, np.random.default_rng(24))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert mat.operator.shape == (m, n)
+            assert peak <= 16 * m * n + 2 * 16 * n * n + slack, (m, n)
 
 
 class TestBinaryMatrix:
